@@ -18,6 +18,7 @@ use coloc_machine::{
 use coloc_ml::rng::{derive_seed, derive_seed_str};
 use coloc_perfmon::{EventSet, FlatProfiler};
 use coloc_workloads::Benchmark;
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -183,9 +184,13 @@ impl Lab {
         self.faults.as_ref()
     }
 
-    /// Set the worker-thread count for parallel sweeps (0 = one per
-    /// available CPU). Results are bit-identical at any setting; this only
-    /// controls resources.
+    /// Set how many threads work on one parallel sweep
+    /// ([`Lab::collect_scenarios`], [`Lab::run_scenarios_batch`]); 0 =
+    /// one per available CPU, 1 = on the calling thread. The threads are
+    /// helpers of the process-wide worker pool
+    /// ([`coloc_ml::parallel::run_indexed`]), started once and reused,
+    /// and the caller waits while they work. Results are bit-identical at
+    /// any setting; this only controls resources.
     pub fn with_threads(mut self, threads: usize) -> Lab {
         self.threads = threads;
         self
@@ -360,36 +365,58 @@ impl Lab {
         Ok(outcome)
     }
 
-    /// Execute a scenario batch through the cache's batched oracle path
-    /// ([`RunCache::run_batch`]): duplicates collapse onto one engine run
-    /// and distinct cold scenarios fan out across the lab's worker
-    /// threads. Returns measured wall times in request order,
+    /// Execute a scenario batch: duplicates (by run-cache key) collapse
+    /// onto one run, and the distinct scenarios fan out across the lab's
+    /// worker threads ([`coloc_ml::parallel::run_indexed`]) through
+    /// [`Lab::run_ir`]. Returns measured wall times in request order,
     /// bit-identical to calling [`Lab::run_scenario`] per element at any
     /// thread count.
     ///
     /// This is the placement-oracle entry point: a placement wave asks
     /// for thousands of socket outcomes at once, most of them repeats.
-    /// With an active [`FaultPlan`] the batch falls back to the
-    /// per-scenario path (fault injection is keyed and applied per run).
-    /// Batch-simulated segment/iteration work is attributed to the cache
-    /// counters but not to [`SweepStats::segments_simulated`].
+    /// Telemetry counts the batch as the same requests made one by one:
+    /// R requests that needed M engine runs add M misses and R − M hits.
+    /// On failure the error of the first failing request, in request
+    /// order, is returned.
     pub fn run_scenarios_batch(&self, scenarios: &[Scenario]) -> Result<Vec<f64>> {
         let irs = scenarios
             .iter()
             .map(|sc| self.scenario_ir(sc))
             .collect::<Result<Vec<_>>>()?;
-        if self.faults.is_none() {
-            let batch: Vec<(&[RunnerGroup], RunOptions)> = irs
-                .iter()
-                .map(|ir| (ir.workload.as_slice(), ir.opts))
-                .collect();
-            let threads = coloc_ml::parallel::resolve_threads(self.threads, batch.len());
-            self.run_cache.run_batch(&self.machine, &batch, threads)?;
-        }
-        // Read back through the one canonical run path: every scenario is
-        // now resident, so this is all hits, and telemetry/stage profiling
-        // see the batch exactly like any other sweep.
-        irs.iter().map(|ir| self.run_ir(ir)).collect()
+        let mut seen = HashSet::new();
+        let is_first: Vec<bool> = irs.iter().map(|ir| seen.insert(self.run_key(ir))).collect();
+        let distinct: Vec<&ScenarioIr> = irs
+            .iter()
+            .zip(&is_first)
+            .filter_map(|(ir, &first)| first.then_some(ir))
+            .collect();
+        let mut firsts = coloc_ml::parallel::run_indexed(distinct.len(), self.threads, |d| {
+            self.run_ir(distinct[d])
+        })
+        .into_iter();
+        // Repeats run after every first occurrence is resident, so each
+        // is a cache hit, exactly as it would be when asked one by one.
+        irs.iter()
+            .zip(is_first)
+            .map(|(ir, first)| {
+                if first {
+                    firsts.next().expect("one result per distinct scenario")
+                } else {
+                    self.run_ir(ir)
+                }
+            })
+            .collect()
+    }
+
+    /// The run-cache key [`Lab::run_ir`] memoizes `ir` under.
+    fn run_key(&self, ir: &ScenarioIr) -> u128 {
+        self.run_cache.key_for_scheduled(
+            &self.machine,
+            &ir.workload,
+            &ir.opts,
+            ir.faults.as_ref(),
+            ir.schedules.as_deref(),
+        )
     }
 
     /// Probe the run cache for a scenario without ever simulating:
@@ -402,14 +429,10 @@ impl Lab {
     /// fell through to the engine.
     pub fn cached_run(&self, scenario: &Scenario) -> Result<Option<f64>> {
         let ir = self.scenario_ir(scenario)?;
-        let key = self.run_cache.key_for_scheduled(
-            &self.machine,
-            &ir.workload,
-            &ir.opts,
-            ir.faults.as_ref(),
-            ir.schedules.as_deref(),
-        );
-        Ok(self.run_cache.peek(key).map(|o| o.wall_time_s))
+        Ok(self
+            .run_cache
+            .peek(self.run_key(&ir))
+            .map(|o| o.wall_time_s))
     }
 
     /// Snapshot the sweep-runtime telemetry accumulated so far.
@@ -811,9 +834,17 @@ mod tests {
         }
     }
 
+    /// Telemetry that must not depend on scheduling: everything but the
+    /// sweep wall time.
+    fn counts(lab: &Lab) -> SweepStats {
+        SweepStats {
+            sweep_wall_time_s: 0.0,
+            ..lab.sweep_stats()
+        }
+    }
+
     #[test]
     fn batch_run_matches_sequential_and_dedups() {
-        let lab = small_lab();
         let scenarios = vec![
             Scenario::homogeneous("canneal", "cg", 3, 0),
             Scenario::solo("ep", 0),
@@ -821,35 +852,82 @@ mod tests {
             Scenario::homogeneous("cg", "ep", 2, 1),
             Scenario::solo("ep", 0), // duplicate
         ];
-        let sequential: Vec<f64> = scenarios
-            .iter()
-            .map(|sc| small_lab().run_scenario(sc).unwrap())
-            .collect();
-        for threads in [1, 2, 8] {
-            let batched = small_lab()
-                .with_threads(threads)
-                .run_scenarios_batch(&scenarios)
-                .unwrap();
-            for (a, b) in batched.iter().zip(&sequential) {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
+        for faults in [None, Some(FaultPlan::heavy(5))] {
+            let lab = |threads: usize| {
+                let lab = small_lab().with_threads(threads);
+                match faults {
+                    Some(plan) => lab.with_faults(plan).unwrap(),
+                    None => lab,
+                }
+            };
+            // The same requests made one by one: cold, then warm.
+            let one_by_one = lab(1);
+            let want: Vec<f64> = scenarios
+                .iter()
+                .map(|sc| one_by_one.run_scenario(sc).unwrap())
+                .collect();
+            let cold = counts(&one_by_one);
+            for sc in &scenarios {
+                one_by_one.run_scenario(sc).unwrap();
             }
-        }
-        // Dedup: 5 requests, 3 distinct scenarios, 3 engine runs.
-        lab.run_scenarios_batch(&scenarios).unwrap();
-        assert_eq!(lab.sweep_stats().cache_misses, 3);
-        assert_eq!(lab.sweep_stats().scenarios_run, 5);
-        // A faulty lab still answers batches (per-scenario fallback).
-        let faulty = small_lab().with_faults(FaultPlan::heavy(5)).unwrap();
-        let a = faulty.run_scenarios_batch(&scenarios).unwrap();
-        let b = faulty.run_scenarios_batch(&scenarios).unwrap();
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits());
+            let warm = counts(&one_by_one);
+            // 5 requests over 3 distinct scenarios: 3 engine runs.
+            assert_eq!((cold.cache_misses, cold.cache_hits), (3, 2));
+            assert_eq!((warm.cache_misses, warm.cache_hits), (3, 7));
+            for threads in [1, 2, 8] {
+                let batched = lab(threads);
+                let got = batched.run_scenarios_batch(&scenarios).unwrap();
+                for (a, b) in got.iter().zip(&want) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "threads={threads} {faults:?}");
+                }
+                assert_eq!(counts(&batched), cold, "cold, threads={threads} {faults:?}");
+                let again = batched.run_scenarios_batch(&scenarios).unwrap();
+                for (a, b) in again.iter().zip(&want) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "threads={threads} {faults:?}");
+                }
+                assert_eq!(counts(&batched), warm, "warm, threads={threads} {faults:?}");
+            }
         }
         // Unknown apps surface as typed errors, not panics.
         assert!(matches!(
-            lab.run_scenarios_batch(&[Scenario::solo("doom", 0)]),
+            small_lab().run_scenarios_batch(&[Scenario::solo("doom", 0)]),
             Err(ModelError::UnknownApp(_))
         ));
+    }
+
+    #[test]
+    fn batch_run_serves_warm_entries_without_simulating() {
+        let lab = small_lab().with_threads(4);
+        let warm = Scenario::solo("ep", 0);
+        lab.run_scenario(&warm).unwrap();
+        lab.run_scenarios_batch(&[warm, Scenario::solo("cg", 0)])
+            .unwrap();
+        let s = lab.sweep_stats();
+        assert_eq!(s.cache_misses, 2, "only the cold scenario ran");
+        assert_eq!(s.cache_hits, 1);
+    }
+
+    #[test]
+    fn batch_run_returns_the_first_failure_in_request_order() {
+        // 9 and 8 runners on the 6-core E5649: the engine refuses both,
+        // each with its own message.
+        let scenarios = vec![
+            Scenario::solo("ep", 0),
+            Scenario::homogeneous("cg", "ep", 8, 0),
+            Scenario::homogeneous("canneal", "cg", 3, 0),
+            Scenario::homogeneous("cg", "ep", 7, 0),
+        ];
+        let first = small_lab().run_scenario(&scenarios[1]).unwrap_err();
+        let second = small_lab().run_scenario(&scenarios[3]).unwrap_err();
+        assert_ne!(first, second);
+        for threads in [1, 2, 8] {
+            let lab = small_lab().with_threads(threads);
+            assert_eq!(
+                lab.run_scenarios_batch(&scenarios).unwrap_err(),
+                first,
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]

@@ -106,6 +106,26 @@ impl Predictor {
         self.set
     }
 
+    /// Check that the trained model takes exactly the features its set
+    /// projects, so [`Predictor::predict`] cannot fail on arity; `Err`
+    /// describes the disagreement (a corrupt deserialized predictor).
+    pub fn check_shape(&self) -> std::result::Result<(), String> {
+        let arity = match &self.model {
+            ModelImpl::Linear(m) => m.checked_arity(),
+            ModelImpl::Nn(m) => m.checked_arity(),
+            ModelImpl::Quadratic(m) => m.checked_arity(),
+        }?;
+        if arity != self.set.arity() {
+            return Err(format!(
+                "{} model takes {arity} features, but feature set {} has {}",
+                self.kind,
+                self.set,
+                self.set.arity()
+            ));
+        }
+        Ok(())
+    }
+
     /// Predict co-located execution time (seconds) from a full
     /// eight-feature vector (see [`crate::Lab::featurize`]).
     pub fn predict(&self, full_features: &[f64; 8]) -> f64 {

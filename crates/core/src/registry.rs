@@ -393,20 +393,24 @@ impl ModelRegistry {
     /// Load an artifact saved with [`ModelRegistry::save`]. I/O and parse
     /// failures carry the path ([`ColocError::ArtifactIo`] /
     /// [`ColocError::CorruptArtifact`]); a schema-version mismatch is a
-    /// [`ColocError::CorruptArtifact`] naming both versions. The loaded
-    /// artifact joins the digest cache.
+    /// [`ColocError::CorruptArtifact`] naming both versions, and so is a
+    /// predictor whose parts disagree on its input arity
+    /// ([`Predictor::check_shape`]) — it would panic on first use. The
+    /// loaded artifact joins the digest cache.
     pub fn load(&self, path: impl AsRef<Path>) -> Result<Arc<ModelArtifact>> {
         let path = path.as_ref();
         let artifact: ModelArtifact = persist::load_json(path)?;
+        let corrupt = |detail| ColocError::CorruptArtifact {
+            path: path.display().to_string(),
+            detail,
+        };
         if artifact.schema_version != MODEL_SCHEMA_VERSION {
-            return Err(ColocError::CorruptArtifact {
-                path: path.display().to_string(),
-                detail: format!(
-                    "artifact schema version {} (this build reads version {})",
-                    artifact.schema_version, MODEL_SCHEMA_VERSION
-                ),
-            });
+            return Err(corrupt(format!(
+                "artifact schema version {} (this build reads version {})",
+                artifact.schema_version, MODEL_SCHEMA_VERSION
+            )));
         }
+        artifact.predictor.check_shape().map_err(corrupt)?;
         let artifact = Arc::new(artifact);
         self.remember(&artifact);
         Ok(artifact)
@@ -544,6 +548,61 @@ mod tests {
                 assert!(detail.contains("schema version"), "{detail}");
             }
             other => panic!("expected CorruptArtifact, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Drop the last element of the first flat JSON array named `key`.
+    fn drop_last(json: &str, key: &str) -> String {
+        let open = json.find(&format!("\"{key}\": [")).expect("key present") + key.len() + 5;
+        let close = open + json[open..].find(']').expect("array closes");
+        let cut = json[open..close].rfind(',').expect("two or more elements");
+        format!("{}{}", &json[..open + cut], &json[close..])
+    }
+
+    fn expect_corrupt(r: &ModelRegistry, path: &Path, what: &str) {
+        match r.load(path) {
+            Err(ColocError::CorruptArtifact { path: p, .. }) => {
+                assert_eq!(p, path.display().to_string(), "{what}");
+            }
+            other => panic!("{what}: expected CorruptArtifact, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn load_rejects_predictors_that_would_panic_on_first_use() {
+        let dir = std::env::temp_dir().join(format!("coloc-registry-a-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("arity.model.json");
+        let r = ModelRegistry::new();
+
+        // The golden artifact, one coefficient short.
+        let golden = include_str!("../tests/fixtures/model_artifact.json");
+        std::fs::write(&path, drop_last(golden, "coeffs")).unwrap();
+        expect_corrupt(&r, &path, "golden minus one coefficient");
+
+        // Every model kind, each part that fixes an arity cut short. The
+        // quadratic expansion of set F needs more than 44 samples.
+        let mut plan = small_request().plan;
+        plan.pstates = vec![0, 1, 2];
+        let samples = lab().collect(&plan).unwrap();
+        let cases: [(ModelKind, &[&str]); 3] = [
+            (ModelKind::Linear, &["coeffs", "means", "stds"]),
+            (ModelKind::NeuralNet, &["params", "means", "stds"]),
+            (ModelKind::QuadraticLinear, &["coeffs", "means"]),
+        ];
+        for (kind, keys) in cases {
+            let artifact = r
+                .train_from_samples(&samples, kind, FeatureSet::F, 1, None)
+                .unwrap()
+                .artifact;
+            r.save(&artifact, &path).unwrap();
+            let intact = std::fs::read_to_string(&path).unwrap();
+            assert_eq!(r.load(&path).unwrap().digest(), artifact.digest(), "{kind}");
+            for key in keys {
+                std::fs::write(&path, drop_last(&intact, key)).unwrap();
+                expect_corrupt(&r, &path, &format!("{kind} minus one `{key}` entry"));
+            }
         }
         std::fs::remove_file(&path).ok();
     }

@@ -38,7 +38,7 @@ use crate::ir;
 use crate::Result;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Canonical digest of one run's complete input set — the
@@ -359,84 +359,6 @@ impl RunCache {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
         Ok((outcome, false))
-    }
-
-    /// Evaluate a batch of scenarios, deduplicating identical requests and
-    /// fanning misses out across `threads` workers.
-    ///
-    /// This is the oracle path for placement scoring: a placement wave
-    /// asks for thousands of `(machine, socket contents)` outcomes at
-    /// once, most of them duplicates of each other or of earlier waves.
-    /// The batch is keyed first (cheap — digests only), duplicates
-    /// collapse onto one representative, resident keys are served from
-    /// the cache, and only the distinct cold scenarios simulate — claimed
-    /// by an atomic cursor so any worker count yields the same outcomes
-    /// (each key's outcome is a pure function of its inputs, so schedule
-    /// order cannot leak into results).
-    ///
-    /// Returns one outcome per request, in request order. The first
-    /// engine error aborts the batch.
-    pub fn run_batch(
-        &self,
-        machine: &Machine,
-        batch: &[(&[RunnerGroup], RunOptions)],
-        threads: usize,
-    ) -> Result<Vec<Arc<RunOutcome>>> {
-        let keys: Vec<u128> = batch
-            .iter()
-            .map(|(wl, opts)| self.key_for(machine, wl, opts, None))
-            .collect();
-        // One representative request index per distinct cold key.
-        let mut seen: HashMap<u128, usize> = HashMap::new();
-        let mut cold: Vec<usize> = Vec::new();
-        for (i, &key) in keys.iter().enumerate() {
-            if let Entry::Vacant(slot) = seen.entry(key) {
-                slot.insert(i);
-                if self.peek(key).is_none() {
-                    cold.push(i);
-                }
-            }
-        }
-        let threads = threads.clamp(1, cold.len().max(1));
-        if threads <= 1 {
-            for &i in &cold {
-                let (wl, opts) = &batch[i];
-                self.run(machine, wl, opts)?;
-            }
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let errors: Mutex<Vec<crate::MachineError>> = Mutex::new(Vec::new());
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| loop {
-                        let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&i) = cold.get(slot) else { break };
-                        let (wl, opts) = &batch[i];
-                        if let Err(e) = self.run(machine, wl, opts) {
-                            errors.lock().expect("batch errors poisoned").push(e);
-                            break;
-                        }
-                    });
-                }
-            });
-            if let Some(e) = errors.into_inner().expect("batch errors poisoned").pop() {
-                return Err(e);
-            }
-        }
-        // Every key is now resident (or was served concurrently); collect
-        // in request order. An entry evicted mid-batch by capacity
-        // pressure is recomputed inline — correctness never depends on
-        // residency.
-        keys.iter()
-            .enumerate()
-            .map(|(i, &key)| match self.peek(key) {
-                Some(outcome) => Ok(outcome),
-                None => {
-                    let (wl, opts) = &batch[i];
-                    self.run(machine, wl, opts)
-                }
-            })
-            .collect()
     }
 
     /// Drop all entries; counters keep accumulating.
@@ -781,78 +703,6 @@ mod tests {
         let peeked = cache.peek(key).expect("resident after run");
         assert_eq!(peeked.wall_time_s.to_bits(), direct.wall_time_s.to_bits());
         assert_eq!(cache.stats().hits, 1, "a successful peek counts as a hit");
-    }
-
-    #[test]
-    fn run_batch_dedups_and_matches_sequential_runs() {
-        let m = Machine::new(presets::xeon_e5649()).unwrap();
-        let opts = RunOptions::default();
-        // 9 requests over 3 distinct scenarios, shuffled, with duplicates.
-        let spans = [
-            100_000usize,
-            200_000,
-            300_000,
-            200_000,
-            100_000,
-            300_000,
-            300_000,
-            100_000,
-            200_000,
-        ];
-        let workloads: Vec<Vec<RunnerGroup>> = spans.iter().map(|&s| wl(s)).collect();
-        let batch: Vec<(&[RunnerGroup], RunOptions)> =
-            workloads.iter().map(|w| (w.as_slice(), opts)).collect();
-
-        let reference = RunCache::new(64);
-        let direct: Vec<_> = workloads
-            .iter()
-            .map(|w| reference.run(&m, w, &opts).unwrap())
-            .collect();
-
-        for threads in [1usize, 2, 8] {
-            let cache = RunCache::new(64);
-            let outcomes = cache.run_batch(&m, &batch, threads).unwrap();
-            assert_eq!(outcomes.len(), batch.len());
-            for (got, want) in outcomes.iter().zip(&direct) {
-                assert_eq!(
-                    got.wall_time_s.to_bits(),
-                    want.wall_time_s.to_bits(),
-                    "batch outcome drifted at {threads} threads"
-                );
-            }
-            // Only the 3 distinct scenarios simulated, regardless of
-            // request count or worker count.
-            assert_eq!(cache.stats().misses, 3, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn run_batch_serves_warm_entries_without_simulating() {
-        let m = Machine::new(presets::xeon_e5649()).unwrap();
-        let cache = RunCache::new(64);
-        let opts = RunOptions::default();
-        let warm = wl(100_000);
-        cache.run(&m, &warm, &opts).unwrap();
-        let cold = wl(200_000);
-        let batch: Vec<(&[RunnerGroup], RunOptions)> =
-            vec![(warm.as_slice(), opts), (cold.as_slice(), opts)];
-        cache.run_batch(&m, &batch, 4).unwrap();
-        assert_eq!(cache.stats().misses, 2, "only the cold scenario ran");
-    }
-
-    #[test]
-    fn run_batch_propagates_engine_errors() {
-        let m = Machine::new(presets::xeon_e5649()).unwrap();
-        let cache = RunCache::new(64);
-        let opts = RunOptions::default();
-        // 8 runners on a 6-core machine: NotEnoughCores from the engine.
-        let oversub = vec![RunnerGroup {
-            app: app("t", 100_000),
-            count: 8,
-        }];
-        let batch: Vec<(&[RunnerGroup], RunOptions)> = vec![(oversub.as_slice(), opts)];
-        assert!(cache.run_batch(&m, &batch, 2).is_err());
-        assert!(cache.run_batch(&m, &batch, 1).is_err());
     }
 
     #[test]

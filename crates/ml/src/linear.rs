@@ -80,6 +80,20 @@ impl LinearRegression {
         Ok(Cholesky::new(&gram)?.solve(&rhs)?)
     }
 
+    /// The number of features [`LinearRegression::predict`] takes, after
+    /// checking that the scaler and coefficients agree on it; `Err`
+    /// describes the disagreement (a corrupt deserialized model).
+    pub fn checked_arity(&self) -> std::result::Result<usize, String> {
+        let width = self.scaler.checked_width()?;
+        if self.coeffs.len() != width {
+            return Err(format!(
+                "{} coefficients for {width} scaled features",
+                self.coeffs.len()
+            ));
+        }
+        Ok(width)
+    }
+
     /// Predict the target for one raw (unstandardized) feature vector.
     pub fn predict(&self, features: &[f64]) -> f64 {
         assert_eq!(

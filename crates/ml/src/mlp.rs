@@ -223,6 +223,37 @@ impl Mlp {
         })
     }
 
+    /// The number of features [`Mlp::predict`] takes, after checking that
+    /// the scalers and the parameter vector agree with the layer sizes;
+    /// `Err` describes the first disagreement (a corrupt deserialized
+    /// network).
+    pub fn checked_arity(&self) -> std::result::Result<usize, String> {
+        let x_width = self.x_scaler.checked_width()?;
+        if x_width != self.inputs {
+            return Err(format!(
+                "input scaler has {x_width} columns for {} inputs",
+                self.inputs
+            ));
+        }
+        let y_width = self.y_scaler.checked_width()?;
+        if y_width != 1 {
+            return Err(format!("target scaler has {y_width} columns, not 1"));
+        }
+        // `param_count`, checked: the sizes come from the file.
+        let want = (self.inputs.checked_add(2))
+            .and_then(|n| n.checked_mul(self.hidden))
+            .and_then(|n| n.checked_add(1));
+        if want != Some(self.params.len()) {
+            return Err(format!(
+                "{} parameters for {} inputs and {} hidden units",
+                self.params.len(),
+                self.inputs,
+                self.hidden
+            ));
+        }
+        Ok(self.inputs)
+    }
+
     /// Predict the target for one raw feature vector.
     pub fn predict(&self, features: &[f64]) -> f64 {
         assert_eq!(

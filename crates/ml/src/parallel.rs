@@ -1,4 +1,4 @@
-//! Deterministic work-stealing fan-out.
+//! Deterministic work-stealing fan-out on one process-wide worker pool.
 //!
 //! The validation and sweep layers both run many independent, *unevenly
 //! priced* tasks: training partitions whose cost depends on the split, and
@@ -14,14 +14,41 @@
 //! index order. The values produced are whatever `f(i)` returns — bit-wise
 //! independent of thread count or scheduling, provided `f` itself is a
 //! pure function of `i`.
+//!
+//! # The pool
+//!
+//! Workers are helper threads of one pool per process, so a call pays a
+//! hand-off, never a thread spawn. Helpers start on the first call that
+//! needs them and live until the process exits; the pool only grows, to
+//! the largest worker count any call has asked for. An idle helper parks
+//! on a condvar and never spins, so an idle pool costs no CPU time.
+//!
+//! Which threads work on a call depends on who makes it:
+//!
+//! - a thread outside the pool hands the whole call to `threads` helpers
+//!   and blocks until they are done;
+//! - a helper (a task that itself calls [`run_indexed`]) works on its own
+//!   call, joined by up to `threads - 1` idle helpers. It never waits for
+//!   a helper to become free, so nested fan-out cannot deadlock even when
+//!   every helper is busy.
+//!
+//! A panic in a task stops the call from handing out further indices.
+//! Once every worker has left the call, the first panic's payload is
+//! re-raised on the caller; the helper that caught it stays in the pool.
 
+use std::any::Any;
+use std::cell::Cell;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 
 /// Resolve a requested worker count: `0` means one per available CPU, and
-/// the count is clamped to the task count (never below 1).
+/// the count is clamped to the task count (never below 1). The CPU count
+/// is read once per process.
 pub fn resolve_threads(requested: usize, tasks: usize) -> usize {
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
     let t = if requested == 0 {
-        std::thread::available_parallelism().map_or(4, |n| n.get())
+        *AVAILABLE.get_or_init(|| std::thread::available_parallelism().map_or(4, |n| n.get()))
     } else {
         requested
     };
@@ -49,9 +76,12 @@ const CHUNKS_PER_WORKER: usize = 8;
 /// (batch size `n / (threads * 8)`, min 1), which bounds cursor
 /// contention on small plans without giving up dynamic load balance.
 ///
-/// `threads == 0` uses one worker per available CPU. With one worker (or
-/// `n <= 1`) the loop runs inline on the calling thread — no spawn cost,
-/// same results.
+/// `threads` is the number of threads working on this call; `0` means
+/// one per available CPU. With one worker (or `n <= 1`) the loop runs
+/// inline on the calling thread, with no hand-off and the same results.
+/// Otherwise the call runs on the process-wide pool (see the module
+/// docs). A panic in `f` is re-raised on the caller with its original
+/// payload.
 pub fn run_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -64,34 +94,201 @@ where
 
     let batch = (n / (threads * CHUNKS_PER_WORKER)).max(1);
     let cursor = AtomicUsize::new(0);
-    let mut tagged: Vec<(usize, T)> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|_| {
-                    let mut acc: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        let start = cursor.fetch_add(batch, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        for i in start..(start + batch).min(n) {
-                            acc.push((i, f(i)));
-                        }
-                    }
-                    acc
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
-    .expect("scope failed");
+    let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
+    let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+    // One worker's share of the call. It never unwinds: a task's panic is
+    // caught here, so the pool's bookkeeping always sees the worker leave.
+    let work = || {
+        let mut acc: Vec<(usize, T)> = Vec::new();
+        let claimed = panic::catch_unwind(AssertUnwindSafe(|| loop {
+            let start = cursor.fetch_add(batch, Ordering::Relaxed);
+            if start >= n {
+                break;
+            }
+            for i in start..(start + batch).min(n) {
+                acc.push((i, f(i)));
+            }
+        }));
+        match claimed {
+            Ok(()) => results.lock().expect("results lock").append(&mut acc),
+            Err(payload) => {
+                cursor.store(n, Ordering::Relaxed);
+                panicked
+                    .lock()
+                    .expect("panic slot lock")
+                    .get_or_insert(payload);
+            }
+        }
+    };
+    POOL.run(threads, &work);
 
+    if let Some(payload) = panicked.into_inner().expect("panic slot lock") {
+        panic::resume_unwind(payload);
+    }
+    let mut tagged = results.into_inner().expect("results lock");
     debug_assert_eq!(tagged.len(), n, "every index must be executed exactly once");
     tagged.sort_unstable_by_key(|&(i, _)| i);
     tagged.into_iter().map(|(_, v)| v).collect()
+}
+
+/// The process-wide pool behind [`run_indexed`].
+static POOL: Pool = Pool {
+    state: Mutex::new(State {
+        calls: Vec::new(),
+        helpers: 0,
+        next_id: 0,
+    }),
+    work_ready: Condvar::new(),
+    call_done: Condvar::new(),
+};
+
+thread_local! {
+    /// True on the pool's own helper threads.
+    static IS_HELPER: Cell<bool> = const { Cell::new(false) };
+}
+
+struct Pool {
+    state: Mutex<State>,
+    /// Idle helpers park here until a call has a free seat.
+    work_ready: Condvar,
+    /// Callers park here until their call is empty.
+    call_done: Condvar,
+}
+
+struct State {
+    /// Open calls, oldest first.
+    calls: Vec<Call>,
+    /// Helper threads started so far.
+    helpers: usize,
+    next_id: u64,
+}
+
+/// The pool's bookkeeping for one [`run_indexed`] call.
+struct Call {
+    id: u64,
+    /// One worker's share of the call, borrowed from the caller's stack;
+    /// see [`Pool::run`] for why the `'static` lifetime is sound.
+    work: &'static (dyn Fn() + Sync),
+    /// Helpers that may still join.
+    seats: usize,
+    /// Workers currently inside `work`.
+    inside: usize,
+    /// Some worker has returned from `work`. Workers return only once the
+    /// cursor is exhausted, so from then on every unfinished index belongs
+    /// to a worker still inside.
+    drained: bool,
+}
+
+impl Pool {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        // No task runs under this lock, so a task's panic cannot poison it.
+        self.state.lock().expect("worker pool lock poisoned")
+    }
+
+    /// Run `work` on `threads` workers and return once every worker has
+    /// left it.
+    fn run(&'static self, threads: usize, work: &(dyn Fn() + Sync)) {
+        let on_helper = IS_HELPER.with(Cell::get);
+        let mut st = self.lock();
+        self.grow(&mut st, threads);
+        if st.helpers == 0 {
+            // No helper could be started: the caller does the work alone.
+            drop(st);
+            work();
+            return;
+        }
+        // SAFETY: helpers call `work` only while they are counted in its
+        // call's `inside`, and they join only a call still listed in
+        // `calls`, both under the pool lock. Below, this function removes
+        // the call from `calls` — under the same lock, after seeing
+        // `inside == 0` — before it returns, so no helper calls `work`
+        // after the borrow it was made from ends.
+        let work =
+            unsafe { std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync)>(work) };
+        let id = st.next_id;
+        st.next_id += 1;
+        let seats = if on_helper { threads - 1 } else { threads };
+        st.calls.push(Call {
+            id,
+            work,
+            seats,
+            inside: usize::from(on_helper),
+            drained: false,
+        });
+        for _ in 0..seats {
+            self.work_ready.notify_one();
+        }
+        if on_helper {
+            drop(st);
+            work();
+            st = self.lock();
+            st.leave(id);
+        }
+        loop {
+            let pos = st.position(id);
+            let call = &st.calls[pos];
+            if call.drained && call.inside == 0 {
+                st.calls.remove(pos);
+                return;
+            }
+            st = self.call_done.wait(st).expect("worker pool lock poisoned");
+        }
+    }
+
+    /// Start helpers until there are `want` (or the OS refuses one).
+    ///
+    /// Helpers are never joined: they live until the process exits, and
+    /// a task's panic is caught and re-raised on its caller, so a
+    /// detached helper hides nothing.
+    fn grow(&'static self, st: &mut State, want: usize) {
+        while st.helpers < want {
+            let spawned = std::thread::Builder::new()
+                .name(format!("coloc-pool-{}", st.helpers))
+                .spawn(move || self.helper_loop());
+            if spawned.is_err() {
+                break;
+            }
+            st.helpers += 1;
+        }
+    }
+
+    fn helper_loop(&self) {
+        IS_HELPER.with(|h| h.set(true));
+        let mut st = self.lock();
+        loop {
+            let Some(call) = st.calls.iter_mut().find(|c| c.seats > 0) else {
+                st = self.work_ready.wait(st).expect("worker pool lock poisoned");
+                continue;
+            };
+            call.seats -= 1;
+            call.inside += 1;
+            let (id, work) = (call.id, call.work);
+            drop(st);
+            work();
+            st = self.lock();
+            if st.leave(id) {
+                self.call_done.notify_all();
+            }
+        }
+    }
+}
+
+impl State {
+    fn position(&self, id: u64) -> usize {
+        self.calls
+            .iter()
+            .position(|c| c.id == id)
+            .expect("a call stays listed while a worker is inside it")
+    }
+
+    /// Record a worker leaving call `id`; true when it was the last inside.
+    fn leave(&mut self, id: u64) -> bool {
+        let pos = self.position(id);
+        let call = &mut self.calls[pos];
+        call.inside -= 1;
+        call.drained = true;
+        call.inside == 0
+    }
 }
 
 #[cfg(test)]

@@ -57,6 +57,24 @@ impl QuadraticRegression {
         Ok(QuadraticRegression { inner, inputs })
     }
 
+    /// The number of raw features [`QuadraticRegression::predict`] takes,
+    /// after checking that the inner model expects their expansion; `Err`
+    /// describes the disagreement (a corrupt deserialized model).
+    pub fn checked_arity(&self) -> std::result::Result<usize, String> {
+        let expanded = self.inner.checked_arity()?;
+        // `quadratic_arity`, checked: `inputs` comes from the file.
+        let n = self.inputs;
+        let want = (n.checked_add(1))
+            .and_then(|m| m.checked_mul(n))
+            .and_then(|m| (m / 2).checked_add(n));
+        if want != Some(expanded) {
+            return Err(format!(
+                "{n} inputs, but the inner model takes {expanded} expanded features"
+            ));
+        }
+        Ok(n)
+    }
+
     /// Predict from a raw (unexpanded) feature vector.
     pub fn predict(&self, features: &[f64]) -> f64 {
         assert_eq!(features.len(), self.inputs, "feature arity mismatch");

@@ -55,6 +55,20 @@ impl Standardizer {
         self.means.len()
     }
 
+    /// [`Standardizer::num_features`], after checking that the means and
+    /// standard deviations agree on it; `Err` describes the disagreement
+    /// (a corrupt deserialized scaler).
+    pub fn checked_width(&self) -> std::result::Result<usize, String> {
+        if self.means.len() != self.stds.len() {
+            return Err(format!(
+                "scaler has {} means but {} standard deviations",
+                self.means.len(),
+                self.stds.len()
+            ));
+        }
+        Ok(self.means.len())
+    }
+
     /// Column means captured at fit time.
     pub fn means(&self) -> &[f64] {
         &self.means

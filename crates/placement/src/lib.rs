@@ -28,8 +28,8 @@
 //! - Socket contents are interned as a [`ContentsKey`] (5 bits per suite
 //!   app), so predictor and oracle evaluations memoize per distinct
 //!   `(machine, contents, target)` — a million jobs need only tens of
-//!   thousands of engine runs, fanned out through the machine crate's
-//!   batched [`coloc_machine::RunCache::run_batch`] path.
+//!   thousands of engine runs, fanned out through
+//!   [`coloc_model::Lab::run_scenarios_batch`].
 //!
 //! ## Scores
 //!

@@ -6,8 +6,7 @@
 //! same machine. Distinct `(contents, target)` pairs memoize in the
 //! oracle's own map — independent of the lab's bounded run cache, so
 //! eviction can never change a score — and cold batches fan out through
-//! [`coloc_model::Lab::run_scenarios_batch`], the machine crate's batched
-//! oracle path.
+//! [`coloc_model::Lab::run_scenarios_batch`].
 //!
 //! Slowdowns are ratios of two measured times. A solo job's slowdown is
 //! `measured(a|∅) / measured(a|∅)` — the *same* memoized number in

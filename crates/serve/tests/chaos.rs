@@ -517,3 +517,137 @@ fn hot_reload_under_storm_swaps_without_a_drain() {
     let _ = std::fs::remove_dir_all(&dir);
     signals::reset();
 }
+
+/// `json` with the last linear coefficient removed: a well-formed
+/// artifact whose predictor would panic on its first prediction.
+fn drop_last_coeff(json: &str) -> String {
+    let open = json.find("\"coeffs\": [").expect("linear artifact") + "\"coeffs\": [".len();
+    let close = open + json[open..].find(']').expect("array closes");
+    let cut = json[open..close]
+        .rfind(',')
+        .expect("two or more coefficients");
+    format!("{}{}", &json[..open + cut], &json[close..])
+}
+
+/// A `--model` artifact that would panic on first use is refused when it
+/// is loaded: predict queries get a typed error naming the file, the
+/// dispatcher keeps answering, and a repaired file is picked up by the
+/// next query.
+#[test]
+fn corrupt_model_at_startup_is_a_typed_error_not_a_panic() {
+    use coloc_model::{FeatureSet, ModelKind, ModelRegistry};
+
+    let _guard = serial();
+    signals::reset();
+    let registry = ModelRegistry::new();
+    let model = registry
+        .train_from_samples(
+            &reload_samples(1.0),
+            ModelKind::Linear,
+            FeatureSet::F,
+            0,
+            None,
+        )
+        .unwrap()
+        .artifact;
+    let dir = std::env::temp_dir().join(format!("coloc-corrupt-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let model_path = dir.join("model.json");
+    registry.save(&model, &model_path).unwrap();
+    let intact = std::fs::read_to_string(&model_path).unwrap();
+    std::fs::write(&model_path, drop_last_coeff(&intact)).unwrap();
+
+    let mut cfg = chaos_config();
+    cfg.model_path = Some(model_path.clone());
+    let handle = Server::spawn(cfg).unwrap();
+    let mut client = QueryClient::connect_tcp(&handle.local_addr().unwrap().to_string()).unwrap();
+    let sc = coloc_model::Scenario::homogeneous("cg", "ft", 2, 0);
+    match client.query(&sc, QueryMode::Predict, None, None).unwrap() {
+        Reply::Err { error, .. } => {
+            let detail = error.to_string();
+            assert!(detail.contains("corrupt artifact"), "{detail}");
+            assert!(detail.contains("model.json"), "{detail}");
+        }
+        other => panic!("expected a typed error, got {other:?}"),
+    }
+    match client.query(&sc, QueryMode::Measure, None, None).unwrap() {
+        Reply::Ok { source, .. } => assert_eq!(source, "engine"),
+        other => panic!("the dispatcher must keep answering: {other:?}"),
+    }
+    std::fs::write(&model_path, &intact).unwrap();
+    match client.query(&sc, QueryMode::Predict, None, None).unwrap() {
+        Reply::Ok { source, .. } => assert_eq!(source, "predictor"),
+        other => panic!("a repaired artifact must load: {other:?}"),
+    }
+    handle.shutdown();
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A reload that finds a corrupt artifact fails with a typed error and
+/// keeps the serving model, its digest and the epoch.
+#[test]
+fn hot_reload_of_a_corrupt_artifact_keeps_the_old_model() {
+    use coloc_model::{FeatureSet, Lab, ModelKind, ModelRegistry};
+
+    let _guard = serial();
+    signals::reset();
+    let registry = ModelRegistry::new();
+    let model = registry
+        .train_from_samples(
+            &reload_samples(1.0),
+            ModelKind::Linear,
+            FeatureSet::F,
+            0,
+            None,
+        )
+        .unwrap()
+        .artifact;
+    let dir = std::env::temp_dir().join(format!("coloc-bad-reload-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let model_path = dir.join("model.json");
+    registry.save(&model, &model_path).unwrap();
+
+    let mut cfg = chaos_config();
+    cfg.model_path = Some(model_path.clone());
+    let seed = cfg.seed;
+    let handle = Server::spawn(cfg).unwrap();
+    let mut client = QueryClient::connect_tcp(&handle.local_addr().unwrap().to_string()).unwrap();
+    let lab = Lab::new(
+        coloc_machine::presets::xeon_e5649(),
+        coloc_workloads::standard(),
+        seed,
+    )
+    .unwrap()
+    .with_threads(1);
+    let sc = coloc_model::Scenario::homogeneous("cg", "ft", 2, 0);
+    let want = model
+        .predictor
+        .predict(&lab.featurize(&sc).unwrap())
+        .to_bits();
+    let predicted =
+        |client: &mut QueryClient| match client.query(&sc, QueryMode::Predict, None, None).unwrap()
+        {
+            Reply::Ok { time_s, .. } => time_s.to_bits(),
+            other => panic!("expected a prediction, got {other:?}"),
+        };
+    assert_eq!(predicted(&mut client), want);
+
+    let intact = std::fs::read_to_string(&model_path).unwrap();
+    std::fs::write(&model_path, drop_last_coeff(&intact)).unwrap();
+    match handle.reload() {
+        Err(ColocError::CorruptArtifact { path, .. }) => {
+            assert_eq!(path, model_path.display().to_string());
+        }
+        other => panic!("expected CorruptArtifact, got {other:?}"),
+    }
+    assert!(client.reload().is_err(), "the wire verb fails the same way");
+    let s = client.stats().unwrap();
+    assert_eq!(s.model_epoch, 0, "a failed reload leaves the epoch");
+    assert_eq!(s.model_digest, model.digest_hex());
+    assert_eq!(predicted(&mut client), want, "the old model keeps serving");
+
+    handle.shutdown();
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}

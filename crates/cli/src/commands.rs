@@ -1,7 +1,7 @@
 //! Command implementations.
 
 use crate::args::ArgMap;
-use coloc_machine::{FaultPlan, MachineSpec, StageId, StageProfile};
+use coloc_machine::{FaultPlan, MachineSpec, SegmentTrace, StageId, StageProfile};
 use coloc_model::lab::CheckpointConfig;
 use coloc_model::persist;
 use coloc_model::scheduler::{Policy, Scheduler};
@@ -470,7 +470,8 @@ pub fn machines(argv: &[String]) -> CmdResult {
 /// Runs one scenario through the staged engine with the segment trace
 /// ring attached and dumps the most recent segments: per-segment dt,
 /// converged DRAM latency, fixed-point iteration count and final
-/// residual. `--stage-stats` adds the per-stage pipeline breakdown.
+/// residual. `--stage-stats` attaches a stage profile to the same run
+/// and adds the per-stage pipeline breakdown.
 pub fn trace(argv: &[String]) -> CmdResult {
     let args = ArgMap::parse(argv)?;
     if args.has_flag("help") {
@@ -492,8 +493,16 @@ pub fn trace(argv: &[String]) -> CmdResult {
     let last = args.get_parsed_or("last", 32usize)?;
     let ir = lab.scenario_ir(&scenario).map_err(|e| e.to_string())?;
     let machine = ir.machine().map_err(|e| e.to_string())?;
-    let (outcome, trace) = machine
-        .run_scheduled_traced(&ir.workload, ir.schedules.as_deref(), &ir.opts, last)
+    let mut trace = SegmentTrace::new(last);
+    let mut profile = args.has_flag("stage-stats").then(StageProfile::new);
+    let outcome = machine
+        .run_observed(
+            &ir.workload,
+            ir.schedules.as_deref(),
+            &ir.opts,
+            profile.as_mut(),
+            Some(&mut trace),
+        )
         .map_err(|e| e.to_string())?;
 
     println!("scenario: {scenario}");
@@ -520,16 +529,7 @@ pub fn trace(argv: &[String]) -> CmdResult {
         );
     }
 
-    if args.has_flag("stage-stats") {
-        let mut profile = StageProfile::new();
-        machine
-            .run_scheduled_instrumented(
-                &ir.workload,
-                ir.schedules.as_deref(),
-                &ir.opts,
-                &mut profile,
-            )
-            .map_err(|e| e.to_string())?;
+    if let Some(profile) = profile {
         println!("stage breakdown:");
         for id in StageId::ALL {
             let s = profile.get(id);

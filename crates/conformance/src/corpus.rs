@@ -532,14 +532,8 @@ mod tests {
             let built = case.build().expect("seed case builds");
             // Capacity is over *peak* concurrency: disjoint residency
             // windows legally oversubscribe the static sum.
-            let occupied = match &built.schedules {
-                Some(s) => {
-                    let refs: Vec<coloc_machine::GroupRef> =
-                        built.workload.iter().map(GroupRef::from_group).collect();
-                    coloc_machine::event::peak_cores(&refs, s)
-                }
-                None => built.workload.iter().map(|g| g.count).sum(),
-            };
+            let refs: Vec<GroupRef> = built.workload.iter().map(GroupRef::from_group).collect();
+            let occupied = coloc_machine::event::cores_needed(&refs, built.schedules.as_deref());
             assert!(occupied <= built.spec.cores, "{}", case.describe());
         }
     }

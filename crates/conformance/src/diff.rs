@@ -2,7 +2,7 @@
 //! field.
 //!
 //! For every case the harness runs the full optimized stack —
-//! [`RunCache::run_scheduled_with_faults`] over
+//! [`RunCache::run_scheduled_observed`] over
 //! [`coloc_machine::Machine`], twice, so both the cold engine path and
 //! the memoized hit path are exercised — and the naive [`RefEngine`].
 //! Event-mode cases (arrivals, departures, staggered starts, per-core
@@ -189,13 +189,17 @@ pub fn check_case(case: &CorpusCase) -> Result<DiffReport, String> {
         RefEngine::new(built.spec.clone()).map_err(|e| format!("reference rejected spec: {e}"))?;
     let cache = RunCache::new(64);
 
-    let engine_result = cache.run_scheduled_with_faults(
-        &machine,
-        &built.workload,
-        built.schedules.as_deref(),
-        &built.opts,
-        built.plan.as_ref(),
-    );
+    let run_cached = || {
+        cache.run_scheduled_observed(
+            &machine,
+            &built.workload,
+            built.schedules.as_deref(),
+            &built.opts,
+            built.plan.as_ref(),
+            None,
+        )
+    };
+    let engine_result = run_cached();
     let ref_result = reference.run_scheduled_faulted(
         &built.workload,
         built.schedules.as_deref(),
@@ -233,15 +237,7 @@ pub fn check_case(case: &CorpusCase) -> Result<DiffReport, String> {
     };
 
     // The memoized path must replay the cold outcome bit for bit.
-    let (hit_out, was_hit) = cache
-        .run_scheduled_with_faults(
-            &machine,
-            &built.workload,
-            built.schedules.as_deref(),
-            &built.opts,
-            built.plan.as_ref(),
-        )
-        .map_err(|e| format!("cache replay errored: {e}"))?;
+    let (hit_out, was_hit) = run_cached().map_err(|e| format!("cache replay errored: {e}"))?;
     if !was_hit {
         return Err("second identical run missed the cache".into());
     }
@@ -404,12 +400,13 @@ mod tests {
             let machine = Machine::new(built.spec.clone()).unwrap();
             let reference = RefEngine::new(built.spec.clone()).unwrap();
             let cache = RunCache::new(4);
-            let engine = cache.run_scheduled_with_faults(
+            let engine = cache.run_scheduled_observed(
                 &machine,
                 &built.workload,
                 built.schedules.as_deref(),
                 &built.opts,
                 built.plan.as_ref(),
+                None,
             );
             let refd = reference.run_scheduled_faulted(
                 &built.workload,

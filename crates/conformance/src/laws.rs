@@ -23,8 +23,9 @@
 //!    relabels the system without changing its physics, so the target's
 //!    outcome is *bit-identical* and the twins' counters mirror.
 //! 7. **Lockstep degeneracy**: an all-default event schedule is the
-//!    lockstep contract — same bits out of the scheduled driver, same
-//!    scenario digest.
+//!    lockstep contract — `Machine::run_observed` with default schedules
+//!    returns the bits of `Machine::run`, and the scenario digest is
+//!    unchanged.
 //! 8. **Departure-at-end no-op**: a departure strictly after the target
 //!    completes can never fire (segment caps use strict `<`), so it is
 //!    bit-identical to no departure at all.
@@ -625,14 +626,22 @@ impl Law for ArrivalOrderInvariance {
         let built = case.build()?;
         let machine = Machine::new(built.spec.clone()).map_err(|e| e.to_string())?;
         let forward = machine
-            .run_scheduled(&built.workload, built.schedules.as_deref(), &built.opts)
+            .run_observed(
+                &built.workload,
+                built.schedules.as_deref(),
+                &built.opts,
+                None,
+                None,
+            )
             .map_err(|e| format!("engine rejected law workload: {e}"))?;
         let built_swapped = swapped.build()?;
         let backward = machine
-            .run_scheduled(
+            .run_observed(
                 &built_swapped.workload,
                 built_swapped.schedules.as_deref(),
                 &built_swapped.opts,
+                None,
+                None,
             )
             .map_err(|e| format!("engine rejected swapped workload: {e}"))?;
 
@@ -698,7 +707,7 @@ impl Law for LockstepDegeneracy {
             .map_err(|e| format!("engine rejected law workload: {e}"))?;
         let defaults = vec![GroupSchedule::default(); built.workload.len()];
         let scheduled = machine
-            .run_scheduled(&built.workload, Some(&defaults), &built.opts)
+            .run_observed(&built.workload, Some(&defaults), &built.opts, None, None)
             .map_err(|e| format!("engine rejected default schedules: {e}"))?;
         outcomes_bits_equal("default schedule vs lockstep", &lockstep, &scheduled)?;
 
@@ -754,7 +763,13 @@ impl Law for DepartureAtEndNoop {
         let built = base.build()?;
         let machine = Machine::new(built.spec.clone()).map_err(|e| e.to_string())?;
         let no_departure = machine
-            .run_scheduled(&built.workload, built.schedules.as_deref(), &built.opts)
+            .run_observed(
+                &built.workload,
+                built.schedules.as_deref(),
+                &built.opts,
+                None,
+                None,
+            )
             .map_err(|e| format!("engine rejected law workload: {e}"))?;
 
         // True (noise-free) completion time bounds every simulated tick;
@@ -763,7 +778,13 @@ impl Law for DepartureAtEndNoop {
         let mut quiet = built.opts;
         quiet.noise_sigma = 0.0;
         let horizon = machine
-            .run_scheduled(&built.workload, built.schedules.as_deref(), &quiet)
+            .run_observed(
+                &built.workload,
+                built.schedules.as_deref(),
+                &quiet,
+                None,
+                None,
+            )
             .map_err(|e| format!("engine rejected noiseless run: {e}"))?
             .wall_time_s;
 
@@ -776,7 +797,7 @@ impl Law for DepartureAtEndNoop {
             s.departure_tick = Some(s.arrival_tick + 2.0 * horizon);
         }
         let late_departure = machine
-            .run_scheduled(&built.workload, Some(&schedules), &built.opts)
+            .run_observed(&built.workload, Some(&schedules), &built.opts, None, None)
             .map_err(|e| format!("engine rejected late departures: {e}"))?;
 
         outcomes_bits_equal(

@@ -1,5 +1,5 @@
 //! The reference engine: a deliberately naive re-implementation of
-//! [`coloc_machine::engine::Machine::run`].
+//! [`coloc_machine::engine::Machine::run_observed`], without observers.
 //!
 //! The optimized engine earns its speed through data-structure tricks —
 //! a per-run [`RunScratch`] so the segment loop allocates nothing, MRCs
@@ -87,13 +87,13 @@ impl RefEngine {
     }
 
     /// Run `workload` under per-group event schedules, mirroring
-    /// `Machine::run_scheduled` in deliberately naive form: the next
+    /// `Machine::run_observed` in deliberately naive form: the next
     /// event is found by a full linear scan over a plain list instead of
     /// a heap, the resident set and every per-segment table are
     /// re-derived from scratch each segment instead of once per era, and
     /// owner lookups stay `position()` scans. Schedule validation and
-    /// the peak-residency capacity check are shared verbatim with the
-    /// optimized engine so both reject exactly the same inputs with
+    /// the core count ([`event::cores_needed`]) are shared verbatim with
+    /// the optimized engine so both reject exactly the same inputs with
     /// exactly the same typed error.
     pub fn run_scheduled(
         &self,
@@ -113,10 +113,7 @@ impl RefEngine {
             Some(s) if !event::schedules_are_default(Some(s)) => Some(s),
             _ => None,
         };
-        let requested: usize = match sched {
-            Some(s) => event::peak_cores(&group_refs, s),
-            None => workload.iter().map(|g| g.count).sum(),
-        };
+        let requested = event::cores_needed(&group_refs, sched);
         if requested > self.spec.cores {
             return Err(MachineError::NotEnoughCores {
                 requested,
@@ -393,19 +390,9 @@ impl RefEngine {
         })
     }
 
-    /// Run and then inject faults, mirroring `RunCache::run_with_faults`
-    /// (which applies the plan with the run's noise seed as the stream).
-    pub fn run_faulted(
-        &self,
-        workload: &[RunnerGroup],
-        opts: &RunOptions,
-        plan: Option<&FaultPlan>,
-    ) -> Result<RunOutcome> {
-        self.run_scheduled_faulted(workload, None, opts, plan)
-    }
-
-    /// [`RefEngine::run_scheduled`] followed by fault injection,
-    /// mirroring `RunCache::run_scheduled_with_faults`.
+    /// [`RefEngine::run_scheduled`] followed by fault injection with the
+    /// run's noise seed as the stream, mirroring the miss path of
+    /// `RunCache::run_scheduled_observed`.
     pub fn run_scheduled_faulted(
         &self,
         workload: &[RunnerGroup],
@@ -647,7 +634,9 @@ mod tests {
             noise_sigma: 0.004,
             ..Default::default()
         };
-        let a = m.run_scheduled(&wl, Some(&sched), &opts).unwrap();
+        let a = m
+            .run_observed(&wl, Some(&sched), &opts, None, None)
+            .unwrap();
         let b = r.run_scheduled(&wl, Some(&sched), &opts).unwrap();
         assert_eq!(a.wall_time_s.to_bits(), b.wall_time_s.to_bits());
         assert_eq!(a.segments, b.segments);
@@ -680,7 +669,8 @@ mod tests {
             },
         ];
         assert_eq!(
-            m.run_scheduled(&wl, Some(&bad), &opts).unwrap_err(),
+            m.run_observed(&wl, Some(&bad), &opts, None, None)
+                .unwrap_err(),
             r.run_scheduled(&wl, Some(&bad), &opts).unwrap_err()
         );
         // Oversubscribed *concurrent* residency: overlapping windows on
@@ -697,7 +687,9 @@ mod tests {
                 ..Default::default()
             },
         ];
-        let ea = m.run_scheduled(&wl, Some(&over), &opts).unwrap_err();
+        let ea = m
+            .run_observed(&wl, Some(&over), &opts, None, None)
+            .unwrap_err();
         assert_eq!(ea, r.run_scheduled(&wl, Some(&over), &opts).unwrap_err());
         assert!(matches!(ea, MachineError::NotEnoughCores { .. }));
         // Disjoint windows fit: departure frees the cores first.
@@ -712,7 +704,7 @@ mod tests {
                 ..Default::default()
             },
         ];
-        let a = m.run_scheduled(&wl, Some(&fits), &opts).unwrap();
+        let a = m.run_observed(&wl, Some(&fits), &opts, None, None).unwrap();
         let b = r.run_scheduled(&wl, Some(&fits), &opts).unwrap();
         assert_eq!(a.wall_time_s.to_bits(), b.wall_time_s.to_bits());
     }
@@ -737,6 +729,35 @@ mod tests {
             m.run(&wl, &opts).unwrap_err(),
             r.run(&wl, &opts).unwrap_err()
         );
+    }
+
+    #[test]
+    fn overflowing_core_counts_are_refused_alike() {
+        // A core count that wrapped `usize` would pass the capacity
+        // check as a small number. Both engines saturate it and refuse
+        // the run with one typed error, in lockstep and under an event
+        // schedule.
+        let spec = presets::xeon_e5649();
+        let m = Machine::new(spec.clone()).unwrap();
+        let r = RefEngine::new(spec).unwrap();
+        let opts = RunOptions::default();
+        let half = 1usize << (usize::BITS - 1);
+        let refused = MachineError::NotEnoughCores {
+            requested: usize::MAX,
+            available: 6,
+        };
+        for co in [vec![("ep", usize::MAX)], vec![("ep", half), ("cg", half)]] {
+            let wl = workload("cg", &co);
+            let mut sched = vec![GroupSchedule::default(); wl.len()];
+            sched[1].departure_tick = Some(1.0);
+            for schedules in [None, Some(sched.as_slice())] {
+                let ea = m
+                    .run_observed(&wl, schedules, &opts, None, None)
+                    .unwrap_err();
+                assert_eq!(ea, refused, "{co:?}, scheduled: {}", schedules.is_some());
+                assert_eq!(ea, r.run_scheduled(&wl, schedules, &opts).unwrap_err());
+            }
+        }
     }
 
     #[test]

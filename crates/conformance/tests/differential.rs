@@ -65,7 +65,13 @@ fn event_execution_is_bit_identical_across_thread_counts() {
             let built = cases[i].build().expect("case builds");
             let machine = Machine::new(built.spec.clone()).unwrap();
             machine
-                .run_scheduled(&built.workload, built.schedules.as_deref(), &built.opts)
+                .run_observed(
+                    &built.workload,
+                    built.schedules.as_deref(),
+                    &built.opts,
+                    None,
+                    None,
+                )
                 .expect("event case runs")
         })
     };

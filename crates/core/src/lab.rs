@@ -12,8 +12,8 @@ use crate::sample::Sample;
 use crate::scenario::Scenario;
 use crate::{ColocError, ModelError, Result};
 use coloc_machine::{
-    FaultPlan, GroupSchedule, IrWriter, Machine, MachineSpec, RunCache, RunOptions, RunOutcome,
-    RunnerGroup, ScenarioIr, StageId, StageProfile,
+    FaultPlan, IrWriter, Machine, MachineSpec, RunCache, RunOptions, RunOutcome, RunnerGroup,
+    ScenarioIr, StageId, StageProfile,
 };
 use coloc_ml::rng::{derive_seed, derive_seed_str};
 use coloc_perfmon::{EventSet, FlatProfiler};
@@ -21,7 +21,7 @@ use coloc_workloads::Benchmark;
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Default measurement-noise σ: the paper's per-partition error spread is
@@ -306,53 +306,29 @@ impl Lab {
     /// cache; determinism makes the memoized outcome bit-identical to a
     /// fresh simulation.
     pub fn run_scenario(&self, scenario: &Scenario) -> Result<f64> {
-        let ir = self.scenario_ir(scenario)?;
-        self.run_ir(&ir)
-    }
-
-    /// Execute a scenario and return the full engine outcome (counters,
-    /// segments, convergence — not just the wall time). The matrix
-    /// artifact and the identical-pair symmetry law read per-group
-    /// counter blocks from here; the memoized outcome is bit-identical
-    /// to a fresh simulation.
-    pub fn run_scenario_outcome(&self, scenario: &Scenario) -> Result<std::sync::Arc<RunOutcome>> {
-        let ir = self.scenario_ir(scenario)?;
-        self.run_ir_outcome(&ir)
+        Ok(self.run_ir(&self.scenario_ir(scenario)?)?.wall_time_s)
     }
 
     /// Execute an arbitrary [`ScenarioIr`] — including ones carrying
     /// event schedules, which [`Scenario`] cannot express — through the
-    /// lab's run cache with the same memoization, fault injection, stage
-    /// profiling, and sweep telemetry as [`Lab::run_scenario`].
-    pub fn run_ir(&self, ir: &ScenarioIr) -> Result<f64> {
-        Ok(self.run_ir_outcome(ir)?.wall_time_s)
-    }
-
-    /// [`Lab::run_ir`], returning the whole [`RunOutcome`].
-    pub fn run_ir_outcome(&self, ir: &ScenarioIr) -> Result<std::sync::Arc<RunOutcome>> {
-        let schedules: Option<&[GroupSchedule]> = ir.schedules.as_deref();
-        let (outcome, hit) = match &self.stage_profile {
-            Some(shared) => {
-                let mut local = StageProfile::new();
-                let pair = self.run_cache.run_scheduled_observed(
-                    &self.machine,
-                    &ir.workload,
-                    schedules,
-                    &ir.opts,
-                    ir.faults.as_ref(),
-                    Some(&mut local),
-                )?;
-                shared.lock().expect("stage profile lock").merge(&local);
-                pair
-            }
-            None => self.run_cache.run_scheduled_with_faults(
-                &self.machine,
-                &ir.workload,
-                schedules,
-                &ir.opts,
-                ir.faults.as_ref(),
-            )?,
-        };
+    /// lab's run cache, with its memoization, fault injection, stage
+    /// profiling and sweep telemetry, and return the full engine outcome
+    /// (counters, segments, convergence — not just the wall time). The
+    /// matrix artifact reads per-group counter blocks from here; the
+    /// memoized outcome is bit-identical to a fresh simulation.
+    pub fn run_ir(&self, ir: &ScenarioIr) -> Result<Arc<RunOutcome>> {
+        let mut profile = self.stage_profile.as_ref().map(|_| StageProfile::new());
+        let (outcome, hit) = self.run_cache.run_scheduled_observed(
+            &self.machine,
+            &ir.workload,
+            ir.schedules.as_deref(),
+            &ir.opts,
+            ir.faults.as_ref(),
+            profile.as_mut(),
+        )?;
+        if let (Some(shared), Some(local)) = (&self.stage_profile, &profile) {
+            shared.lock().expect("stage profile lock").merge(local);
+        }
         self.scenarios_run.fetch_add(1, Ordering::Relaxed);
         if !hit {
             self.segments_simulated
@@ -390,8 +366,9 @@ impl Lab {
             .zip(&is_first)
             .filter_map(|(ir, &first)| first.then_some(ir))
             .collect();
+        let wall_time = |ir: &ScenarioIr| self.run_ir(ir).map(|o| o.wall_time_s);
         let mut firsts = coloc_ml::parallel::run_indexed(distinct.len(), self.threads, |d| {
-            self.run_ir(distinct[d])
+            wall_time(distinct[d])
         })
         .into_iter();
         // Repeats run after every first occurrence is resident, so each
@@ -402,7 +379,7 @@ impl Lab {
                 if first {
                     firsts.next().expect("one result per distinct scenario")
                 } else {
-                    self.run_ir(ir)
+                    wall_time(ir)
                 }
             })
             .collect()

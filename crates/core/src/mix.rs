@@ -74,8 +74,21 @@ pub const MIX_ENCODING_VERSION: u8 = 1;
 impl MixFeatures {
     /// Build the mix encoding for `scenario` from baseline measurements
     /// only — the same inputs (and the same failure modes, in the same
-    /// order) as the historical `Lab::featurize`.
+    /// order) as the historical `Lab::featurize`, plus one up front: a
+    /// scenario whose core count (target plus co-runners) overflows
+    /// `usize` is [`ModelError::InvalidSpec`], never a wrapped sum.
     pub fn from_baselines(db: &BaselineDb, scenario: &Scenario) -> Result<MixFeatures> {
+        if scenario
+            .co_located
+            .iter()
+            .try_fold(1usize, |n, &(_, c)| n.checked_add(c))
+            .is_none()
+        {
+            return Err(ModelError::InvalidSpec(format!(
+                "{}: co-runner counts overflow the core count",
+                scenario.target
+            )));
+        }
         let target = db
             .get(&scenario.target)
             .ok_or_else(|| ModelError::UnknownApp(scenario.target.clone()))?;
@@ -314,5 +327,25 @@ mod tests {
             one.digest64(),
             ((one.digest() >> 64) as u64) ^ (one.digest() as u64)
         );
+    }
+
+    #[test]
+    fn overflowing_counts_are_a_typed_error() {
+        let half = 1usize << (usize::BITS - 1);
+        for co in [vec![("a", usize::MAX)], vec![("a", half), ("b", half)]] {
+            let sc = Scenario {
+                target: "t".into(),
+                co_located: co.into_iter().map(|(n, c)| (n.to_string(), c)).collect(),
+                pstate: 0,
+            };
+            assert!(matches!(
+                MixFeatures::from_baselines(&db(), &sc),
+                Err(ModelError::InvalidSpec(_))
+            ));
+        }
+        // The largest count that still fits is encoded as given.
+        let sc = Scenario::homogeneous("t", "a", usize::MAX - 1, 0);
+        let mix = MixFeatures::from_baselines(&db(), &sc).unwrap();
+        assert_eq!(mix.num_co_located(), usize::MAX - 1);
     }
 }

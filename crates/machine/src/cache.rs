@@ -4,12 +4,18 @@
 //! constantly: every scenario in a training plan re-measures the same
 //! baselines, ablations re-execute the shared arm, and repeated
 //! validation drives the same scenarios again. A run is a pure function
-//! of its inputs, so [`RunCache`] memoizes [`Machine::run`] behind a
-//! canonical 128-bit digest of everything the engine reads: the machine
-//! spec (cores, LLC geometry, P-state table, DRAM parameters), the full
-//! workload (group counts, per-phase locality distributions down to their
-//! CDF tables, access rates, CPIs, MLP), and the run options (P-state,
-//! noise seed and σ, segment cap, partitioning flag).
+//! of its inputs, so [`RunCache`] memoizes [`Machine::run_observed`]
+//! behind a canonical 128-bit digest of everything the engine reads: the
+//! machine spec (cores, LLC geometry, P-state table, DRAM parameters),
+//! the full workload (group counts, per-phase locality distributions down
+//! to their CDF tables, access rates, CPIs, MLP), the run options
+//! (P-state, noise seed and σ, segment cap, partitioning flag, budget),
+//! the fault plan and the event schedules. The digest is
+//! [`crate::ScenarioIr::digest`] of the same scenario, bit for bit.
+//!
+//! The cache has one run path, [`RunCache::run_scheduled_observed`], one
+//! key function, [`RunCache::key_for_scheduled`], and one probe,
+//! [`RunCache::peek`].
 //!
 //! A hit returns a shared [`Arc`] handle to the stored [`RunOutcome`] —
 //! bit-identical to what the engine produced, including applied noise,
@@ -40,25 +46,6 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Canonical digest of one run's complete input set — the
-/// [`crate::ScenarioIr`] encoding of `(machine, workload, opts)`.
-pub fn run_digest(machine: &Machine, workload: &[RunnerGroup], opts: &RunOptions) -> u128 {
-    run_digest_faulted(machine, workload, opts, None)
-}
-
-/// Like [`run_digest`], additionally keyed by an optional [`FaultPlan`]:
-/// a faulted outcome must never be served for a clean request (or for a
-/// request under a different plan), so the plan is part of the memo key.
-/// Delegates to the one canonical scenario encoding in [`crate::ir`].
-pub fn run_digest_faulted(
-    machine: &Machine,
-    workload: &[RunnerGroup],
-    opts: &RunOptions,
-    faults: Option<&FaultPlan>,
-) -> u128 {
-    ir::scenario_digest(machine.spec(), workload, opts, faults)
-}
 
 /// Counter snapshot for telemetry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -128,7 +115,8 @@ impl Shard {
     }
 }
 
-/// A bounded, thread-safe, sharded memo table over [`Machine::run`].
+/// A bounded, thread-safe, sharded memo table over
+/// [`Machine::run_observed`].
 pub struct RunCache {
     /// Per-shard entry bound (total capacity / shard count).
     shard_capacity: usize,
@@ -178,7 +166,7 @@ impl RunCache {
             shard_capacity,
             shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
             shard_mask: shards - 1,
-            digest_memo: ir::DigestMemo::new(),
+            digest_memo: ir::DigestMemo::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -215,21 +203,10 @@ impl RunCache {
         hit
     }
 
-    /// The memo key this cache would use for a scenario, computed through
-    /// the cache's digest memo (bit-identical to [`run_digest_faulted`]).
-    pub fn key_for(
-        &self,
-        machine: &Machine,
-        workload: &[RunnerGroup],
-        opts: &RunOptions,
-        faults: Option<&FaultPlan>,
-    ) -> u128 {
-        ir::scenario_digest_memo(&self.digest_memo, machine.spec(), workload, opts, faults)
-    }
-
-    /// [`RunCache::key_for`] with event schedules folded into the key.
-    /// All-default (or absent) schedules key identically to
-    /// [`RunCache::key_for`], so pre-event cache entries stay addressable.
+    /// The memo key this cache uses for a scenario: bit-identical to
+    /// [`crate::ScenarioIr::digest`] of the same inputs, computed through
+    /// the cache's digest memo. All-default (or absent) schedules key
+    /// like no schedules, and a no-op fault plan like no plan.
     pub fn key_for_scheduled(
         &self,
         machine: &Machine,
@@ -238,87 +215,31 @@ impl RunCache {
         faults: Option<&FaultPlan>,
         schedules: Option<&[GroupSchedule]>,
     ) -> u128 {
-        ir::scenario_digest_memo_scheduled(
-            &self.digest_memo,
+        let mut d = ir::IrWriter::new();
+        ir::encode_scenario(
+            &mut d,
             machine.spec(),
             workload,
             opts,
             faults,
             schedules,
-        )
+            Some(&self.digest_memo),
+        );
+        d.finish()
     }
 
-    /// Run `workload` on `machine`, returning the memoized outcome when
-    /// this exact triple has run before. Errors are never cached (they are
-    /// cheap to recompute and carry no simulation work).
-    pub fn run(
-        &self,
-        machine: &Machine,
-        workload: &[RunnerGroup],
-        opts: &RunOptions,
-    ) -> Result<Arc<RunOutcome>> {
-        self.run_with_status(machine, workload, opts)
-            .map(|(out, _)| out)
-    }
-
-    /// Like [`RunCache::run`], but also reports whether the outcome came
-    /// from the cache (`true`) or a fresh simulation (`false`) — callers
-    /// accounting for simulation work need to know which runs were real.
-    pub fn run_with_status(
-        &self,
-        machine: &Machine,
-        workload: &[RunnerGroup],
-        opts: &RunOptions,
-    ) -> Result<(Arc<RunOutcome>, bool)> {
-        self.run_with_faults(machine, workload, opts, None)
-    }
-
-    /// Like [`RunCache::run_with_status`], with measurement faults from
-    /// `faults` injected into the outcome before it is stored. Faults are
-    /// applied exactly once, on the miss path, streamed by `opts.seed` —
-    /// so a hit replays the identical faulted outcome, and the plan is
-    /// part of the memo key (a clean request never sees a faulted entry).
-    pub fn run_with_faults(
-        &self,
-        machine: &Machine,
-        workload: &[RunnerGroup],
-        opts: &RunOptions,
-        faults: Option<&FaultPlan>,
-    ) -> Result<(Arc<RunOutcome>, bool)> {
-        self.run_observed(machine, workload, opts, faults, None)
-    }
-
-    /// Like [`RunCache::run_with_faults`], with per-group event schedules:
-    /// the schedules are part of the memo key (an all-default schedule keys
-    /// — and therefore hits — exactly like no schedule) and the miss path
-    /// runs the event-mode engine.
-    pub fn run_scheduled_with_faults(
-        &self,
-        machine: &Machine,
-        workload: &[RunnerGroup],
-        schedules: Option<&[GroupSchedule]>,
-        opts: &RunOptions,
-        faults: Option<&FaultPlan>,
-    ) -> Result<(Arc<RunOutcome>, bool)> {
-        self.run_scheduled_observed(machine, workload, schedules, opts, faults, None)
-    }
-
-    /// Like [`RunCache::run_with_faults`], timing pipeline stages into
-    /// `profile` when one is attached. Stage costs accrue only on the miss
+    /// The one memoized run path: run `workload` on `machine` under
+    /// optional event schedules and fault plan, returning the memoized
+    /// outcome when this exact scenario has run before, plus whether it
+    /// was a hit (`true`) or a fresh simulation (`false`). Errors are
+    /// never cached (they are cheap to recompute and carry no simulation
+    /// work).
+    ///
+    /// Faults are applied exactly once, on the miss path, streamed by
+    /// `opts.seed` — so a hit replays the identical faulted outcome, and
+    /// the plan is part of the memo key (a clean request never sees a
+    /// faulted entry). Stage costs accrue into `profile` only on the miss
     /// path — a hit does no simulation work, so there is nothing to time.
-    pub fn run_observed(
-        &self,
-        machine: &Machine,
-        workload: &[RunnerGroup],
-        opts: &RunOptions,
-        faults: Option<&FaultPlan>,
-        profile: Option<&mut StageProfile>,
-    ) -> Result<(Arc<RunOutcome>, bool)> {
-        self.run_scheduled_observed(machine, workload, None, opts, faults, profile)
-    }
-
-    /// The one memoized run path: schedules, faults, and optional stage
-    /// profiling. Every other `run_*` method funnels here.
     pub fn run_scheduled_observed(
         &self,
         machine: &Machine,
@@ -342,10 +263,7 @@ impl RunCache {
         // key may both simulate, but they produce identical outcomes, so
         // the race is benign and the sweep never serializes on the cache.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut outcome = match profile {
-            Some(p) => machine.run_scheduled_instrumented(workload, schedules, opts, p)?,
-            None => machine.run_scheduled(workload, schedules, opts)?,
-        };
+        let mut outcome = machine.run_observed(workload, schedules, opts, profile, None)?;
         if let Some(plan) = faults {
             plan.apply(opts.seed, &mut outcome);
         }
@@ -390,6 +308,7 @@ mod tests {
     use super::*;
     use crate::app::{AppPhase, AppProfile};
     use crate::presets;
+    use crate::ScenarioIr;
     use coloc_cachesim::StackDistanceDist;
 
     fn app(name: &str, span: usize) -> AppProfile {
@@ -416,6 +335,25 @@ mod tests {
         ]
     }
 
+    /// A lockstep, fault-free, unobserved run through the cache.
+    fn run(cache: &RunCache, m: &Machine, span: usize, opts: &RunOptions) -> Arc<RunOutcome> {
+        cache
+            .run_scheduled_observed(m, &wl(span), None, opts, None, None)
+            .unwrap()
+            .0
+    }
+
+    /// The cache key of a lockstep scenario, checked against the
+    /// [`ScenarioIr::digest`] of the same inputs.
+    fn key(m: &Machine, span: usize, opts: RunOptions, faults: Option<FaultPlan>) -> u128 {
+        let workload = wl(span);
+        let key = RunCache::new(8).key_for_scheduled(m, &workload, &opts, faults.as_ref(), None);
+        let mut ir = ScenarioIr::new(m.spec().clone(), workload, opts);
+        ir.faults = faults;
+        assert_eq!(key, ir.digest(), "cache key and IR digest disagree");
+        key
+    }
+
     #[test]
     fn hit_is_bit_identical_to_engine_output() {
         let m = Machine::new(presets::xeon_e5649()).unwrap();
@@ -426,8 +364,8 @@ mod tests {
             ..Default::default()
         };
         let direct = m.run(&wl(800_000), &opts).unwrap();
-        let miss = cache.run(&m, &wl(800_000), &opts).unwrap();
-        let hit = cache.run(&m, &wl(800_000), &opts).unwrap();
+        let miss = run(&cache, &m, 800_000, &opts);
+        let hit = run(&cache, &m, 800_000, &opts);
         for out in [&miss, &hit] {
             assert_eq!(out.wall_time_s.to_bits(), direct.wall_time_s.to_bits());
             assert_eq!(out.segments, direct.segments);
@@ -453,15 +391,11 @@ mod tests {
         let cache = RunCache::new(64);
         let opts = RunOptions::default();
         let workload = wl(800_000);
-        let plain = cache.key_for(&m, &workload, &opts, None);
+        let plain = cache.key_for_scheduled(&m, &workload, &opts, None, None);
 
-        // Absent and all-default schedules key identically to lockstep:
-        // pre-event cache entries stay addressable.
+        // All-default schedules key identically to lockstep: pre-event
+        // cache entries stay addressable.
         let defaults = vec![GroupSchedule::default(); workload.len()];
-        assert_eq!(
-            plain,
-            cache.key_for_scheduled(&m, &workload, &opts, None, None)
-        );
         assert_eq!(
             plain,
             cache.key_for_scheduled(&m, &workload, &opts, None, Some(&defaults))
@@ -488,11 +422,11 @@ mod tests {
 
         // And the cache actually serves a scheduled hit.
         let (cold, was_hit) = cache
-            .run_scheduled_with_faults(&m, &workload, Some(&window), &opts, None)
+            .run_scheduled_observed(&m, &workload, Some(&window), &opts, None, None)
             .unwrap();
         assert!(!was_hit);
         let (warm, was_hit) = cache
-            .run_scheduled_with_faults(&m, &workload, Some(&window), &opts, None)
+            .run_scheduled_observed(&m, &workload, Some(&window), &opts, None, None)
             .unwrap();
         assert!(was_hit);
         assert_eq!(cold.wall_time_s.to_bits(), warm.wall_time_s.to_bits());
@@ -502,81 +436,62 @@ mod tests {
     fn distinct_inputs_key_apart() {
         let m = Machine::new(presets::xeon_e5649()).unwrap();
         let base = RunOptions::default();
-        let k0 = run_digest(&m, &wl(800_000), &base);
-        assert_eq!(k0, run_digest(&m, &wl(800_000), &base), "digest is stable");
-        assert_ne!(k0, run_digest(&m, &wl(400_000), &base), "workload matters");
-        assert_ne!(
-            k0,
-            run_digest(&m, &wl(800_000), &RunOptions { pstate: 2, ..base }),
-            "pstate matters"
-        );
-        assert_ne!(
-            k0,
-            run_digest(&m, &wl(800_000), &RunOptions { seed: 1, ..base }),
-            "noise seed matters"
-        );
-        assert_ne!(
-            k0,
-            run_digest(
-                &m,
-                &wl(800_000),
-                &RunOptions {
+        let k0 = key(&m, 800_000, base, None);
+        assert_eq!(k0, key(&m, 800_000, base, None), "key is stable");
+        assert_ne!(k0, key(&m, 400_000, base, None), "workload matters");
+        let variants = [
+            (RunOptions { pstate: 2, ..base }, "pstate matters"),
+            (RunOptions { seed: 1, ..base }, "noise seed matters"),
+            (
+                RunOptions {
                     noise_sigma: 0.01,
                     ..base
-                }
+                },
+                "noise sigma matters",
             ),
-            "noise sigma matters"
-        );
-        assert_ne!(
-            k0,
-            run_digest(
-                &m,
-                &wl(800_000),
-                &RunOptions {
+            (
+                RunOptions {
                     llc_partitioned: true,
                     ..base
-                }
+                },
+                "partitioning matters",
             ),
-            "partitioning matters"
-        );
+        ];
+        for (opts, why) in variants {
+            assert_ne!(k0, key(&m, 800_000, opts, None), "{why}");
+        }
         let m12 = Machine::new(presets::xeon_e5_2697v2()).unwrap();
-        assert_ne!(k0, run_digest(&m12, &wl(800_000), &base), "machine matters");
+        assert_ne!(k0, key(&m12, 800_000, base, None), "machine matters");
     }
 
     #[test]
     fn fault_plan_changes_the_digest() {
         let m = Machine::new(presets::xeon_e5649()).unwrap();
         let opts = RunOptions::default();
-        let clean = run_digest_faulted(&m, &wl(800_000), &opts, None);
+        let clean = key(&m, 800_000, opts, None);
         assert_eq!(
             clean,
-            run_digest(&m, &wl(800_000), &opts),
-            "no plan == plain digest"
-        );
-        assert_eq!(
-            clean,
-            run_digest_faulted(&m, &wl(800_000), &opts, Some(&FaultPlan::default())),
+            key(&m, 800_000, opts, Some(FaultPlan::default())),
             "a no-op plan keys like no plan"
         );
-        let light = FaultPlan::light(3);
-        let keyed = run_digest_faulted(&m, &wl(800_000), &opts, Some(&light));
+        let keyed = key(&m, 800_000, opts, Some(FaultPlan::light(3)));
         assert_ne!(clean, keyed, "an active plan must key apart from clean");
         assert_ne!(
             keyed,
-            run_digest_faulted(&m, &wl(800_000), &opts, Some(&FaultPlan::light(4))),
+            key(&m, 800_000, opts, Some(FaultPlan::light(4))),
             "plan seed matters"
         );
         assert_ne!(
             keyed,
-            run_digest_faulted(&m, &wl(800_000), &opts, Some(&FaultPlan::heavy(3))),
+            key(&m, 800_000, opts, Some(FaultPlan::heavy(3))),
             "plan rates matter"
         );
         assert_ne!(
             clean,
-            run_digest_faulted(
+            key(
                 &m,
-                &wl(800_000),
-                &RunOptions {
+                800_000,
+                RunOptions {
                     fp_budget: 100,
                     ..opts
                 },
@@ -601,29 +516,26 @@ mod tests {
             nan_reading_rate: 1.0,
             ..Default::default()
         };
-        let (clean, hit) = cache
-            .run_with_faults(&m, &wl(800_000), &opts, None)
-            .unwrap();
+        let run = |faults: Option<&FaultPlan>| {
+            cache
+                .run_scheduled_observed(&m, &wl(800_000), None, &opts, faults, None)
+                .unwrap()
+        };
+        let (clean, hit) = run(None);
         assert!(!hit);
         assert!(clean.wall_time_s.is_finite());
         // Same scenario under the plan: a fresh miss, faulted outcome.
-        let (faulted, hit) = cache
-            .run_with_faults(&m, &wl(800_000), &opts, Some(&plan))
-            .unwrap();
+        let (faulted, hit) = run(Some(&plan));
         assert!(!hit, "plan change must miss, not reuse the clean entry");
         assert!(faulted.wall_time_s.is_nan());
         assert_eq!(faulted.faults.len(), 1);
         // Replay under the plan: a hit, bit-identical faulted outcome.
-        let (replay, hit) = cache
-            .run_with_faults(&m, &wl(800_000), &opts, Some(&plan))
-            .unwrap();
+        let (replay, hit) = run(Some(&plan));
         assert!(hit);
         assert_eq!(replay.wall_time_s.to_bits(), faulted.wall_time_s.to_bits());
         assert_eq!(replay.faults, faulted.faults);
         // And the clean entry is still intact.
-        let (clean2, hit) = cache
-            .run_with_faults(&m, &wl(800_000), &opts, None)
-            .unwrap();
+        let (clean2, hit) = run(None);
         assert!(hit);
         assert_eq!(clean2.wall_time_s.to_bits(), clean.wall_time_s.to_bits());
         assert!(clean2.faults.is_empty());
@@ -636,17 +548,17 @@ mod tests {
         let cache = RunCache::with_shards(2, 1);
         let opts = RunOptions::default();
         for span in [100_000, 200_000, 300_000] {
-            cache.run(&m, &wl(span), &opts).unwrap();
+            run(&cache, &m, span, &opts);
         }
         let s = cache.stats();
         assert_eq!(s.misses, 3);
         assert_eq!(s.evictions, 1);
         assert_eq!(s.len, 2);
         // Oldest entry is gone: running it again is a miss...
-        cache.run(&m, &wl(100_000), &opts).unwrap();
+        run(&cache, &m, 100_000, &opts);
         assert_eq!(cache.stats().misses, 4);
         // ...while the newest survives as a hit until displaced.
-        cache.run(&m, &wl(300_000), &opts).unwrap();
+        run(&cache, &m, 300_000, &opts);
         assert_eq!(cache.stats().hits, 1);
     }
 
@@ -655,17 +567,17 @@ mod tests {
         let m = Machine::new(presets::xeon_e5649()).unwrap();
         let cache = RunCache::with_shards(2, 1);
         let opts = RunOptions::default();
-        cache.run(&m, &wl(100_000), &opts).unwrap();
-        cache.run(&m, &wl(200_000), &opts).unwrap();
+        run(&cache, &m, 100_000, &opts);
+        run(&cache, &m, 200_000, &opts);
         // Touch the older entry, then insert a third: the *untouched*
         // middle entry is now least recent and gets displaced.
-        cache.run(&m, &wl(100_000), &opts).unwrap();
-        cache.run(&m, &wl(300_000), &opts).unwrap();
+        run(&cache, &m, 100_000, &opts);
+        run(&cache, &m, 300_000, &opts);
         assert_eq!(cache.stats().evictions, 1);
         let before = cache.stats().hits;
-        cache.run(&m, &wl(100_000), &opts).unwrap();
+        run(&cache, &m, 100_000, &opts);
         assert_eq!(cache.stats().hits, before + 1, "touched entry survived");
-        cache.run(&m, &wl(200_000), &opts).unwrap();
+        run(&cache, &m, 200_000, &opts);
         assert_eq!(cache.stats().misses, 4, "untouched entry was evicted");
         assert_eq!(cache.stats().evictions, 2);
     }
@@ -679,10 +591,10 @@ mod tests {
         let opts = RunOptions::default();
         let spans = [100_000usize, 150_000, 200_000, 250_000, 300_000];
         for &span in &spans {
-            cache.run(&m, &wl(span), &opts).unwrap();
+            run(&cache, &m, span, &opts);
         }
         for &span in &spans {
-            cache.run(&m, &wl(span), &opts).unwrap();
+            run(&cache, &m, span, &opts);
         }
         let s = cache.stats();
         assert_eq!(s.misses, spans.len() as u64);
@@ -696,10 +608,10 @@ mod tests {
         let m = Machine::new(presets::xeon_e5649()).unwrap();
         let cache = RunCache::new(64);
         let opts = RunOptions::default();
-        let key = cache.key_for(&m, &wl(100_000), &opts, None);
+        let key = cache.key_for_scheduled(&m, &wl(100_000), &opts, None, None);
         assert!(cache.peek(key).is_none());
         assert_eq!(cache.stats().misses, 0, "peek never simulates");
-        let (direct, _) = cache.run_with_status(&m, &wl(100_000), &opts).unwrap();
+        let direct = run(&cache, &m, 100_000, &opts);
         let peeked = cache.peek(key).expect("resident after run");
         assert_eq!(peeked.wall_time_s.to_bits(), direct.wall_time_s.to_bits());
         assert_eq!(cache.stats().hits, 1, "a successful peek counts as a hit");
@@ -709,7 +621,7 @@ mod tests {
     fn clear_empties_but_keeps_counters() {
         let m = Machine::new(presets::xeon_e5649()).unwrap();
         let cache = RunCache::new(8);
-        cache.run(&m, &wl(100_000), &RunOptions::default()).unwrap();
+        run(&cache, &m, 100_000, &RunOptions::default());
         cache.clear();
         let s = cache.stats();
         assert_eq!(s.len, 0);

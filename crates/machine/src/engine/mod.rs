@@ -20,11 +20,13 @@
 //! Structurally, the per-segment work is a staged pipeline: explicit
 //! [`EpochStage`] implementations for governor/P-state
 //! application, phase sync, LLC share solving, DRAM latency/fixed-point
-//! convergence, and counter accrual, composed by the thin driver in
-//! [`Machine::run`]. The driver can time each stage into a
-//! [`StageProfile`] ([`Machine::run_instrumented`]) or record per-segment
-//! history into a [`SegmentTrace`] ([`Machine::run_traced`]) at zero cost
-//! to plain runs.
+//! convergence, and counter accrual, composed by one thin driver. The
+//! driver has three entry points: [`Machine::run`] (lockstep,
+//! unobserved), [`Machine::run_solo`] (the borrowed baseline run) and
+//! [`Machine::run_observed`], which adds optional event schedules and
+//! can time each stage into a [`StageProfile`] and record per-segment
+//! history into a [`SegmentTrace`], either or both, at zero cost to
+//! plain runs.
 
 mod scratch;
 mod stages;
@@ -64,8 +66,8 @@ impl RunnerGroup {
 }
 
 /// A borrowed view of one workload group — the engine's internal workload
-/// representation. [`Machine::run`] lowers `&[RunnerGroup]` to a slice of
-/// these (a pointer-sized copy per group), and [`Machine::run_solo`]
+/// representation. [`Machine::run_observed`] lowers `&[RunnerGroup]` to a
+/// slice of these (a pointer-sized copy per group), and [`Machine::run_solo`]
 /// builds one directly from the borrowed profile, so the per-query
 /// baseline measurement no longer deep-clones the [`AppProfile`] (phases,
 /// locality CDF tables and all) just to run it.
@@ -340,81 +342,36 @@ impl Machine {
     /// Run `workload` (group 0 = target) at the given options until the
     /// target completes. Returns the measured outcome.
     pub fn run(&self, workload: &[RunnerGroup], opts: &RunOptions) -> Result<RunOutcome> {
-        let groups: Vec<GroupRef<'_>> = workload.iter().map(GroupRef::from_group).collect();
-        self.run_observed(&groups, None, opts, None, None)
+        self.run_observed(workload, None, opts, None, None)
     }
 
-    /// Run `workload` under per-group event schedules: phase offsets,
-    /// arrival/departure ticks, per-core clock ratios. `schedules`, when
-    /// present, must supply one [`GroupSchedule`] per group; `None` — or
-    /// all-default schedules — is exactly [`Machine::run`], bit-for-bit.
-    pub fn run_scheduled(
+    /// Run `workload` under optional per-group event schedules (phase
+    /// offsets, arrival/departure ticks, per-core clock ratios), with
+    /// optional observers. `schedules`, when present, must supply one
+    /// [`GroupSchedule`] per group; `None` — or all-default schedules —
+    /// is exactly [`Machine::run`], bit-for-bit. `profile` times every
+    /// pipeline stage; `trace` records the most recent segments into its
+    /// ring. Either, both or neither may be attached: observation never
+    /// changes a bit of the outcome.
+    pub fn run_observed(
         &self,
         workload: &[RunnerGroup],
         schedules: Option<&[GroupSchedule]>,
         opts: &RunOptions,
+        profile: Option<&mut StageProfile>,
+        trace: Option<&mut SegmentTrace>,
     ) -> Result<RunOutcome> {
         let groups: Vec<GroupRef<'_>> = workload.iter().map(GroupRef::from_group).collect();
-        self.run_observed(&groups, schedules, opts, None, None)
+        self.drive(&groups, schedules, opts, profile, trace)
     }
 
-    /// [`Machine::run_scheduled`] with stage instrumentation (the
-    /// scheduled analogue of [`Machine::run_instrumented`]).
-    pub fn run_scheduled_instrumented(
-        &self,
-        workload: &[RunnerGroup],
-        schedules: Option<&[GroupSchedule]>,
-        opts: &RunOptions,
-        profile: &mut StageProfile,
-    ) -> Result<RunOutcome> {
-        let groups: Vec<GroupRef<'_>> = workload.iter().map(GroupRef::from_group).collect();
-        self.run_observed(&groups, schedules, opts, Some(profile), None)
+    /// Run an app alone (the paper's baseline measurement). Borrows the
+    /// profile directly — no per-query workload clone.
+    pub fn run_solo(&self, app: &AppProfile, opts: &RunOptions) -> Result<RunOutcome> {
+        self.drive(&[GroupRef::solo(app)], None, opts, None, None)
     }
 
-    /// [`Machine::run_scheduled`] with a bounded segment trace (the
-    /// scheduled analogue of [`Machine::run_traced`]).
-    pub fn run_scheduled_traced(
-        &self,
-        workload: &[RunnerGroup],
-        schedules: Option<&[GroupSchedule]>,
-        opts: &RunOptions,
-        capacity: usize,
-    ) -> Result<(RunOutcome, SegmentTrace)> {
-        let mut trace = SegmentTrace::new(capacity);
-        let groups: Vec<GroupRef<'_>> = workload.iter().map(GroupRef::from_group).collect();
-        let outcome = self.run_observed(&groups, schedules, opts, None, Some(&mut trace))?;
-        Ok((outcome, trace))
-    }
-
-    /// Like [`Machine::run`], timing every pipeline stage into `profile`.
-    /// The outcome is bit-identical to the plain run; only observation is
-    /// added.
-    pub fn run_instrumented(
-        &self,
-        workload: &[RunnerGroup],
-        opts: &RunOptions,
-        profile: &mut StageProfile,
-    ) -> Result<RunOutcome> {
-        let groups: Vec<GroupRef<'_>> = workload.iter().map(GroupRef::from_group).collect();
-        self.run_observed(&groups, None, opts, Some(profile), None)
-    }
-
-    /// Like [`Machine::run`], additionally recording the most recent
-    /// `capacity` segments into a [`SegmentTrace`] ring buffer. The
-    /// outcome is bit-identical to the plain run.
-    pub fn run_traced(
-        &self,
-        workload: &[RunnerGroup],
-        opts: &RunOptions,
-        capacity: usize,
-    ) -> Result<(RunOutcome, SegmentTrace)> {
-        let mut trace = SegmentTrace::new(capacity);
-        let groups: Vec<GroupRef<'_>> = workload.iter().map(GroupRef::from_group).collect();
-        let outcome = self.run_observed(&groups, None, opts, None, Some(&mut trace))?;
-        Ok((outcome, trace))
-    }
-
-    /// The discrete-event driver behind every run variant: validate, then
+    /// The discrete-event driver behind every entry point: validate, then
     /// advance the stage pipeline era by era. An *era* is a maximal
     /// interval of the simulated clock with a fixed resident set; within
     /// an era the unmodified segment pipeline runs over the resident
@@ -425,7 +382,7 @@ impl Machine {
     /// lockstep engine is the degenerate case, bit-for-bit (DESIGN.md
     /// §14). `profile` and `trace` attach observation without perturbing
     /// the simulation.
-    fn run_observed(
+    fn drive(
         &self,
         workload: &[GroupRef<'_>],
         schedules: Option<&[GroupSchedule]>,
@@ -446,13 +403,8 @@ impl Machine {
             _ => None,
         };
         // Core capacity: lockstep workloads need every group at once;
-        // event schedules only need the peak *concurrent* residency, so
-        // disjoint arrival/departure windows may oversubscribe the
-        // static sum.
-        let requested: usize = match sched {
-            Some(s) => event::peak_cores(workload, s),
-            None => workload.iter().map(|g| g.count).sum(),
-        };
+        // event schedules only need the peak *concurrent* residency.
+        let requested = event::cores_needed(workload, sched);
         if requested > self.spec.cores {
             return Err(MachineError::NotEnoughCores {
                 requested,
@@ -709,12 +661,6 @@ impl Machine {
             },
             faults: Vec::new(),
         })
-    }
-
-    /// Convenience: run an app alone (the paper's baseline measurement).
-    /// Borrows the profile directly — no per-query workload clone.
-    pub fn run_solo(&self, app: &AppProfile, opts: &RunOptions) -> Result<RunOutcome> {
-        self.run_observed(&[GroupRef::solo(app)], None, opts, None, None)
     }
 }
 
@@ -1213,7 +1159,9 @@ mod tests {
         };
         let plain = m.run(&wl, &opts).unwrap();
         let mut profile = StageProfile::new();
-        let out = m.run_instrumented(&wl, &opts, &mut profile).unwrap();
+        let out = m
+            .run_observed(&wl, None, &opts, Some(&mut profile), None)
+            .unwrap();
         assert_eq!(out.wall_time_s.to_bits(), plain.wall_time_s.to_bits());
         assert_eq!(out.segments, plain.segments);
         assert_eq!(out.fp_iterations, plain.fp_iterations);
@@ -1253,7 +1201,7 @@ mod tests {
         ];
         let mut profile = StageProfile::new();
         let t0 = std::time::Instant::now();
-        m.run_instrumented(&wl, &RunOptions::default(), &mut profile)
+        m.run_observed(&wl, None, &RunOptions::default(), Some(&mut profile), None)
             .unwrap();
         let total_run_nanos = t0.elapsed().as_nanos() as u64;
         let stage_sum: u64 = profile.nanos().iter().sum();
@@ -1274,7 +1222,10 @@ mod tests {
                 count: 2,
             },
         ];
-        let (out, trace) = m.run_traced(&wl, &RunOptions::default(), 4).unwrap();
+        let mut trace = SegmentTrace::new(4);
+        let out = m
+            .run_observed(&wl, None, &RunOptions::default(), None, Some(&mut trace))
+            .unwrap();
         assert_eq!(trace.len() as u64 + trace.dropped(), out.segments as u64);
         assert!(trace.len() <= 4);
         let segs: Vec<usize> = trace.records().map(|r| r.segment).collect();

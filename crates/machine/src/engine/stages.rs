@@ -1,9 +1,9 @@
 //! The staged segment pipeline.
 //!
-//! [`super::Machine::run`] advances a workload through piecewise-constant
-//! segments; this module decomposes the body of that loop into five
-//! explicit [`EpochStage`]s composed by a thin driver in the parent
-//! module:
+//! The engine driver behind [`super::Machine::run_observed`] advances a
+//! workload through piecewise-constant segments; this module decomposes
+//! the body of that loop into five explicit [`EpochStage`]s composed by
+//! the thin driver in the parent module:
 //!
 //! ```text
 //!   ┌────────────── per segment ───────────────────────────────────┐

@@ -210,8 +210,8 @@ impl EventQueue {
 /// and/or arrival per non-default group. All departures are pushed
 /// before all arrivals (each in group order), so at equal ticks a
 /// departing group frees its cores before an arriving group claims
-/// capacity — the same order [`validate_schedules`] uses for its peak
-/// concurrency check.
+/// capacity — the same order [`cores_needed`] uses for its peak
+/// concurrency count.
 pub fn build_queue(schedules: &[GroupSchedule]) -> EventQueue {
     let mut q = EventQueue::new();
     for (g, s) in schedules.iter().enumerate() {
@@ -227,29 +227,41 @@ pub fn build_queue(schedules: &[GroupSchedule]) -> EventQueue {
     q
 }
 
-/// Peak number of cores simultaneously resident under `schedules`:
-/// the capacity the machine must actually provide. Departures free
-/// capacity before same-tick arrivals claim it, matching the queue's
-/// pop order.
-pub fn peak_cores(workload: &[GroupRef<'_>], schedules: &[GroupSchedule]) -> usize {
+/// Cores a run needs: the sum of the group counts for a lockstep run
+/// (`schedules` absent), the peak number of cores simultaneously
+/// resident under `schedules` otherwise — disjoint arrival/departure
+/// windows may oversubscribe the static sum. Departures free capacity
+/// before same-tick arrivals claim it, matching the queue's pop order.
+/// The count saturates at `usize::MAX` instead of wrapping, so an
+/// overflowing workload is refused like any other oversubscription.
+/// Shared by the optimized engine and the conformance [`RefEngine`].
+///
+/// [`RefEngine`]: ../../coloc_conformance/refengine/struct.RefEngine.html
+pub fn cores_needed(workload: &[GroupRef<'_>], schedules: Option<&[GroupSchedule]>) -> usize {
+    let Some(schedules) = schedules else {
+        return workload
+            .iter()
+            .fold(0usize, |n, g| n.saturating_add(g.count));
+    };
     // (tick, is_arrival, delta) — departures sort before arrivals at
-    // the same tick via the bool.
-    let mut deltas: Vec<(f64, bool, isize)> = Vec::with_capacity(2 * workload.len());
+    // the same tick via the bool. `i128` holds any sum of `usize` counts
+    // a workload can list.
+    let mut deltas: Vec<(f64, bool, i128)> = Vec::with_capacity(2 * workload.len());
     for (g, s) in schedules.iter().enumerate() {
-        let count = workload[g].count as isize;
+        let count = workload[g].count as i128;
         deltas.push((s.arrival_tick, true, count));
         if let Some(t) = s.departure_tick {
             deltas.push((t, false, -count));
         }
     }
     deltas.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let mut now: isize = 0;
-    let mut peak: isize = 0;
+    let mut now: i128 = 0;
+    let mut peak: i128 = 0;
     for (_, _, d) in deltas {
         now += d;
         peak = peak.max(now);
     }
-    peak.max(0) as usize
+    usize::try_from(peak).unwrap_or(usize::MAX)
 }
 
 /// Validate `schedules` against `workload`: one schedule per group,
@@ -379,7 +391,7 @@ mod tests {
     }
 
     #[test]
-    fn peak_cores_tracks_concurrent_residency() {
+    fn cores_needed_tracks_concurrent_residency() {
         let a0 = app("t");
         let a1 = app("x");
         let a2 = app("y");
@@ -388,6 +400,7 @@ mod tests {
             GroupRef { app: &a1, count: 3 },
             GroupRef { app: &a2, count: 3 },
         ];
+        assert_eq!(cores_needed(&wl, None), 7, "lockstep needs every group");
         // Disjoint windows: 3 departs at 1.0 exactly when the other 3
         // arrive, so the peak is 4, not 7.
         let schedules = [
@@ -395,14 +408,14 @@ mod tests {
             sched(0.0, Some(1.0)),
             sched(1.0, None),
         ];
-        assert_eq!(peak_cores(&wl, &schedules), 4);
+        assert_eq!(cores_needed(&wl, Some(&schedules)), 4);
         // Overlapping windows count together.
         let schedules = [
             GroupSchedule::default(),
             sched(0.0, Some(2.0)),
             sched(1.0, None),
         ];
-        assert_eq!(peak_cores(&wl, &schedules), 7);
+        assert_eq!(cores_needed(&wl, Some(&schedules)), 7);
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //! ## Digest canonicalization rules
 //!
 //! Every digest in the workspace is produced by [`IrWriter`], a 128-bit
-//! FNV-1a writer, over one canonical byte encoding:
+//! FNV-1a writer. Scenario digests hash one canonical byte encoding,
+//! written by one private encoder behind [`ScenarioIr::digest`],
+//! [`ScenarioIr::digest64`] and the run-cache key
+//! ([`crate::RunCache::key_for_scheduled`]):
 //!
 //! * integers are hashed as little-endian `u64` bytes (`usize` widens);
 //! * floats are hashed by **bit pattern** (`f64::to_bits`), so `-0.0`,
@@ -204,25 +207,13 @@ const DIGEST_MEMO_CAP: usize = 8192;
 /// `0x3b`). So for each distribution (identified by its table token) and
 /// each input low byte, one reference absorption yields an affine rule
 /// replayed forever after as a single multiply-add — bit-identical to
-/// hashing the tables byte-by-byte.
+/// hashing the tables byte-by-byte. Each [`crate::RunCache`] owns one.
 #[derive(Default)]
-pub struct DigestMemo {
+pub(crate) struct DigestMemo {
     inner: std::sync::Mutex<std::collections::HashMap<usize, MemoEntry>>,
 }
 
-impl std::fmt::Debug for DigestMemo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let n = self.inner.lock().map(|m| m.len()).unwrap_or(0);
-        f.debug_struct("DigestMemo").field("entries", &n).finish()
-    }
-}
-
 impl DigestMemo {
-    /// A fresh, empty memo.
-    pub fn new() -> DigestMemo {
-        DigestMemo::default()
-    }
-
     /// Absorb `dist`'s tables into `w`, replaying a memoized affine
     /// transition when this distribution (by identity token) and input
     /// low byte have been absorbed before.
@@ -254,36 +245,13 @@ impl DigestMemo {
 }
 
 /// Canonical encoding of a complete scenario — machine spec, workload,
-/// run options, optional fault plan — into `d`. This is **the** scenario
-/// byte encoding: [`ScenarioIr::digest`], the run-cache key, and the
-/// sweep-checkpoint digest all read these exact bytes.
-pub fn encode_scenario(
-    d: &mut IrWriter,
-    spec: &MachineSpec,
-    workload: &[RunnerGroup],
-    opts: &RunOptions,
-    faults: Option<&FaultPlan>,
-) {
-    encode_scenario_inner(d, spec, workload, opts, faults, None, None)
-}
-
-/// [`encode_scenario`] plus per-group event schedules. Schedules are
-/// encoded *only when at least one group deviates from the lockstep
-/// default* — the canonical byte stream of a default-scheduled scenario
-/// is identical to the schedule-less stream, so every pre-event digest
-/// (cache keys, checkpoints, the pinned fixture) is unchanged.
-pub fn encode_scenario_scheduled(
-    d: &mut IrWriter,
-    spec: &MachineSpec,
-    workload: &[RunnerGroup],
-    opts: &RunOptions,
-    faults: Option<&FaultPlan>,
-    schedules: Option<&[GroupSchedule]>,
-) {
-    encode_scenario_inner(d, spec, workload, opts, faults, schedules, None)
-}
-
-fn encode_scenario_inner(
+/// run options, optional fault plan, optional event schedules — into `d`.
+/// This is **the** scenario byte encoding: [`ScenarioIr::digest`], the
+/// run-cache key, and the sweep-checkpoint digest all read these exact
+/// bytes. `memo`, when present, replays each previously seen
+/// locality-table block as one multiply-add: the bytes absorbed, and so
+/// the digest, are identical either way.
+pub(crate) fn encode_scenario(
     d: &mut IrWriter,
     spec: &MachineSpec,
     workload: &[RunnerGroup],
@@ -356,60 +324,6 @@ fn encode_scenario_inner(
     }
 }
 
-/// Digest of a complete scenario from borrowed parts (no [`ScenarioIr`]
-/// allocation) — the run-cache key computation.
-pub fn scenario_digest(
-    spec: &MachineSpec,
-    workload: &[RunnerGroup],
-    opts: &RunOptions,
-    faults: Option<&FaultPlan>,
-) -> u128 {
-    let mut d = IrWriter::new();
-    encode_scenario(&mut d, spec, workload, opts, faults);
-    d.finish()
-}
-
-/// [`scenario_digest`] with per-group event schedules included in the
-/// encoded bytes (all-default schedules digest identically to `None`).
-pub fn scenario_digest_scheduled(
-    spec: &MachineSpec,
-    workload: &[RunnerGroup],
-    opts: &RunOptions,
-    faults: Option<&FaultPlan>,
-    schedules: Option<&[GroupSchedule]>,
-) -> u128 {
-    let mut d = IrWriter::new();
-    encode_scenario_scheduled(&mut d, spec, workload, opts, faults, schedules);
-    d.finish()
-}
-
-/// [`scenario_digest`] accelerated by a [`DigestMemo`]: bit-identical
-/// output, with each previously seen locality-table block replayed as one
-/// multiply-add instead of a byte-by-byte hash.
-pub fn scenario_digest_memo(
-    memo: &DigestMemo,
-    spec: &MachineSpec,
-    workload: &[RunnerGroup],
-    opts: &RunOptions,
-    faults: Option<&FaultPlan>,
-) -> u128 {
-    scenario_digest_memo_scheduled(memo, spec, workload, opts, faults, None)
-}
-
-/// [`scenario_digest_scheduled`] with memo acceleration.
-pub fn scenario_digest_memo_scheduled(
-    memo: &DigestMemo,
-    spec: &MachineSpec,
-    workload: &[RunnerGroup],
-    opts: &RunOptions,
-    faults: Option<&FaultPlan>,
-    schedules: Option<&[GroupSchedule]>,
-) -> u128 {
-    let mut d = IrWriter::new();
-    encode_scenario_inner(&mut d, spec, workload, opts, faults, schedules, Some(memo));
-    d.finish()
-}
-
 /// One serializable, digestable description of everything a run reads:
 /// machine preset, workload groups, run options, and fault plan.
 ///
@@ -460,29 +374,29 @@ impl ScenarioIr {
 
     /// The canonical 128-bit digest of this scenario (see the module docs
     /// for the encoding rules). Equal to the run-cache key of the same
-    /// `(machine, workload, opts, faults)`.
+    /// scenario ([`crate::RunCache::key_for_scheduled`]).
     pub fn digest(&self) -> u128 {
-        scenario_digest_scheduled(
-            &self.machine,
-            &self.workload,
-            &self.opts,
-            self.faults.as_ref(),
-            self.schedules.as_deref(),
-        )
+        self.encoded().finish()
     }
 
     /// [`ScenarioIr::digest`] folded to 64 bits for persisted headers.
     pub fn digest64(&self) -> u64 {
+        self.encoded().finish64()
+    }
+
+    /// A writer that has absorbed this scenario's canonical encoding.
+    fn encoded(&self) -> IrWriter {
         let mut d = IrWriter::new();
-        encode_scenario_scheduled(
+        encode_scenario(
             &mut d,
             &self.machine,
             &self.workload,
             &self.opts,
             self.faults.as_ref(),
             self.schedules.as_deref(),
+            None,
         );
-        d.finish64()
+        d
     }
 
     /// Validate and instantiate the machine this IR describes.
@@ -528,22 +442,30 @@ mod tests {
 
     #[test]
     fn digest_matches_the_run_cache_key() {
-        let base = ir(800_000);
-        let m = Machine::new(base.machine.clone()).unwrap();
-        assert_eq!(
-            base.digest(),
-            crate::cache::run_digest(&m, &base.workload, &base.opts)
-        );
-        let faulted = ir(800_000).with_faults(FaultPlan::light(3));
-        assert_eq!(
-            faulted.digest(),
-            crate::cache::run_digest_faulted(
-                &m,
-                &faulted.workload,
-                &faulted.opts,
-                faulted.faults.as_ref()
-            )
-        );
+        let cache = crate::RunCache::new(8);
+        for s in [
+            ir(800_000),
+            ir(800_000).with_faults(FaultPlan::light(3)),
+            ir(800_000).with_schedules(vec![
+                GroupSchedule::default(),
+                GroupSchedule {
+                    arrival_tick: 0.5,
+                    ..GroupSchedule::default()
+                },
+            ]),
+        ] {
+            let m = s.machine().unwrap();
+            assert_eq!(
+                s.digest(),
+                cache.key_for_scheduled(
+                    &m,
+                    &s.workload,
+                    &s.opts,
+                    s.faults.as_ref(),
+                    s.schedules.as_deref()
+                )
+            );
+        }
     }
 
     #[test]
@@ -565,7 +487,20 @@ mod tests {
 
     #[test]
     fn memoized_digest_is_bit_identical() {
-        let memo = DigestMemo::new();
+        let memo = DigestMemo::default();
+        let memoized = |s: &ScenarioIr| {
+            let mut d = IrWriter::new();
+            encode_scenario(
+                &mut d,
+                &s.machine,
+                &s.workload,
+                &s.opts,
+                s.faults.as_ref(),
+                s.schedules.as_deref(),
+                Some(&memo),
+            );
+            d.finish()
+        };
         // Vary spans (different tables), names/opts (different digest
         // state preceding the tables → different input low bytes), and
         // cloned vs fresh dists (shared vs distinct identity tokens).
@@ -576,36 +511,15 @@ mod tests {
                 s.opts.seed = 0x5eed ^ span as u64;
                 let plain = s.digest();
                 for _ in 0..3 {
-                    let got = scenario_digest_memo(
-                        &memo,
-                        &s.machine,
-                        &s.workload,
-                        &s.opts,
-                        s.faults.as_ref(),
-                    );
-                    assert_eq!(got, plain, "span {span} pstate {pstate}");
+                    assert_eq!(memoized(&s), plain, "span {span} pstate {pstate}");
                 }
             }
         }
         // A clone shares its token; an equal-parameter rebuild does not.
         // Both must still digest identically to the memo-free path.
         let base = ir(800_000);
-        let cloned = base.clone();
-        assert_eq!(
-            scenario_digest_memo(&memo, &cloned.machine, &cloned.workload, &cloned.opts, None),
-            base.digest()
-        );
-        let rebuilt = ir(800_000);
-        assert_eq!(
-            scenario_digest_memo(
-                &memo,
-                &rebuilt.machine,
-                &rebuilt.workload,
-                &rebuilt.opts,
-                None
-            ),
-            base.digest()
-        );
+        assert_eq!(memoized(&base.clone()), base.digest());
+        assert_eq!(memoized(&ir(800_000)), base.digest());
     }
 
     #[test]

@@ -37,10 +37,7 @@ pub mod presets;
 pub mod spec;
 
 pub use app::{AppPhase, AppProfile};
-pub use cache::{
-    run_digest, run_digest_faulted, CacheStats, RunCache, DEFAULT_RUN_CACHE_CAPACITY,
-    DEFAULT_RUN_CACHE_SHARDS,
-};
+pub use cache::{CacheStats, RunCache, DEFAULT_RUN_CACHE_CAPACITY, DEFAULT_RUN_CACHE_SHARDS};
 pub use engine::{
     Convergence, CounterBlock, EpochStage, GroupRef, Machine, RunOptions, RunOutcome, RunnerGroup,
     SegmentRecord, SegmentTrace, StageFlow, StageId, StageProfile, StageStats,
@@ -48,7 +45,7 @@ pub use engine::{
 pub use event::{Event, EventKind, EventQueue, GroupSchedule};
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use governor::{run_throttled, GovernorConfig, ThermalModel, ThrottledOutcome};
-pub use ir::{DigestMemo, IrWriter, ScenarioIr};
+pub use ir::{IrWriter, ScenarioIr};
 pub use spec::MachineSpec;
 
 // Re-export the cache substrate: app profiles embed locality models, so

@@ -83,7 +83,16 @@ fn eight_thread_storm_keeps_counters_and_outcomes_exact() {
                     for pass in 0..PASSES {
                         for i in 0..workloads.len() {
                             let k = (i + t * 5 + pass) % workloads.len();
-                            let out = cache.run(machine, &workloads[k], opts).unwrap();
+                            let (out, _) = cache
+                                .run_scheduled_observed(
+                                    machine,
+                                    &workloads[k],
+                                    None,
+                                    opts,
+                                    None,
+                                    None,
+                                )
+                                .unwrap();
                             assert_eq!(
                                 out.wall_time_s.to_bits(),
                                 direct[k],
@@ -116,7 +125,9 @@ fn eight_thread_storm_keeps_counters_and_outcomes_exact() {
     // No lost insertions: after a full quiet pass, every scenario is
     // answerable and still bit-exact.
     for (k, w) in workloads.iter().enumerate() {
-        let out = cache.run(&machine, w, &opts).unwrap();
+        let (out, _) = cache
+            .run_scheduled_observed(&machine, w, None, &opts, None, None)
+            .unwrap();
         assert_eq!(out.wall_time_s.to_bits(), direct[k]);
     }
 }
@@ -159,9 +170,11 @@ fn assert_matches_model(cache: &RunCache, model: &mut ModelCache, plan: &[usize]
     let opts = RunOptions::default();
     for (step, &span) in plan.iter().enumerate() {
         let w = wl(span);
-        let key = cache.key_for(&machine, &w, &opts, None);
+        let key = cache.key_for_scheduled(&machine, &w, &opts, None, None);
         let before = cache.stats();
-        let (out, was_hit) = cache.run_with_status(&machine, &w, &opts).unwrap();
+        let (out, was_hit) = cache
+            .run_scheduled_observed(&machine, &w, None, &opts, None, None)
+            .unwrap();
         assert!(out.wall_time_s.is_finite());
         let after = cache.stats();
         let (model_hit, model_evicted) = model.access(key);

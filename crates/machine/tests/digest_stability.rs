@@ -10,7 +10,9 @@
 //! `COLOC_REGEN_FIXTURES=1 cargo test -p coloc-machine --test digest_stability`.
 //!
 //! The fixture is plain text, one `name = 0x<32 hex>` line per scenario,
-//! so an encoding change reviews as a readable diff.
+//! so an encoding change reviews as a readable diff. The run cache's own
+//! key path ([`RunCache::key_for_scheduled`], with its digest memo) is
+//! pinned against the same lines.
 //!
 //! The same fixture also pins the [`MixFeatures`] canonical encoding
 //! (`mix-*` lines, appended after the `ScenarioIr` block): the mix digest
@@ -21,7 +23,8 @@
 
 use coloc_cachesim::StackDistanceDist;
 use coloc_machine::{
-    presets, AppPhase, AppProfile, FaultPlan, GroupSchedule, RunOptions, RunnerGroup, ScenarioIr,
+    presets, AppPhase, AppProfile, FaultPlan, GroupSchedule, RunCache, RunOptions, RunnerGroup,
+    ScenarioIr,
 };
 use coloc_model::{CoVector, MixFeatures};
 use std::path::PathBuf;
@@ -294,6 +297,41 @@ fn scenario_digests_match_the_checked_in_fixture() {
          checkpoints in the field would be invalidated. If intentional, \
          regenerate with COLOC_REGEN_FIXTURES=1."
     );
+}
+
+#[test]
+fn run_cache_keys_match_the_checked_in_fixture() {
+    // The pinned digests, parsed from the fixture itself rather than
+    // recomputed through `ScenarioIr::digest`.
+    let path = fixture_path();
+    let on_disk = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{}: {e} (run with COLOC_REGEN_FIXTURES=1)", path.display()));
+    let pinned = |name: &str| -> u128 {
+        let line = on_disk
+            .lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(" = 0x"))
+            .unwrap_or_else(|| panic!("{name}: no fixture line"));
+        u128::from_str_radix(line, 16).expect("fixture digest is hex")
+    };
+    // One cache for every scenario: the first key of a scenario hashes
+    // its locality tables byte by byte and records them in the digest
+    // memo, the second replays the memo. Both must hit the pinned bits.
+    let cache = RunCache::new(8);
+    for (name, ir) in pinned_scenarios() {
+        let machine = ir.machine().expect("pinned machine validates");
+        let key = || {
+            cache.key_for_scheduled(
+                &machine,
+                &ir.workload,
+                &ir.opts,
+                ir.faults.as_ref(),
+                ir.schedules.as_deref(),
+            )
+        };
+        let (first, replay) = (key(), key());
+        assert_eq!(first, pinned(name), "{name}: first-sight cache key");
+        assert_eq!(replay, pinned(name), "{name}: memo-replayed cache key");
+    }
 }
 
 #[test]

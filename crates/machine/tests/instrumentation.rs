@@ -6,8 +6,8 @@
 
 use coloc_cachesim::StackDistanceDist;
 use coloc_machine::{
-    presets, AppPhase, AppProfile, GroupSchedule, Machine, RunOptions, RunnerGroup, StageId,
-    StageProfile,
+    presets, AppPhase, AppProfile, GroupSchedule, Machine, RunOptions, RunnerGroup, SegmentRecord,
+    SegmentTrace, StageId, StageProfile,
 };
 
 fn hungry(name: &str, instructions: f64) -> AppProfile {
@@ -64,7 +64,7 @@ fn stage_nanos_never_exceed_the_run_wall_clock() {
     let mut profile = StageProfile::new();
     let started = std::time::Instant::now();
     let outcome = machine
-        .run_scheduled_instrumented(&workload, Some(&schedules), &opts, &mut profile)
+        .run_observed(&workload, Some(&schedules), &opts, Some(&mut profile), None)
         .expect("instrumented run");
     let elapsed = started.elapsed().as_nanos() as u64;
 
@@ -97,7 +97,13 @@ fn event_dispatch_is_counted_iff_events_fire() {
     // The scheduled run dispatches events, and says so.
     let mut scheduled = StageProfile::new();
     machine
-        .run_scheduled_instrumented(&workload, Some(&schedules), &opts, &mut scheduled)
+        .run_observed(
+            &workload,
+            Some(&schedules),
+            &opts,
+            Some(&mut scheduled),
+            None,
+        )
         .expect("instrumented run");
     assert!(
         scheduled.get(StageId::EventDispatch).invocations > 0,
@@ -107,7 +113,7 @@ fn event_dispatch_is_counted_iff_events_fire() {
     // A lockstep run of the same workload never touches the stage.
     let mut lockstep = StageProfile::new();
     machine
-        .run_instrumented(&workload, &opts, &mut lockstep)
+        .run_observed(&workload, None, &opts, Some(&mut lockstep), None)
         .expect("instrumented run");
     assert_eq!(
         lockstep.get(StageId::EventDispatch).invocations,
@@ -118,7 +124,13 @@ fn event_dispatch_is_counted_iff_events_fire() {
     let defaults = vec![GroupSchedule::default(); workload.len()];
     let mut degenerate = StageProfile::new();
     machine
-        .run_scheduled_instrumented(&workload, Some(&defaults), &opts, &mut degenerate)
+        .run_observed(
+            &workload,
+            Some(&defaults),
+            &opts,
+            Some(&mut degenerate),
+            None,
+        )
         .expect("instrumented run");
     assert_eq!(degenerate.get(StageId::EventDispatch).invocations, 0);
 }
@@ -126,25 +138,52 @@ fn event_dispatch_is_counted_iff_events_fire() {
 #[test]
 fn observation_does_not_perturb_the_outcome() {
     let (machine, workload, schedules, opts) = scheduled_fixture();
+    let sched = Some(schedules.as_slice());
     let plain = machine
-        .run_scheduled(&workload, Some(&schedules), &opts)
+        .run_observed(&workload, sched, &opts, None, None)
         .expect("plain run");
-    let mut profile = StageProfile::new();
+    let mut profile_only = StageProfile::new();
     let instrumented = machine
-        .run_scheduled_instrumented(&workload, Some(&schedules), &opts, &mut profile)
+        .run_observed(&workload, sched, &opts, Some(&mut profile_only), None)
         .expect("instrumented run");
-    let (traced, _) = machine
-        .run_scheduled_traced(&workload, Some(&schedules), &opts, 64)
+    let mut trace_only = SegmentTrace::new(64);
+    let traced = machine
+        .run_observed(&workload, sched, &opts, None, Some(&mut trace_only))
         .expect("traced run");
-    for other in [&instrumented, &traced] {
+    // Both observers on one run, as `coloc trace --stage-stats` attaches
+    // them.
+    let mut profile = StageProfile::new();
+    let mut trace = SegmentTrace::new(64);
+    let both = machine
+        .run_observed(
+            &workload,
+            sched,
+            &opts,
+            Some(&mut profile),
+            Some(&mut trace),
+        )
+        .expect("doubly observed run");
+    for other in [&instrumented, &traced, &both] {
         assert_eq!(plain.wall_time_s.to_bits(), other.wall_time_s.to_bits());
         assert_eq!(plain.segments, other.segments);
         assert_eq!(plain.fp_iterations, other.fp_iterations);
+        assert_eq!(
+            plain.avg_mem_latency_ns.to_bits(),
+            other.avg_mem_latency_ns.to_bits()
+        );
         for (a, b) in plain.counters.iter().zip(&other.counters) {
             assert_eq!(a.cycles.to_bits(), b.cycles.to_bits());
             assert_eq!(a.instructions.to_bits(), b.instructions.to_bits());
+            assert_eq!(a.llc_misses.to_bits(), b.llc_misses.to_bits());
         }
     }
+    // Each observer sees the same run whether or not the other watches.
+    let records = |t: &SegmentTrace| t.records().copied().collect::<Vec<SegmentRecord>>();
+    assert!(!trace.is_empty());
+    assert_eq!(records(&trace), records(&trace_only));
+    assert_eq!(trace.dropped(), trace_only.dropped());
+    assert_eq!(profile.invocations(), profile_only.invocations());
+    assert!(profile.get(StageId::LlcShare).invocations > 0);
 }
 
 #[test]
@@ -152,8 +191,9 @@ fn segment_trace_accounts_for_every_dispatched_event() {
     let (machine, workload, schedules, opts) = scheduled_fixture();
     // Capacity covers the whole run, so no record is evicted and the
     // event counts must add up exactly: one departure + one arrival.
-    let (outcome, trace) = machine
-        .run_scheduled_traced(&workload, Some(&schedules), &opts, 1_000_000)
+    let mut trace = SegmentTrace::new(1_000_000);
+    let outcome = machine
+        .run_observed(&workload, Some(&schedules), &opts, None, Some(&mut trace))
         .expect("traced run");
     assert_eq!(trace.records().count(), outcome.segments);
     let fired: u32 = trace.records().map(|r| r.events).sum();
@@ -167,8 +207,9 @@ fn segment_trace_accounts_for_every_dispatched_event() {
         assert!(record.dt >= 0.0);
     }
     // A lockstep trace reports full residency and zero events everywhere.
-    let (_, lockstep) = machine
-        .run_traced(&workload, &opts, 1_000_000)
+    let mut lockstep = SegmentTrace::new(1_000_000);
+    machine
+        .run_observed(&workload, None, &opts, None, Some(&mut lockstep))
         .expect("traced run");
     for record in lockstep.records() {
         assert_eq!(record.events, 0);

@@ -209,8 +209,9 @@ proptest! {
             GroupSchedule::default(),
             GroupSchedule { departure_tick: Some(depart), ..GroupSchedule::default() },
         ];
-        let a = m.run_scheduled(&wl, Some(&schedules), &RunOptions::default()).unwrap();
-        let b = m.run_scheduled(&wl, Some(&schedules), &RunOptions::default()).unwrap();
+        let opts = RunOptions::default();
+        let a = m.run_observed(&wl, Some(&schedules), &opts, None, None).unwrap();
+        let b = m.run_observed(&wl, Some(&schedules), &opts, None, None).unwrap();
         prop_assert_eq!(a.wall_time_s.to_bits(), b.wall_time_s.to_bits());
         for (ca, cb) in a.counters.iter().zip(&b.counters) {
             prop_assert_eq!(ca.cycles.to_bits(), cb.cycles.to_bits());

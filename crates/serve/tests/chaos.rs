@@ -275,6 +275,48 @@ fn draining_server_refuses_new_work_with_typed_error() {
     handle.join();
 }
 
+/// Co-runner counts whose sum overflows the core count get a typed
+/// error in both modes, and the dispatcher keeps answering: a wrapped
+/// count must reach neither the engine's stages (a panic there is
+/// re-raised on the dispatcher thread) nor the featurizer (it would
+/// answer a meaningless slowdown).
+#[test]
+fn overflowing_co_runner_counts_get_typed_errors() {
+    let _guard = serial();
+    signals::reset();
+    let handle = Server::spawn(chaos_config()).unwrap();
+    let addr = handle.local_addr().unwrap().to_string();
+    let mut client = QueryClient::connect_tcp(&addr).unwrap();
+    let half = 1u64 << 63;
+    let mixes = [
+        format!(r#"[["ep",{}]]"#, u64::MAX),
+        format!(r#"[["ep",{half}],["cg",{half}]]"#),
+    ];
+    // The wire carries these as `"err":"error"` with the typed error's
+    // text as the detail: the engine's `NotEnoughCores` when measuring,
+    // the featurizer's `InvalidSpec` when predicting.
+    for (mode, detail) in [("measure", "cores"), ("predict", "invalid spec")] {
+        for co in &mixes {
+            let line =
+                format!(r#"{{"op":"query","id":"o","target":"cg","co":{co},"mode":"{mode}"}}"#);
+            match client.round_trip(&line).unwrap() {
+                Reply::Err {
+                    error: ColocError::Machine(msg),
+                    ..
+                } => assert!(msg.contains(detail), "{mode} {co}: {msg}"),
+                other => panic!("{mode} {co}: expected an error reply, got {other:?}"),
+            }
+        }
+    }
+    // The dispatcher survived: a valid query after them is answered.
+    match client.query(&solo("ep", 0), QueryMode::Measure, None, None) {
+        Ok(Reply::Ok { time_s, .. }) => assert!(time_s > 0.0),
+        other => panic!("valid query after the overflow: {other:?}"),
+    }
+    handle.shutdown();
+    handle.join();
+}
+
 /// Deterministic synthetic training set for the reload storm: the
 /// `scale` knob bends the target times so two sets fit two *different*
 /// linear models (→ different artifact digests, different predictions).

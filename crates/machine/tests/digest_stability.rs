@@ -20,17 +20,45 @@
 //! a persistence format under the exact same contract. The fixture is
 //! **append-only** — new encoding axes add lines, existing lines never
 //! change without a schema-version bump.
+//!
+//! A second fixture, `outcome_digests.txt`, pins what the engine
+//! *answers* for the same scenarios (plus two with large co-runner
+//! groups): one digest of every [`RunOutcome`] field by bit pattern per
+//! line. The differential suite compares engines to a 1e-9 tolerance and
+//! the golden fixtures round their figures, so an engine change that
+//! moves the last bits of an outcome passes them; it fails here. The
+//! outcome fixture is regenerated the same way, and only for an
+//! intentional change to the engine's arithmetic.
 
 use coloc_cachesim::StackDistanceDist;
 use coloc_machine::{
-    presets, AppPhase, AppProfile, FaultPlan, GroupSchedule, RunCache, RunOptions, RunnerGroup,
-    ScenarioIr,
+    presets, AppPhase, AppProfile, Convergence, CounterBlock, FaultEvent, FaultPlan, GroupSchedule,
+    IrWriter, RunCache, RunOptions, RunOutcome, RunnerGroup, ScenarioIr,
 };
 use coloc_model::{CoVector, MixFeatures};
 use std::path::PathBuf;
 
 fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/scenario_digests.txt")
+}
+
+fn outcome_fixture_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/outcome_digests.txt")
+}
+
+/// Compare `rendered` with the fixture at `path`, rewriting the file
+/// first when `COLOC_REGEN_FIXTURES` is set.
+fn check_fixture(path: &std::path::Path, rendered: &str, what: &str) {
+    if std::env::var("COLOC_REGEN_FIXTURES").is_ok() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, rendered).unwrap();
+    }
+    let on_disk = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("{}: {e} (run with COLOC_REGEN_FIXTURES=1)", path.display()));
+    assert_eq!(
+        on_disk, rendered,
+        "{what} changed. If intentional, regenerate with COLOC_REGEN_FIXTURES=1."
+    );
 }
 
 fn hungry(name: &str, instructions: f64) -> AppProfile {
@@ -284,18 +312,138 @@ fn render(scenarios: &[(&str, ScenarioIr)], mixes: &[(&str, MixFeatures)]) -> St
 fn scenario_digests_match_the_checked_in_fixture() {
     let scenarios = pinned_scenarios();
     let rendered = render(&scenarios, &pinned_mixes());
-    let path = fixture_path();
-    if std::env::var("COLOC_REGEN_FIXTURES").is_ok() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &rendered).unwrap();
-    }
-    let on_disk = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{}: {e} (run with COLOC_REGEN_FIXTURES=1)", path.display()));
-    assert_eq!(
-        on_disk, rendered,
+    check_fixture(
+        &fixture_path(),
+        &rendered,
         "canonical ScenarioIr encoding changed: run-cache keys and sweep \
-         checkpoints in the field would be invalidated. If intentional, \
-         regenerate with COLOC_REGEN_FIXTURES=1."
+         checkpoints in the field would be invalidated",
+    );
+}
+
+/// The scenarios whose outcomes are pinned: every [`pinned_scenarios`]
+/// entry, plus two large co-runner groups. The first fills the 16-core
+/// preset, which the differential generator never draws. The second runs
+/// the two-phase app beside eleven copies of itself, so every phase
+/// change happens under a near-equal LLC split.
+fn outcome_scenarios() -> Vec<(&'static str, ScenarioIr)> {
+    let mut scenarios = pinned_scenarios();
+    scenarios.push((
+        "platinum-15-co-runners",
+        ScenarioIr::new(
+            presets::xeon_platinum_8153(),
+            vec![
+                RunnerGroup::solo(phased("target", 100e9)),
+                RunnerGroup {
+                    app: hungry("co", 60e9),
+                    count: 15,
+                },
+            ],
+            RunOptions {
+                seed: 13,
+                ..Default::default()
+            },
+        ),
+    ));
+    scenarios.push((
+        "phased-beside-11-of-itself",
+        ScenarioIr::new(
+            presets::xeon_e5_2697v2(),
+            vec![
+                RunnerGroup::solo(phased("phased", 100e9)),
+                RunnerGroup {
+                    app: phased("phased", 100e9),
+                    count: 11,
+                },
+            ],
+            RunOptions {
+                seed: 17,
+                ..Default::default()
+            },
+        ),
+    ));
+    scenarios
+}
+
+/// Digest of every [`RunOutcome`] field, floats by bit pattern. The
+/// destructuring is exhaustive, so a new outcome field fails to compile
+/// here until it is pinned too.
+fn outcome_digest(outcome: &RunOutcome) -> u128 {
+    let RunOutcome {
+        wall_time_s,
+        counters,
+        segments,
+        fp_iterations,
+        avg_llc_share_bytes,
+        avg_mem_latency_ns,
+        convergence,
+        faults,
+    } = outcome;
+    let mut w = IrWriter::new();
+    w.f64(*wall_time_s);
+    w.usize(counters.len());
+    for c in counters {
+        let CounterBlock {
+            instructions,
+            cycles,
+            llc_accesses,
+            llc_misses,
+            completed_runs,
+        } = c;
+        w.f64(*instructions);
+        w.f64(*cycles);
+        w.f64(*llc_accesses);
+        w.f64(*llc_misses);
+        w.u64(u64::from(*completed_runs));
+    }
+    w.usize(*segments);
+    w.u64(*fp_iterations);
+    w.usize(avg_llc_share_bytes.len());
+    for &share in avg_llc_share_bytes {
+        w.f64(share);
+    }
+    w.f64(*avg_mem_latency_ns);
+    match convergence {
+        Convergence::Converged => w.byte(0),
+        Convergence::Degraded {
+            fp_iterations,
+            residual,
+        } => {
+            w.byte(1);
+            w.u64(*fp_iterations);
+            w.f64(*residual);
+        }
+    }
+    w.usize(faults.len());
+    for FaultEvent { kind, group } in faults {
+        w.str(kind.label());
+        w.usize(*group);
+    }
+    w.finish()
+}
+
+#[test]
+fn run_outcomes_match_the_checked_in_fixture() {
+    let mut rendered = String::new();
+    for (name, ir) in outcome_scenarios() {
+        let machine = ir.machine().expect("pinned machine validates");
+        let mut outcome = machine
+            .run_observed(&ir.workload, ir.schedules.as_deref(), &ir.opts, None, None)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        if let Some(plan) = &ir.faults {
+            plan.apply(ir.opts.seed, &mut outcome);
+        }
+        rendered.push_str(&format!(
+            "{name} = {:#034x} segments={} fp_iterations={}\n",
+            outcome_digest(&outcome),
+            outcome.segments,
+            outcome.fp_iterations
+        ));
+    }
+    check_fixture(
+        &outcome_fixture_path(),
+        &rendered,
+        "engine outcome bits changed: every memoized outcome, golden figure \
+         and checkpointed sample would disagree with a fresh run",
     );
 }
 

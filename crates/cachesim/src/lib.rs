@@ -34,7 +34,7 @@ pub mod stack;
 pub mod stream;
 
 pub use fenwick::FastStackAnalyzer;
-pub use mrc::MissRateCurve;
+pub use mrc::{MissRateCurve, MrcCursor};
 pub use plru::PlruCache;
 pub use set_assoc::{AccessOutcome, CacheConfig, OwnerStats, SetAssocCache};
 pub use share::{

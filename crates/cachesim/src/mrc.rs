@@ -12,10 +12,39 @@
 /// *log-capacity* (locality effects are multiplicative in size) and clamps
 /// to the end values outside the sampled range.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MissRateCurve {
     /// `(capacity_bytes, miss_rate)`, sorted ascending by capacity.
     points: Vec<(u64, f64)>,
+    /// `ln(capacity_bytes)` of each point, computed once at construction
+    /// for [`MissRateCurve::miss_rate_hinted`]. `ln` of the same input is
+    /// the same value wherever it is taken, so reading it here instead of
+    /// recomputing it changes no bit of a probe.
+    ln_caps: Vec<f64>,
+}
+
+/// Incremental-probe state for [`MissRateCurve::miss_rate_hinted`]: the
+/// bracketing segment the last probe used, and the last `(bytes, rate)`
+/// pair it answered.
+///
+/// A cursor belongs to one curve. [`MrcCursor::reset`] it before probing
+/// a different curve: its memo would otherwise answer a repeated byte
+/// count with the old curve's rate. The segment index is only a hint,
+/// checked on every use, so it survives a reset.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct MrcCursor {
+    /// Upper index of the last bracketing segment (what
+    /// `partition_point` returned last time).
+    segment: usize,
+    /// The last probe's byte count and the rate it returned.
+    last: Option<(u64, f64)>,
+}
+
+impl MrcCursor {
+    /// Forget the memoized probe, before the cursor moves to another
+    /// curve.
+    pub fn reset(&mut self) {
+        self.last = None;
+    }
 }
 
 impl MissRateCurve {
@@ -33,7 +62,8 @@ impl MissRateCurve {
         }
         points.sort_by_key(|&(c, _)| c);
         points.dedup_by_key(|&mut (c, _)| c);
-        MissRateCurve { points }
+        let ln_caps = points.iter().map(|&(c, _)| (c as f64).ln()).collect();
+        MissRateCurve { points, ln_caps }
     }
 
     /// A constant curve (capacity-insensitive workload, e.g. a pure-compute
@@ -68,22 +98,35 @@ impl MissRateCurve {
         m0 + t * (m1 - m0)
     }
 
-    /// Like [`MissRateCurve::miss_rate`], seeded with the bracketing
-    /// segment a previous probe found.
+    /// [`MissRateCurve::miss_rate`], probed through a cursor. Always
+    /// bit-identical to `miss_rate(bytes)`:
     ///
-    /// `hint` is the upper index of the last bracketing segment (what
-    /// `partition_point` returned last time). When the query still falls
-    /// in that segment — the common case for a damped fixed point, where
-    /// successive occupancies move by ever-smaller steps — the binary
-    /// search is skipped entirely. A stale or out-of-range hint falls
-    /// back to the full search, so the result is *always* bit-identical
-    /// to [`MissRateCurve::miss_rate`]: the hint validity test
-    /// (`points[hint-1].0 <= bytes < points[hint].0`) is exactly the
-    /// `partition_point` postcondition on a strictly-increasing capacity
-    /// axis (duplicates are deduped at construction), hence both paths
-    /// select the same segment and evaluate the same interpolation.
-    /// `hint` is updated to the segment actually used.
-    pub fn miss_rate_hinted(&self, bytes: u64, hint: &mut usize) -> f64 {
+    /// * a probe at the byte count the cursor's last probe answered
+    ///   returns that answer without touching the curve (a damped fixed
+    ///   point often probes the same integer share twice in a row);
+    /// * otherwise the cursor's segment is tried first, and the binary
+    ///   search runs only when the query has left it. The validity test
+    ///   (`points[seg-1].0 <= bytes < points[seg].0`) is exactly the
+    ///   `partition_point` postcondition on a strictly increasing
+    ///   capacity axis (duplicates are deduped at construction), so both
+    ///   paths select the same segment;
+    /// * the interpolation reads the two bracketing logarithms from the
+    ///   table built at construction, so a probe takes one `ln`, of
+    ///   `bytes`, and evaluates the same expression as `miss_rate`.
+    pub fn miss_rate_hinted(&self, bytes: u64, cursor: &mut MrcCursor) -> f64 {
+        if let Some((last_bytes, rate)) = cursor.last {
+            if last_bytes == bytes {
+                return rate;
+            }
+        }
+        let rate = self.interpolate_from(bytes, &mut cursor.segment);
+        cursor.last = Some((bytes, rate));
+        rate
+    }
+
+    /// The log-linear interpolation behind [`MissRateCurve::miss_rate_hinted`],
+    /// seeded with (and updating) the bracketing-segment hint `seg`.
+    fn interpolate_from(&self, bytes: u64, seg: &mut usize) -> f64 {
         let pts = &self.points;
         if bytes <= pts[0].0 {
             return pts[0].1;
@@ -91,14 +134,14 @@ impl MissRateCurve {
         if bytes >= pts[pts.len() - 1].0 {
             return pts[pts.len() - 1].1;
         }
-        let mut idx = *hint;
+        let mut idx = *seg;
         if !(idx >= 1 && idx < pts.len() && pts[idx - 1].0 <= bytes && bytes < pts[idx].0) {
             idx = pts.partition_point(|&(c, _)| c <= bytes);
         }
-        *hint = idx;
-        let (c0, m0) = pts[idx - 1];
-        let (c1, m1) = pts[idx];
-        let t = ((bytes as f64).ln() - (c0 as f64).ln()) / ((c1 as f64).ln() - (c0 as f64).ln());
+        *seg = idx;
+        let (m0, m1) = (pts[idx - 1].1, pts[idx].1);
+        let (ln0, ln1) = (self.ln_caps[idx - 1], self.ln_caps[idx]);
+        let t = ((bytes as f64).ln() - ln0) / (ln1 - ln0);
         m0 + t * (m1 - m0)
     }
 

@@ -50,44 +50,68 @@ pub fn occupancy_step(capacity_bytes: u64, apps: &[SharedApp], occ: &mut [f64]) 
         .zip(occ.iter())
         .map(|(a, &o)| a.access_rate.max(0.0) * a.mrc.miss_rate(o as u64).max(1e-9))
         .collect();
-    occupancy_step_rates(capacity_bytes, &ins, occ)
+    occupancy_step_rates(capacity_bytes, &vec![1; apps.len()], &ins, occ)
 }
 
-/// The allocation-free core of [`occupancy_step`]: one damped update given
-/// per-app insertion rates `ins` the caller already computed (access rate ×
-/// miss rate at the current share, both floored as in [`occupancy_step`]).
+/// The allocation-free core of [`occupancy_step`], over groups of
+/// identical instances: one damped update given each group's per-instance
+/// insertion rate `ins` (access rate × miss rate at the current share,
+/// both floored as in [`occupancy_step`]), its instance count `counts`,
+/// and the share `occ` every instance of the group holds. Returns the
+/// largest per-instance change in bytes.
 ///
-/// Callers that keep their own flat per-instance state — the machine
-/// engine's struct-of-arrays solver scratch — fill a reusable `ins` buffer
-/// with incremental MRC probes and call this directly, so the hot
-/// fixed-point loop allocates nothing. [`occupancy_step`] is a thin
-/// wrapper over this function, which keeps both paths numerically
-/// identical by construction.
-pub fn occupancy_step_rates(capacity_bytes: u64, ins: &[f64], occ: &mut [f64]) -> f64 {
-    debug_assert_eq!(ins.len(), occ.len());
-    let n = ins.len();
+/// Instances of a group start from the same share and see the same rate,
+/// so the per-instance update keeps them bit-identical; this kernel
+/// computes each group's update once. It is still the per-instance model
+/// to the last bit: the residency floor divides by the *total* instance
+/// count, and both sums (insertion rates and shares) add each group's
+/// value once per instance, in instance order, through the same
+/// `Iterator::sum`. Multiplying by the count instead would round
+/// differently. [`occupancy_step`] calls this with counts of 1, so both
+/// paths share one kernel.
+///
+/// The machine engine keeps its solver state per group, fills a
+/// reusable `ins` buffer with one incremental MRC probe per group, and
+/// calls this directly, so the hot fixed-point loop allocates nothing.
+pub fn occupancy_step_rates(
+    capacity_bytes: u64,
+    counts: &[usize],
+    ins: &[f64],
+    occ: &mut [f64],
+) -> f64 {
+    debug_assert_eq!(counts.len(), ins.len());
+    debug_assert_eq!(counts.len(), occ.len());
+    let n: usize = counts.iter().sum();
     let cap = capacity_bytes as f64;
     const DAMPING: f64 = 0.5;
     // Floor keeps every app minimally resident, matching the observation
     // that even tiny-footprint apps retain their hot lines under LRU.
     let floor = (cap * 1e-4).min(cap / (4.0 * n as f64));
 
-    let ins_total: f64 = ins.iter().sum();
+    let ins_total: f64 = per_instance(counts, ins).sum();
     if ins_total <= 0.0 {
         return 0.0;
     }
     let mut max_delta = 0.0f64;
-    for i in 0..n {
-        let target = (cap * ins[i] / ins_total).max(floor);
-        let next = occ[i] + DAMPING * (target - occ[i]);
-        max_delta = max_delta.max((next - occ[i]).abs());
-        occ[i] = next;
+    for (o, &rate) in occ.iter_mut().zip(ins) {
+        let target = (cap * rate / ins_total).max(floor);
+        let next = *o + DAMPING * (target - *o);
+        max_delta = max_delta.max((next - *o).abs());
+        *o = next;
     }
-    let sum: f64 = occ.iter().sum();
+    let sum: f64 = per_instance(counts, occ).sum();
     for o in occ.iter_mut() {
         *o *= cap / sum;
     }
     max_delta
+}
+
+/// Each group's value repeated once per instance, in instance order.
+fn per_instance<'a>(counts: &'a [usize], per_group: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
+    counts
+        .iter()
+        .zip(per_group)
+        .flat_map(|(&count, &x)| std::iter::repeat_n(x, count))
 }
 
 /// Solve for the equilibrium occupancy split of `capacity_bytes` among

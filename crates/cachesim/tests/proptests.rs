@@ -1,8 +1,8 @@
 //! Property-based tests for cache-simulation invariants.
 
 use coloc_cachesim::{
-    shared_occupancy, CacheConfig, FastStackAnalyzer, MissRateCurve, PlruCache, SetAssocCache,
-    SharedApp, StackAnalyzer, StackDistanceDist,
+    occupancy_step_rates, shared_occupancy, CacheConfig, FastStackAnalyzer, MissRateCurve,
+    MrcCursor, PlruCache, SetAssocCache, SharedApp, StackAnalyzer, StackDistanceDist,
 };
 use proptest::prelude::*;
 
@@ -147,27 +147,85 @@ proptest! {
         prop_assert!(c.occupancy_lines(0) + c.occupancy_lines(1) <= lines as u64);
     }
 
-    /// The hinted MRC lookup is bit-identical to the plain lookup for any
-    /// curve, any probe sequence, and any (possibly stale) starting hint —
-    /// including probes pinned to segment boundaries, where an off-by-one
-    /// in the hint-validity test would hide.
+    /// The cursor-probed MRC lookup is bit-identical to the plain lookup
+    /// for any curve and any probe sequence: runs of a repeated byte
+    /// count (answered from the cursor's memo), jumps that leave the
+    /// cursor's segment, a cursor arriving from another curve (a stale,
+    /// possibly out-of-range segment; its memo dropped by `reset`), and
+    /// probes pinned to segment boundaries, where an off-by-one in the
+    /// segment-validity test would hide.
     #[test]
     fn mrc_hinted_equals_plain(
         pts in prop::collection::vec((1u64..2_000_000, 0.0f64..1.0), 1..12),
-        queries in prop::collection::vec(0u64..3_000_000, 1..64),
-        stale_hint in 0usize..16,
+        queries in prop::collection::vec((0u64..3_000_000, 1usize..4), 1..64),
+        other_pts in prop::collection::vec((1u64..2_000_000, 0.0f64..1.0), 1..16),
     ) {
         let mrc = MissRateCurve::from_points(pts);
-        let boundary: Vec<u64> = mrc
+        let other = MissRateCurve::from_points(other_pts);
+        let mut cursor = MrcCursor::default();
+        for &(q, _) in &queries {
+            other.miss_rate_hinted(q, &mut cursor);
+        }
+        cursor.reset();
+        let boundary: Vec<(u64, usize)> = mrc
             .points()
             .iter()
             .flat_map(|&(c, _)| [c.saturating_sub(1), c, c + 1])
+            .map(|q| (q, 2))
             .collect();
-        let mut hint = stale_hint;
-        for q in queries.into_iter().chain(boundary) {
-            let plain = mrc.miss_rate(q);
-            let hinted = mrc.miss_rate_hinted(q, &mut hint);
-            prop_assert_eq!(plain.to_bits(), hinted.to_bits());
+        for (q, repeats) in queries.into_iter().chain(boundary) {
+            for _ in 0..repeats {
+                let plain = mrc.miss_rate(q);
+                let hinted = mrc.miss_rate_hinted(q, &mut cursor);
+                prop_assert_eq!(plain.to_bits(), hinted.to_bits());
+            }
+        }
+    }
+
+    /// The grouped occupancy step is the per-instance step to the last
+    /// bit: stepping one share per group, weighted by instance counts,
+    /// gives the occupancies and the max delta of the same call on the
+    /// instance-expanded slices (every count 1), step after step. Rates
+    /// mix zeros, the 1e-9 miss-rate floor and ordinary magnitudes.
+    #[test]
+    fn grouped_occupancy_step_equals_instance_expanded(
+        groups in prop::collection::vec((1usize..17, 0usize..4, 0.0f64..1e9, 0.0f64..1.0), 1..7),
+        capacity in (1u64 << 20)..(64u64 << 20),
+        steps in 1usize..8,
+    ) {
+        let counts: Vec<usize> = groups.iter().map(|g| g.0).collect();
+        let ins: Vec<f64> = groups
+            .iter()
+            .map(|&(_, kind, x, _)| match kind {
+                0 => 0.0,
+                1 => 1e-9,
+                2 => x * 1e-9,
+                _ => x,
+            })
+            .collect();
+        let n: usize = counts.iter().sum();
+        let mut occ: Vec<f64> = groups
+            .iter()
+            .map(|g| (0.01 + g.3) * capacity as f64 / n as f64)
+            .collect();
+        let expand = |per_group: &[f64]| -> Vec<f64> {
+            counts
+                .iter()
+                .zip(per_group)
+                .flat_map(|(&c, &x)| std::iter::repeat_n(x, c))
+                .collect()
+        };
+        let ones = vec![1usize; n];
+        let ins_x = expand(&ins);
+        let mut occ_x = expand(&occ);
+        for step in 0..steps {
+            let d = occupancy_step_rates(capacity, &counts, &ins, &mut occ);
+            let d_x = occupancy_step_rates(capacity, &ones, &ins_x, &mut occ_x);
+            // Step and instance ride along so a failure names them.
+            prop_assert_eq!((step, d.to_bits()), (step, d_x.to_bits()));
+            for (i, o) in expand(&occ).into_iter().enumerate() {
+                prop_assert_eq!((step, i, o.to_bits()), (step, i, occ_x[i].to_bits()));
+            }
         }
     }
 

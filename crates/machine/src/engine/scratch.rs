@@ -1,41 +1,40 @@
 //! Reusable per-run buffers for the segment solver.
 
 use super::GroupRef;
+use coloc_cachesim::MrcCursor;
 
 /// Reusable per-run buffers for the segment solver, in struct-of-arrays
-/// form: every per-instance quantity the fixed-point loop touches is a
-/// contiguous `f64` (or `usize`) slice indexed by instance, with instances
-/// grouped contiguously by workload group. Built once per run; the hot
-/// loop allocates nothing and iterates flat slices. Miss-rate curves are
-/// *not* stored here — stages read them straight from the per-run
-/// [`super::SegmentEnv::mrcs`] table via each group's current phase, so a
-/// phase change costs an index update instead of re-cloning curves into
-/// per-instance structs.
+/// form with one entry per workload group. The instances of a group
+/// start every segment from the same share and see the same rates, so
+/// they hold bit-identical state through the whole solve; the solver
+/// keeps that state once per group and weights it by [`Self::count`]
+/// where the model sums over instances
+/// ([`coloc_cachesim::occupancy_step_rates`]). Built once per era; the
+/// hot loop allocates nothing and iterates flat slices. Miss-rate curves
+/// are *not* stored here — stages read them straight from the per-run
+/// [`super::SegmentEnv::mrcs`] table via each group's current phase, so
+/// a phase change costs an index update instead of a curve clone.
 pub(crate) struct RunScratch {
-    /// Index of the first instance of each group (instances within a group
-    /// are symmetric, so reading the first suffices — this replaces the
-    /// O(groups × instances) `position()` scans). One trailing entry
-    /// holds the total instance count, so a group's instances are
-    /// `group_first[gi]..group_first[gi + 1]`.
-    pub(crate) group_first: Vec<usize>,
-    /// LLC occupancy per instance, bytes; refilled to the equal split at
-    /// the start of each segment (same numerics as a fresh allocation).
+    /// Instances per group: the workload's counts.
+    pub(crate) count: Vec<usize>,
+    /// LLC occupancy of each of a group's instances, bytes; refilled to
+    /// the equal split at the start of each segment.
     pub(crate) occ: Vec<f64>,
-    /// Per-instance insertion rates for the occupancy step (access rate ×
-    /// miss rate at the current share).
+    /// Per-instance insertion rate of each group for the occupancy step
+    /// (access rate × miss rate at the current share).
     pub(crate) ins: Vec<f64>,
-    /// Per-instance incremental-MRC cursor: the bracketing-segment index
-    /// the last probe used, fed back to
-    /// [`coloc_cachesim::MissRateCurve::miss_rate_hinted`]. Only ever a
-    /// hint — a stale cursor re-probes, it never changes a result.
-    pub(crate) mrc_hint: Vec<usize>,
+    /// Per-group incremental-MRC cursor for
+    /// [`coloc_cachesim::MissRateCurve::miss_rate_hinted`]: its memo lets
+    /// one iteration's closing probe answer the next iteration's opening
+    /// probe. Reset every segment, since a phase change switches the
+    /// group's curve.
+    pub(crate) cursor: Vec<MrcCursor>,
     /// Current phase index and end boundary per group.
     pub(crate) phase_info: Vec<(usize, f64)>,
     /// Per-group stationary rates for the segment being solved.
     pub(crate) ips: Vec<f64>,
     pub(crate) miss_rate: Vec<f64>,
     pub(crate) access_rate: Vec<f64>,
-    pub(crate) occ_per_instance: Vec<f64>,
     /// Per-group effective frequency for the current segment: the chip's
     /// P-state frequency times the group's clock ratio (per-core DVFS).
     /// Filled by `PStateStage`; `freq_hz × 1.0` is bit-identical to
@@ -46,34 +45,21 @@ pub(crate) struct RunScratch {
 impl RunScratch {
     pub(crate) fn new(workload: &[GroupRef<'_>]) -> RunScratch {
         let n_groups = workload.len();
-        let mut group_first = Vec::with_capacity(n_groups + 1);
-        let mut n_inst = 0usize;
-        for g in workload {
-            group_first.push(n_inst);
-            n_inst += g.count;
-        }
-        group_first.push(n_inst);
         RunScratch {
-            group_first,
-            occ: vec![0.0; n_inst],
-            ins: vec![0.0; n_inst],
-            mrc_hint: vec![0; n_inst],
+            count: workload.iter().map(|g| g.count).collect(),
+            occ: vec![0.0; n_groups],
+            ins: vec![0.0; n_groups],
+            cursor: vec![MrcCursor::default(); n_groups],
             phase_info: vec![(0, 0.0); n_groups],
             ips: vec![0.0; n_groups],
             miss_rate: vec![0.0; n_groups],
             access_rate: vec![0.0; n_groups],
-            occ_per_instance: vec![0.0; n_groups],
             freq: vec![0.0; n_groups],
         }
     }
 
     /// Total core-resident instances.
     pub(crate) fn n_instances(&self) -> usize {
-        self.occ.len()
-    }
-
-    /// Instance range of group `gi` (contiguous by construction).
-    pub(crate) fn group_range(&self, gi: usize) -> std::ops::Range<usize> {
-        self.group_first[gi]..self.group_first[gi + 1]
+        self.count.iter().sum()
     }
 }

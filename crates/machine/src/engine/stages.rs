@@ -201,9 +201,10 @@ impl EpochState {
     }
 
     /// Reset the solver state for a fresh segment: refill occupancies to
-    /// the equal split (same numerics as a fresh allocation) and start
-    /// latency from idle. Driver glue between [`PhaseSyncStage`] and the
-    /// solver loop.
+    /// the equal split (same numerics as a fresh allocation), forget each
+    /// group's memoized MRC probe (the segment may have moved the group
+    /// to another phase's curve), and start latency from idle. Driver
+    /// glue between [`PhaseSyncStage`] and the solver loop.
     pub(crate) fn begin_solve(&mut self, env: &SegmentEnv<'_>) {
         let cap = env.spec.llc_bytes;
         let n_inst = self.scratch.n_instances();
@@ -211,6 +212,7 @@ impl EpochState {
             .occ
             .iter_mut()
             .for_each(|o| *o = cap as f64 / n_inst as f64);
+        self.scratch.cursor.iter_mut().for_each(|c| c.reset());
         self.latency_ns = env.mem.spec().idle_latency_ns;
         self.seg_iters = 0;
         self.seg_residual = 0.0;
@@ -302,6 +304,14 @@ impl EpochStage for PhaseSyncStage {
 /// current CPI estimate, one occupancy step at those rates (skipped when
 /// the LLC is statically partitioned: shares are fixed equal slices), and
 /// per-group miss rates at the resulting shares.
+///
+/// The stage works per group, never per instance: a group's instances
+/// hold bit-identical shares, so each group probes its curve for its
+/// insertion rate (the opening probe), takes one grouped
+/// [`occupancy_step_rates`], and probes again at the new share (the
+/// closing probe). The next iteration opens at the share this one closed
+/// at, so the group's cursor answers that probe from its memo: an
+/// iteration evaluates each curve at most once.
 pub struct LlcShareStage;
 
 impl EpochStage for LlcShareStage {
@@ -312,37 +322,30 @@ impl EpochStage for LlcShareStage {
     #[allow(clippy::needless_range_loop)]
     fn run(&self, env: &SegmentEnv<'_>, st: &mut EpochState) -> Result<StageFlow> {
         let n_groups = env.workload.len();
+        let s = &mut st.scratch;
         // Rates from current CPI.
         for gi in 0..n_groups {
-            let ph = &env.workload[gi].app.phases[st.scratch.phase_info[gi].0];
-            st.scratch.access_rate[gi] = st.scratch.freq[gi] / st.cpi[gi] * ph.accesses_per_instr;
+            let ph = &env.workload[gi].app.phases[s.phase_info[gi].0];
+            s.access_rate[gi] = s.freq[gi] / st.cpi[gi] * ph.accesses_per_instr;
         }
 
         if !env.opts.llc_partitioned {
-            // Per-instance insertion rates into the flat `ins` buffer:
-            // access rate × miss rate at the current share, with the same
-            // floors and evaluation order as [`coloc_cachesim::
-            // occupancy_step`]. The MRC probe is incremental — each
-            // instance feeds back the bracketing segment its last probe
-            // found, which a damped fixed point rarely leaves.
+            // Insertion rates: access rate × miss rate at the current
+            // share, with the same floors as [`coloc_cachesim::
+            // occupancy_step`].
             for gi in 0..n_groups {
-                let mrc = &env.mrcs[gi][st.scratch.phase_info[gi].0];
-                let rate = st.scratch.access_rate[gi].max(0.0);
-                for ii in st.scratch.group_range(gi) {
-                    let miss = mrc
-                        .miss_rate_hinted(st.scratch.occ[ii] as u64, &mut st.scratch.mrc_hint[ii])
-                        .max(1e-9);
-                    st.scratch.ins[ii] = rate * miss;
-                }
+                let mrc = &env.mrcs[gi][s.phase_info[gi].0];
+                let rate = s.access_rate[gi].max(0.0);
+                let miss = mrc
+                    .miss_rate_hinted(s.occ[gi] as u64, &mut s.cursor[gi])
+                    .max(1e-9);
+                s.ins[gi] = rate * miss;
             }
-            occupancy_step_rates(env.spec.llc_bytes, &st.scratch.ins, &mut st.scratch.occ);
+            occupancy_step_rates(env.spec.llc_bytes, &s.count, &s.ins, &mut s.occ);
         }
         for gi in 0..n_groups {
-            // All instances of a group are symmetric; read the first. The
-            // hinted probe returns exactly what `miss_rate` would.
-            let ii = st.scratch.group_first[gi];
-            st.scratch.miss_rate[gi] = env.mrcs[gi][st.scratch.phase_info[gi].0]
-                .miss_rate_hinted(st.scratch.occ[ii] as u64, &mut st.scratch.mrc_hint[ii]);
+            s.miss_rate[gi] = env.mrcs[gi][s.phase_info[gi].0]
+                .miss_rate_hinted(s.occ[gi] as u64, &mut s.cursor[gi]);
         }
         Ok(StageFlow::Continue)
     }
@@ -417,10 +420,9 @@ impl EpochStage for CounterAccrualStage {
     fn run(&self, env: &SegmentEnv<'_>, st: &mut EpochState) -> Result<StageFlow> {
         let n_groups = env.workload.len();
 
-        // Converged per-group rates and shares for this segment.
+        // Converged per-group rates for this segment.
         for gi in 0..n_groups {
             st.scratch.ips[gi] = st.scratch.freq[gi] / st.cpi[gi];
-            st.scratch.occ_per_instance[gi] = st.scratch.occ[st.scratch.group_first[gi]];
         }
 
         // Time until each group hits its next boundary.
@@ -459,7 +461,7 @@ impl EpochStage for CounterAccrualStage {
             st.counters[gi].cycles += st.scratch.freq[gi] * dt;
             st.counters[gi].llc_accesses += acc;
             st.counters[gi].llc_misses += acc * st.scratch.miss_rate[gi];
-            st.share_time_acc[gi] += st.scratch.occ_per_instance[gi] * dt;
+            st.share_time_acc[gi] += st.scratch.occ[gi] * dt;
         }
         st.latency_time_acc += st.latency_ns * dt;
         st.wall += dt;
@@ -824,8 +826,15 @@ mod tests {
         // Access rates follow directly from frequency, CPI, and the phase.
         let expect = st.freq_hz / st.cpi[0] * 0.03;
         assert_eq!(st.scratch.access_rate[0], expect);
-        // Occupancies stay a partition of the LLC.
-        let total: f64 = st.scratch.occ.iter().sum();
+        // Occupancies stay a partition of the LLC: each group's share
+        // is held by every one of its instances.
+        let total: f64 = st
+            .scratch
+            .occ
+            .iter()
+            .zip(&st.scratch.count)
+            .map(|(&o, &count)| o * count as f64)
+            .sum();
         let cap = fx.machine.spec().llc_bytes as f64;
         assert!(
             (total - cap).abs() < 1.0,
@@ -835,7 +844,7 @@ mod tests {
             assert!((0.0..=1.0).contains(&st.scratch.miss_rate[gi]));
         }
 
-        // Partitioned mode pins every instance at the equal slice.
+        // Partitioned mode pins every group at the equal slice.
         let fx_part = Fixture::new(RunOptions {
             llc_partitioned: true,
             ..Default::default()

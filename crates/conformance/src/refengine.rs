@@ -2,12 +2,15 @@
 //! [`coloc_machine::engine::Machine::run_observed`], without observers.
 //!
 //! The optimized engine earns its speed through data-structure tricks —
-//! a per-run [`RunScratch`] so the segment loop allocates nothing, MRCs
-//! cloned into instance slots only when a group's phase changes, a
-//! `group_first` index replacing owner scans, and a memoizing `RunCache`
-//! in front of the whole thing. None of those tricks may change a single
-//! bit of the answer: within a segment the contention fixed point is a
-//! pure function of the phase parameters, and across segments the only
+//! per-run solver scratch so the segment loop allocates nothing; solver
+//! state kept once per workload group, because a group's instances hold
+//! bit-identical shares (the occupancy step runs per group and sums over
+//! instances by repetition); miss-rate curves memoized per machine and
+//! probed through a cursor that keeps its last segment and last answer
+//! and reads logarithms from a table; and a memoizing `RunCache` in front
+//! of the whole thing. None of those tricks may change a single bit of
+//! the answer: within a segment the contention fixed point is a pure
+//! function of the phase parameters, and across segments the only
 //! carried state is per-group progress, the CPI warm start, and the
 //! accumulated counters.
 //!
@@ -15,8 +18,11 @@
 //!
 //! * fresh allocations for every per-segment vector (occupancy, rates,
 //!   instance tables) — no scratch reuse;
+//! * one occupancy per core instance, each probed and stepped on its own;
 //! * miss-rate curves recomputed from the stack-distance distribution at
-//!   the top of every segment — no incremental MRC caching;
+//!   the top of every segment and evaluated by `MissRateCurve::miss_rate`,
+//!   which takes every logarithm from the definition — no cursor, no
+//!   memo, no log table;
 //! * owner lookups by linear `position()` scans — O(groups × instances);
 //! * the DRAM latency and LLC occupancy formulas written out inline from
 //!   their definitions rather than through `MemorySystem` /
@@ -30,8 +36,6 @@
 //! every field and on derived slowdowns, which the bit-identity satisfies
 //! with the entire tolerance left as headroom for future refactors that
 //! legitimately reassociate arithmetic.
-//!
-//! [`RunScratch`]: coloc_machine::engine::Machine
 
 use coloc_cachesim::MissRateCurve;
 use coloc_machine::engine::{GroupRef, FP_TOLERANCE};

@@ -1,8 +1,8 @@
 //! `repro` — regenerate every table and figure from the paper.
 //!
 //! Usage: `repro <artifact>` where artifact is one of
-//! `table1..table6`, `fig1..fig5b`, `pca`, `sweep`, `chaos`, `conformance`,
-//! `perf`, `placement`, `serve-bench`, `matrix`, or `all`.
+//! `table1..table6`, `fig1..fig5b`, `pca`, `importance`, `ablations`,
+//! `ablation-<name>`, `chaos`, `conformance`, or `all`.
 //!
 //! Expensive intermediates (training sweeps, model-grid validations) are
 //! cached as JSON under `repro-out/`; delete that directory to force a full
@@ -51,13 +51,8 @@ fn main() {
             coloc_bench::ablations::phases(),
         ),
         "importance" => importance(),
-        "sweep" => sweep(),
         "chaos" => coloc_bench::chaos::run_chaos(),
         "conformance" => coloc_bench::conformance::run_conformance(),
-        "perf" => coloc_bench::perf::run_perf(),
-        "placement" => coloc_bench::placement::run_placement(),
-        "serve-bench" => coloc_bench::serve_bench::run_serve_bench(),
-        "matrix" => coloc_bench::matrix_bench::run_matrix(),
         "ablations" => {
             ablation("Training-set size", coloc_bench::ablations::train_size());
             ablation("Measurement noise", coloc_bench::ablations::noise());
@@ -102,9 +97,8 @@ fn main() {
         other => {
             eprintln!("unknown artifact `{other}`");
             eprintln!(
-                "expected: table1..table6, fig1..fig5b, pca, importance, sweep, chaos, \
-                 conformance, perf, placement, serve-bench, matrix, all, \
-                 ablations, \
+                "expected: table1..table6, fig1..fig5b, pca, importance, chaos, \
+                 conformance, all, ablations, \
                  ablation-{{size,noise,hidden,hetero,classavg,quad,partition,phases}}"
             );
             std::process::exit(2);
@@ -258,41 +252,6 @@ fn ablation(title: &str, rows: Vec<coloc_bench::ablations::AblationRow>) {
             format!("{:.2}", r.linear_mpe)
         };
         println!("{:<34} {:>14} {:>12.2}", r.x, lin, r.nn_mpe);
-    }
-}
-
-fn sweep() {
-    hr("Sweep runtime: paper plan on the 6-core E5649, by worker count");
-    let plan_len = coloc_bench::lab_6core().paper_plan().len();
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "{plan_len} scenarios per pass; each thread count gets a fresh lab; \
-         host exposes {cpus} CPU(s) — thread speedup is bounded by that"
-    );
-    let mut cold_1t = None;
-    for threads in [1usize, 4, 8] {
-        let lab = coloc_bench::lab_6core()
-            .with_threads(threads)
-            .with_stage_stats(true);
-        let plan = lab.paper_plan();
-        let start = std::time::Instant::now();
-        let cold = lab.collect(&plan).expect("cold sweep");
-        let cold_s = start.elapsed().as_secs_f64();
-        let start = std::time::Instant::now();
-        let warm = lab.collect(&plan).expect("warm sweep");
-        let warm_s = start.elapsed().as_secs_f64();
-        assert_eq!(cold.len(), warm.len());
-        let speedup = cold_1t.get_or_insert(cold_s);
-        println!(
-            "\n{threads} thread(s): cold {cold_s:.3} s ({:.2}x vs 1-thread cold), \
-             warm (memoized) {warm_s:.3} s",
-            *speedup / cold_s
-        );
-        let stats = lab.sweep_stats();
-        println!("  {stats}");
-        if let Some(stages) = stats.stage_summary() {
-            println!("  stage breakdown (engine misses only):\n{stages}");
-        }
     }
 }
 

@@ -1,8 +1,12 @@
 //! # coloc-bench
 //!
 //! The reproduction harness: one generator per table and figure in the
-//! paper's evaluation, shared by the `repro` binary (which prints them)
-//! and the Criterion benchmarks (which time the underlying components).
+//! paper's evaluation, plus the ablations and the `chaos` and
+//! `conformance` artifacts, shared by the `repro` binary (which prints
+//! them) and the Criterion benchmarks (which time the underlying
+//! components). End-to-end timing lives in the separate `perfbench`
+//! package; the placement and cross-interference results reproduce with
+//! `coloc place` and `coloc matrix`.
 //!
 //! Generated artifacts are cached as JSON under `repro-out/` (next to the
 //! workspace root, override with `COLOC_REPRO_DIR`) because the full
@@ -14,10 +18,6 @@ pub mod cache;
 pub mod chaos;
 pub mod conformance;
 pub mod figures;
-pub mod matrix_bench;
-pub mod perf;
-pub mod placement;
-pub mod serve_bench;
 pub mod synth;
 pub mod tables;
 

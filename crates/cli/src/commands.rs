@@ -548,6 +548,7 @@ pub fn trace(argv: &[String]) -> CmdResult {
 /// --sockets N] [--mix <name>] [--policy <name>|all] [--qos X]
 /// [--seed N] [--threads N] [--out <file>]`
 pub fn place(argv: &[String]) -> CmdResult {
+    use coloc_placement::fleet::MAX_SOCKETS;
     use coloc_placement::{ClassMix, FleetSpec, PlacePolicy, PlacementSim, SimConfig};
     let args = ArgMap::parse(argv)?;
     if args.has_flag("help") {
@@ -581,6 +582,12 @@ pub fn place(argv: &[String]) -> CmdResult {
                     .map_err(|_| format!("bad fleet scale in `{spec}`"))?,
                 None => return Err(format!("unknown fleet `{spec}` (try standard:<scale>)")),
             };
+            // Refused before it is built: `FleetSpec::standard` itself
+            // overflows on scales far beyond the socket bound.
+            let per_scale = FleetSpec::standard(1).total_sockets();
+            if scale > MAX_SOCKETS / per_scale {
+                return Err(format!("fleet `{spec}` exceeds {MAX_SOCKETS} sockets"));
+            }
             FleetSpec::standard(scale)
         }
     };
@@ -1032,6 +1039,21 @@ mod tests {
         assert!(parse_co(&["cg:x".to_string()]).is_err());
         assert!(train(&argv(&["--out", "x.json"])).is_err());
         assert!(predict(&argv(&[])).is_err());
+    }
+
+    #[test]
+    fn place_refuses_oversize_fleets_and_non_finite_qos() {
+        for bad in [
+            &["--machine", "e5649", "--sockets", "4294967297"][..],
+            &["--fleet", "standard:3000000000000000000"],
+            &["--fleet", "standard:99999999999"],
+            &["--qos", "nan"],
+        ] {
+            let mut args = argv(&["--jobs", "10"]);
+            args.extend(argv(bad));
+            let err = place(&args).unwrap_err();
+            assert!(err.contains("sockets") || err.contains("QoS"), "{err}");
+        }
     }
 
     #[test]

@@ -18,6 +18,8 @@ pub const MAX_APPS: usize = 12;
 pub const APP_BITS: u32 = 5;
 /// Maximum per-socket instances of one app (5-bit field).
 pub const MAX_COUNT: usize = (1 << APP_BITS) - 1;
+/// Maximum sockets in a fleet: socket ids are `u32`.
+pub const MAX_SOCKETS: usize = u32::MAX as usize;
 
 /// A socket's contents as a packed per-app instance histogram: 5 bits per
 /// suite app, app 0 in the low bits. `0` is the empty socket. Keys are
@@ -130,12 +132,12 @@ impl FleetSpec {
             .sum()
     }
 
-    /// Specs must validate, groups must hold sockets, and core counts
-    /// must fit the [`ContentsKey`] packing.
+    /// Specs must validate, groups must hold sockets, core counts must
+    /// fit the [`ContentsKey`] packing, and the socket total must fit
+    /// [`MAX_SOCKETS`] (its core total must fit `usize`).
     pub fn validate(&self) -> Result<(), String> {
-        if self.groups.is_empty() || self.total_sockets() == 0 {
-            return Err("fleet needs at least one socket".into());
-        }
+        let mut sockets = 0usize;
+        let mut cores = 0usize;
         for g in &self.groups {
             g.machine.validate()?;
             if g.machine.cores > MAX_COUNT {
@@ -144,6 +146,18 @@ impl FleetSpec {
                     g.machine.name, g.machine.cores
                 ));
             }
+            sockets = sockets
+                .checked_add(g.sockets)
+                .filter(|&n| n <= MAX_SOCKETS)
+                .ok_or_else(|| format!("fleet exceeds {MAX_SOCKETS} sockets"))?;
+            cores = g
+                .sockets
+                .checked_mul(g.machine.cores)
+                .and_then(|n| n.checked_add(cores))
+                .ok_or("fleet core count overflows")?;
+        }
+        if sockets == 0 {
+            return Err("fleet needs at least one socket".into());
         }
         Ok(())
     }

@@ -51,7 +51,8 @@ pub struct SimConfig {
     pub pstate: usize,
     /// Oracle slowdown above which a job counts as a QoS violation.
     pub qos_threshold: f64,
-    /// Measurement noise for the oracle labs (`None` = noiseless).
+    /// Measurement noise σ for the oracle labs (`None` keeps the lab
+    /// default, [`coloc_model::lab::DEFAULT_NOISE_SIGMA`]).
     pub noise_sigma: Option<f64>,
     /// Worker threads for batched oracle evaluation (0 = one per CPU).
     pub threads: usize,
@@ -115,6 +116,12 @@ impl PlacementSim {
     /// the config seed and the spec name), and train each estimator.
     pub fn new(cfg: SimConfig) -> Result<PlacementSim> {
         cfg.fleet.validate().map_err(ColocError::InvalidSpec)?;
+        if !cfg.qos_threshold.is_finite() {
+            return Err(ColocError::InvalidSpec(format!(
+                "QoS threshold {} is not finite",
+                cfg.qos_threshold
+            )));
+        }
         if cfg.jobs == 0 {
             return Err(ColocError::DegenerateDataset(
                 "placement stream has no jobs".into(),

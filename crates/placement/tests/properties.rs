@@ -5,8 +5,12 @@
 //! - no socket ever exceeds its core capacity within a wave,
 //! - `PackFirstFit` never uses more sockets than `LeastInterference`,
 //! - placement is bit-identical across 1/2/8 oracle threads and across
-//!   seeded re-runs.
+//!   seeded re-runs;
+//! - the pinned 10⁴-job smoke benchmark keeps its digests and regret
+//!   bounds, and the 10⁶-job run (ignored by default) its digests;
+//! - oversize fleets and non-finite QoS thresholds are typed errors.
 
+use coloc_model::ColocError;
 use coloc_placement::{Assignment, ClassMix, FleetSpec, PlacePolicy, PlacementSim, SimConfig};
 
 fn config(seed: u64, jobs: usize, mix: ClassMix) -> SimConfig {
@@ -137,4 +141,104 @@ fn least_interference_beats_pack_on_oracle_slowdown() {
         greedy.oracle_mean_slowdown,
         pack.oracle_mean_slowdown
     );
+}
+
+/// Runs the benchmark set over `jobs` memory-heavy jobs (seed 2015) on
+/// `fleet`, asserts each policy's determinism digest and the two
+/// relational gates, and returns regret-batched's mean regret.
+fn check_pinned_run(fleet: FleetSpec, jobs: usize, digests: [u64; 3]) -> f64 {
+    let cfg = SimConfig {
+        fleet,
+        ..config(2015, jobs, ClassMix::memory_heavy())
+    };
+    let report = PlacementSim::new(cfg).unwrap().run_benchmark().unwrap();
+    let got: Vec<(&str, u64)> = report
+        .policies
+        .iter()
+        .map(|p| (p.policy.as_str(), p.determinism_digest))
+        .collect();
+    assert_eq!(
+        got,
+        [
+            ("pack-first-fit", digests[0]),
+            ("least-interference", digests[1]),
+            ("regret-batched(batch=256,top_k=3)", digests[2]),
+        ]
+    );
+    let ff = report.policy("pack-first-fit").unwrap();
+    let li = report.policy("least-interference").unwrap();
+    let rb = report.policy("regret-batched").unwrap();
+    assert!(
+        li.oracle_mean_slowdown < ff.oracle_mean_slowdown,
+        "least-interference {} vs pack-first-fit {}",
+        li.oracle_mean_slowdown,
+        ff.oracle_mean_slowdown
+    );
+    assert!(
+        rb.regret_mean <= li.regret_mean,
+        "regret-batched {} vs least-interference {}",
+        rb.regret_mean,
+        li.regret_mean
+    );
+    rb.regret_mean
+}
+
+#[test]
+fn smoke_benchmark_keeps_its_digests_and_regret_bounds() {
+    // Regret-batched's smoke regret when the digests below were pinned,
+    // and the headroom allowed over it.
+    const REGRET_BASELINE: f64 = 0.17173792207253455;
+    const REGRET_HEADROOM: f64 = 1.10;
+    let regret = check_pinned_run(
+        FleetSpec::standard(4),
+        10_000,
+        [0x72cf3121ae7ee571, 0xefce6dd7969873a6, 0x40ddb5b68860aa93],
+    );
+    assert!(
+        regret <= REGRET_HEADROOM * REGRET_BASELINE,
+        "regret-batched regret {regret}"
+    );
+}
+
+/// The headline run: 10⁶ jobs over 1024 sockets.
+#[test]
+#[ignore = "10⁶ jobs, ~4 s in release; run with --ignored"]
+fn million_job_benchmark_keeps_its_digests() {
+    check_pinned_run(
+        FleetSpec::standard(128),
+        1_000_000,
+        [0x679171a447ba80a1, 0xb9bc0f94fce38c15, 0x4958846ae7862448],
+    );
+}
+
+#[test]
+fn oversize_fleets_and_non_finite_qos_are_typed_errors() {
+    let fleets = [
+        // Socket ids are u32, so 2³² + 1 sockets would wrap to one.
+        FleetSpec::single(coloc_machine::presets::xeon_e5649(), u32::MAX as usize + 2),
+        FleetSpec::standard(99_999_999_999),
+        // Its socket and core totals overflow usize.
+        FleetSpec::standard(3_000_000_000_000_000_000),
+    ];
+    for fleet in fleets {
+        assert!(fleet.validate().is_err(), "{:?}", fleet.groups[0].sockets);
+        let cfg = SimConfig {
+            fleet,
+            ..config(1, 10, ClassMix::uniform())
+        };
+        assert!(matches!(
+            PlacementSim::new(cfg),
+            Err(ColocError::InvalidSpec(_))
+        ));
+    }
+    for qos in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let cfg = SimConfig {
+            qos_threshold: qos,
+            ..config(1, 10, ClassMix::uniform())
+        };
+        assert!(matches!(
+            PlacementSim::new(cfg),
+            Err(ColocError::InvalidSpec(_))
+        ));
+    }
 }

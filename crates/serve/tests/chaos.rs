@@ -317,6 +317,90 @@ fn overflowing_co_runner_counts_get_typed_errors() {
     handle.join();
 }
 
+/// The pinned query pool: every suite target against the four training
+/// co-runners at counts {1, 3} and P-states {0, 3}.
+fn query_pool() -> Vec<coloc_model::Scenario> {
+    let mut pool = Vec::new();
+    for target in coloc_workloads::standard() {
+        for co in coloc_workloads::training_co_runners() {
+            for count in [1usize, 3] {
+                for pstate in [0usize, 3] {
+                    pool.push(coloc_model::Scenario {
+                        target: target.name.to_string(),
+                        co_located: vec![(co.name.to_string(), count)],
+                        pstate,
+                    });
+                }
+            }
+        }
+    }
+    pool
+}
+
+/// The service-level gate at the default config: after one warm-up pass
+/// over the pool, closed-loop clients get an answer to every `measure`
+/// query, client p99 stays within bound, and nothing is shed (the
+/// clients keep at most 4 queries in flight against an admission bound
+/// of 256).
+#[test]
+fn closed_loop_clients_are_answered_within_the_latency_bound() {
+    const CLIENTS: usize = 4;
+    const QUERIES_PER_CLIENT: usize = 250;
+    const MAX_P99_MS: f64 = 250.0;
+    let _guard = serial();
+    signals::reset();
+    let handle = Server::spawn(ServeConfig {
+        bind: BindAddr::Tcp("127.0.0.1:0".into()),
+        seed: 2015,
+        quiet: true,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = handle.local_addr().unwrap().to_string();
+    let pool = query_pool();
+    let labels: std::collections::BTreeSet<String> = pool.iter().map(|s| s.label()).collect();
+    assert_eq!((pool.len(), labels.len()), (176, 176), "pinned, distinct");
+
+    // One client's run from `offset`: the exact latency of each round
+    // trip, in milliseconds.
+    let drive = |offset: usize, queries: usize| -> Vec<f64> {
+        let mut client = QueryClient::connect_tcp(&addr).unwrap();
+        (0..queries)
+            .map(|i| {
+                let scenario = &pool[(offset + i) % pool.len()];
+                let t0 = Instant::now();
+                let reply = client.query(scenario, QueryMode::Measure, None, None);
+                assert!(matches!(reply, Ok(Reply::Ok { .. })), "{reply:?}");
+                t0.elapsed().as_secs_f64() * 1e3
+            })
+            .collect()
+    };
+    drive(0, pool.len());
+    let stride = pool.len() / CLIENTS;
+    let mut latencies: Vec<f64> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let drive = &drive;
+                scope.spawn(move || drive(c * stride, QUERIES_PER_CLIENT))
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|c| c.join().unwrap())
+            .collect()
+    });
+    latencies.sort_by(f64::total_cmp);
+    // Ceil-rank quantile: the smallest latency at or above 99% of them.
+    let rank = (0.99 * latencies.len() as f64).ceil() as usize;
+    let p99 = latencies[rank - 1];
+    assert!(p99 <= MAX_P99_MS, "client p99 {p99:.3} ms");
+
+    handle.shutdown();
+    let frame = handle.join();
+    assert_eq!(frame.queue_depth, 0, "drain leaves nothing queued");
+    assert_eq!(frame.shed_overload, 0, "closed-loop load sheds nothing");
+}
+
 /// Deterministic synthetic training set for the reload storm: the
 /// `scale` knob bends the target times so two sets fit two *different*
 /// linear models (→ different artifact digests, different predictions).

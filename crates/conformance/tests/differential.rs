@@ -46,6 +46,68 @@ fn optimized_engine_matches_reference_on_generated_scenarios() {
 }
 
 #[test]
+fn capped_solves_skip_their_cycles_bit_for_bit() {
+    use coloc_conformance::diff::outcomes_bit_identical;
+    use coloc_conformance::{gen_case, GenConstraints, RefEngine};
+    use coloc_machine::{Machine, SegmentTrace, StageId, StageProfile};
+
+    // The engine skips whole periods of a segment solve that repeats its
+    // state exactly; the reference runs every iteration. Over the sweep's
+    // cases with a segment that stopped short of tolerance, the two must
+    // agree bit for bit, and the engine must have run fewer solver stage
+    // calls than the iterations it reports.
+    let capped = coloc_ml::parallel::run_indexed(SWEEP_CASES, 0, |i| {
+        let case = gen_case(
+            SWEEP_SEED.wrapping_add(i as u64),
+            &GenConstraints::default(),
+        );
+        let built = case.build().expect("generated cases build");
+        let machine = Machine::new(built.spec.clone()).expect("generated spec validates");
+        let mut profile = StageProfile::new();
+        let mut trace = SegmentTrace::new(built.opts.max_segments);
+        let schedules = built.schedules.as_deref();
+        // Rejected workloads are the differential sweep's concern.
+        let engine = machine
+            .run_observed(
+                &built.workload,
+                schedules,
+                &built.opts,
+                Some(&mut profile),
+                Some(&mut trace),
+            )
+            .ok()?;
+        assert_eq!(trace.dropped(), 0, "{}: trace is complete", case.describe());
+        if !trace.records().any(|r| r.residual > 0.0) {
+            return None;
+        }
+        let reference = RefEngine::new(built.spec.clone())
+            .and_then(|r| r.run_scheduled(&built.workload, schedules, &built.opts))
+            .unwrap_or_else(|e| panic!("{}: reference rejected it: {e}", case.describe()));
+        assert!(
+            outcomes_bit_identical(&engine, &reference),
+            "{}: capped run diverged from the reference",
+            case.describe()
+        );
+        Some((
+            profile.get(StageId::LlcShare).invocations,
+            engine.fp_iterations,
+        ))
+    });
+    let capped: Vec<(u64, u64)> = capped.into_iter().flatten().collect();
+    assert!(
+        capped.len() >= 100,
+        "only {} cases with a capped segment",
+        capped.len()
+    );
+    let calls: u64 = capped.iter().map(|c| c.0).sum();
+    let iterations: u64 = capped.iter().map(|c| c.1).sum();
+    assert!(
+        calls < iterations,
+        "no cycle skipped: {calls} LlcShare calls for {iterations} iterations"
+    );
+}
+
+#[test]
 fn event_execution_is_bit_identical_across_thread_counts() {
     use coloc_conformance::diff::outcomes_bit_identical;
     use coloc_conformance::{gen_case, CoGroup, GenConstraints};

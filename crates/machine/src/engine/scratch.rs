@@ -40,6 +40,10 @@ pub(crate) struct RunScratch {
     /// Filled by `PStateStage`; `freq_hz × 1.0` is bit-identical to
     /// `freq_hz`, so default schedules reproduce the lockstep numerics.
     pub(crate) freq: Vec<f64>,
+    /// Bit patterns of each group's `(cpi, occ)` at the solve's last
+    /// snapshot iteration: the reference the cycle skip compares later
+    /// iterations against.
+    pub(crate) snapshot: Vec<(u64, u64)>,
 }
 
 impl RunScratch {
@@ -55,6 +59,7 @@ impl RunScratch {
             miss_rate: vec![0.0; n_groups],
             access_rate: vec![0.0; n_groups],
             freq: vec![0.0; n_groups],
+            snapshot: vec![(0, 0); n_groups],
         }
     }
 

@@ -25,6 +25,7 @@ use crate::mrc::MissRateCurve;
 use crate::Line;
 use rand::Rng;
 use rand::SeedableRng;
+use std::sync::{Arc, OnceLock};
 
 /// Distances below this are always represented exactly.
 const EXACT_PREFIX: usize = 256;
@@ -37,8 +38,16 @@ const LOG_REPS: usize = 192;
 /// otherwise it reuses the line at stack distance `d ∈ [0, reuse_span)`
 /// where `P(d) ∝ (d + 1)^{-alpha}`. Larger `alpha` = tighter locality;
 /// larger `reuse_span` = bigger working set.
+///
+/// The quantized tables live in one immutable block that clones share by
+/// reference, so cloning a distribution (and the application profile
+/// around it) bumps a refcount instead of copying hundreds of entries.
+/// The block also keeps what is derived from the tables alone: the
+/// analytic miss-rate curve ([`StackDistanceDist::shared_curve`]) and the
+/// digest slots ([`StackDistanceDist::digest_slots`]). Each constructor
+/// call builds a fresh block, so independently built distributions share
+/// nothing, even with equal parameters.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StackDistanceDist {
     /// Probability of touching a fresh line.
     pub p_new: f64,
@@ -46,39 +55,41 @@ pub struct StackDistanceDist {
     pub reuse_span: usize,
     /// Power-law exponent of the reuse-distance pdf.
     pub alpha: f64,
+    tables: Arc<Tables>,
+}
+
+/// The immutable block a distribution's clones share.
+#[derive(Debug)]
+struct Tables {
     /// Representative distances, ascending (quantized support).
     reps: Vec<usize>,
     /// CDF over `reps`, conditioned on the access being a reuse.
     cdf: Vec<f64>,
-    /// Shared identity of the immutable `reps`/`cdf` tables: every clone of
-    /// this distribution carries the same `Arc`, so downstream memo tables
-    /// (digest transitions, derived miss-rate curves) can key on the token
-    /// address instead of re-reading hundreds of table entries. Serialized
-    /// as null and deserialized to a fresh identity, which only costs a
-    /// memo miss. The tables themselves are private and never mutated
-    /// after construction, so the identity is trustworthy.
-    table_token: TableToken,
+    /// `(p_new, alpha, reuse_span)` as built, floats by bit pattern. The
+    /// scalars are public fields a caller may rewrite after construction;
+    /// `curve` is only ever the curve of these.
+    built_from: (u64, u64, usize),
+    /// The miss-rate curve of the tables at `built_from`.
+    curve: OnceLock<Arc<MissRateCurve>>,
+    digest: DigestSlots,
 }
 
-/// Identity token for a distribution's table set (see
-/// [`StackDistanceDist::table_token`]). Carries no data — only the `Arc`
-/// allocation's address matters — so it serializes as null and
-/// deserializes to a fresh identity.
-#[derive(Clone, Debug, Default)]
-pub struct TableToken(std::sync::Arc<()>);
-
-#[cfg(feature = "serde")]
-impl serde::Serialize for TableToken {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
-    }
-}
-
-#[cfg(feature = "serde")]
-impl serde::Deserialize for TableToken {
-    fn from_value(_: &serde::Value) -> Result<TableToken, serde::DeError> {
-        Ok(TableToken::default())
-    }
+/// Memo slots for a digest writer's transition over one distribution's
+/// table block, filled by `coloc_machine::ir`.
+///
+/// An FNV-1a-style writer absorbs the block as an affine map of its
+/// state: `state ↦ state · pow + add`, where `pow` depends only on the
+/// block's length and `add` only on the block and the low byte of the
+/// input state. A slot holds what the first absorption from that low byte
+/// computed, so a later absorption replays it as one multiply-add. The
+/// slots are a pure function of the tables, which never change, so they
+/// stay valid for the block's lifetime.
+#[derive(Debug)]
+pub struct DigestSlots {
+    /// The multiplicative part, shared by every input state.
+    pub pow: OnceLock<u128>,
+    /// The additive part, one slot per input state's low byte.
+    pub add: [OnceLock<u128>; 256],
 }
 
 impl StackDistanceDist {
@@ -159,9 +170,16 @@ impl StackDistanceDist {
             p_new,
             reuse_span,
             alpha,
-            reps,
-            cdf,
-            table_token: TableToken::default(),
+            tables: Arc::new(Tables {
+                reps,
+                cdf,
+                built_from: (p_new.to_bits(), alpha.to_bits(), reuse_span),
+                curve: OnceLock::new(),
+                digest: DigestSlots {
+                    pow: OnceLock::new(),
+                    add: std::array::from_fn(|_| OnceLock::new()),
+                },
+            }),
         }
     }
 
@@ -172,20 +190,24 @@ impl StackDistanceDist {
 
     /// The quantized support (representative distances).
     pub fn representatives(&self) -> &[usize] {
-        &self.reps
-    }
-
-    /// The shared identity token of the immutable `reps`/`cdf` tables.
-    /// Clones of a distribution share one token; independently constructed
-    /// distributions never do. Memo tables key on `Arc::as_ptr` of this and
-    /// hold a clone to pin the address for the entry's lifetime.
-    pub fn table_token(&self) -> &std::sync::Arc<()> {
-        &self.table_token.0
+        &self.tables.reps
     }
 
     /// The CDF over the representatives.
     pub fn cdf(&self) -> &[f64] {
-        &self.cdf
+        &self.tables.cdf
+    }
+
+    /// Whether `self` and `other` share one table block, and so its
+    /// memos: true for clones, false for independently built
+    /// distributions, whatever their parameters.
+    pub fn shares_tables(&self, other: &StackDistanceDist) -> bool {
+        Arc::ptr_eq(&self.tables, &other.tables)
+    }
+
+    /// The digest slots of this distribution's table block.
+    pub fn digest_slots(&self) -> &DigestSlots {
+        &self.tables.digest
     }
 
     /// Probability that an access has stack distance ≥ `capacity_lines`
@@ -196,8 +218,8 @@ impl StackDistanceDist {
             return 1.0;
         }
         // Reuses hit iff their representative distance < capacity.
-        let k = self.reps.partition_point(|&r| r < capacity_lines);
-        let p_hit = if k == 0 { 0.0 } else { self.cdf[k - 1] };
+        let k = self.tables.reps.partition_point(|&r| r < capacity_lines);
+        let p_hit = if k == 0 { 0.0 } else { self.tables.cdf[k - 1] };
         self.p_new + (1.0 - self.p_new) * (1.0 - p_hit)
     }
 
@@ -219,13 +241,31 @@ impl StackDistanceDist {
         )
     }
 
+    /// [`StackDistanceDist::miss_rate_curve`], built once per table block
+    /// and shared by its clones. A distribution whose scalars were
+    /// rewritten after construction gets a freshly built curve on every
+    /// call instead: the memo only ever holds the curve of the scalars the
+    /// block was built from.
+    pub fn shared_curve(&self) -> Arc<MissRateCurve> {
+        let tables = &*self.tables;
+        if (self.p_new.to_bits(), self.alpha.to_bits(), self.reuse_span) != tables.built_from {
+            return Arc::new(self.miss_rate_curve());
+        }
+        Arc::clone(
+            tables
+                .curve
+                .get_or_init(|| Arc::new(self.miss_rate_curve())),
+        )
+    }
+
     /// Inverse-CDF sample of a reuse distance, given `u ∈ [0, 1)`.
     fn sample_distance(&self, u: f64) -> usize {
         let k = self
+            .tables
             .cdf
             .partition_point(|&c| c < u)
-            .min(self.reps.len() - 1);
-        self.reps[k]
+            .min(self.tables.reps.len() - 1);
+        self.tables.reps[k]
     }
 }
 

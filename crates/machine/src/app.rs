@@ -13,7 +13,6 @@ use coloc_cachesim::{MissRateCurve, StackDistanceDist};
 
 /// One execution phase of an application.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AppPhase {
     /// Fraction of the app's instructions spent in this phase (> 0; phases
     /// must sum to ≈ 1).
@@ -58,7 +57,6 @@ impl AppPhase {
 
 /// A complete application profile.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AppProfile {
     /// Application name (e.g. `"canneal"`).
     pub name: String,

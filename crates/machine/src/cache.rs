@@ -124,9 +124,6 @@ pub struct RunCache {
     /// Bit mask selecting a shard from a digest (shard count is a power
     /// of two).
     shard_mask: usize,
-    /// Accelerates key computation: locality-table blocks hash as one
-    /// memoized multiply-add after first sight (bit-identical digests).
-    digest_memo: ir::DigestMemo,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -166,7 +163,6 @@ impl RunCache {
             shard_capacity,
             shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
             shard_mask: shards - 1,
-            digest_memo: ir::DigestMemo::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -203,10 +199,12 @@ impl RunCache {
         hit
     }
 
-    /// The memo key this cache uses for a scenario: bit-identical to
-    /// [`crate::ScenarioIr::digest`] of the same inputs, computed through
-    /// the cache's digest memo. All-default (or absent) schedules key
-    /// like no schedules, and a no-op fault plan like no plan.
+    /// The memo key this cache uses for a scenario: the encoding behind
+    /// [`crate::ScenarioIr::digest`] of the same inputs, so the same bits.
+    /// Each locality table it absorbs through its table block's digest
+    /// slots, shared by every clone of that table. All-default (or absent)
+    /// schedules key like no schedules, and a no-op fault plan like no
+    /// plan.
     pub fn key_for_scheduled(
         &self,
         machine: &Machine,
@@ -216,15 +214,7 @@ impl RunCache {
         schedules: Option<&[GroupSchedule]>,
     ) -> u128 {
         let mut d = ir::IrWriter::new();
-        ir::encode_scenario(
-            &mut d,
-            machine.spec(),
-            workload,
-            opts,
-            faults,
-            schedules,
-            Some(&self.digest_memo),
-        );
+        ir::encode_scenario(&mut d, machine.spec(), workload, opts, faults, schedules);
         d.finish()
     }
 

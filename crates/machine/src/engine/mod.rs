@@ -50,7 +50,6 @@ use rand::SeedableRng as _;
 /// A group of `count` identical co-located application instances. Instances
 /// in a group start together and advance in lockstep.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunnerGroup {
     /// Profile shared by every instance in the group.
     pub app: AppProfile,
@@ -69,8 +68,7 @@ impl RunnerGroup {
 /// representation. [`Machine::run_observed`] lowers `&[RunnerGroup]` to a
 /// slice of these (a pointer-sized copy per group), and [`Machine::run_solo`]
 /// builds one directly from the borrowed profile, so the per-query
-/// baseline measurement no longer deep-clones the [`AppProfile`] (phases,
-/// locality CDF tables and all) just to run it.
+/// baseline measurement never clones the [`AppProfile`] just to run it.
 #[derive(Clone, Copy, Debug)]
 pub struct GroupRef<'a> {
     /// Profile shared by every instance in the group.
@@ -242,35 +240,16 @@ pub struct RunOutcome {
     pub faults: Vec<FaultEvent>,
 }
 
-/// Memo key for a constructed miss-rate curve: the distribution's table
-/// identity (token address) plus the bit patterns of every scalar the
-/// curve construction reads (`p_new`, `alpha`, `reuse_span`). The scalars
-/// are public fields a caller may rewrite after construction, so identity
-/// alone is not enough.
-type MrcKey = (usize, u64, u64, u64);
-
-/// The per-machine curve memo: key → (token keepalive, shared curve).
-type MrcMemo =
-    std::collections::HashMap<MrcKey, (std::sync::Arc<()>, std::sync::Arc<MissRateCurve>)>;
-
-/// Cap on distinct curves the per-machine memo holds; reaching it clears
-/// the map (entries are pure caches, so a reset is behavior-transparent).
-const MRC_MEMO_CAP: usize = 4096;
-
 /// The simulator: a machine spec plus its memory system.
 ///
-/// Clones share the miss-rate-curve memo: a sweep that clones one machine
-/// across worker threads warms a single curve cache.
+/// A machine holds no memo of its own. The miss-rate curve of each
+/// locality table is memoized in the table itself
+/// ([`coloc_cachesim::StackDistanceDist::shared_curve`]), so every machine
+/// and every thread running clones of one profile shares one curve.
 #[derive(Clone, Debug)]
 pub struct Machine {
     spec: MachineSpec,
     mem: MemorySystem,
-    /// Memoized per-phase miss-rate curves. Construction walks the full
-    /// representative/CDF tables (microseconds); sweeps re-run the same
-    /// few distributions thousands of times, so the curves are built once
-    /// and shared. The stored token clone keeps each key's address from
-    /// being recycled by a different distribution.
-    mrc_memo: std::sync::Arc<std::sync::Mutex<MrcMemo>>,
 }
 
 /// Run `f`, attributing its wall time to `id` when a profile is attached.
@@ -294,51 +273,7 @@ impl Machine {
     pub fn new(spec: MachineSpec) -> Result<Machine> {
         spec.validate().map_err(MachineError::InvalidSpec)?;
         let mem = MemorySystem::new(spec.dram);
-        Ok(Machine {
-            spec,
-            mem,
-            mrc_memo: std::sync::Arc::default(),
-        })
-    }
-
-    /// Miss-rate curves for every phase of every group, served from the
-    /// machine's curve memo. Bit-identical to constructing each curve
-    /// fresh: the key captures the table identity and every scalar the
-    /// construction reads, and a memoized curve is the value an earlier
-    /// identical construction produced.
-    fn mrcs_for(&self, workload: &[GroupRef<'_>]) -> Vec<Vec<std::sync::Arc<MissRateCurve>>> {
-        let mut memo = self.mrc_memo.lock().ok();
-        workload
-            .iter()
-            .map(|g| {
-                g.app
-                    .phases
-                    .iter()
-                    .map(|p| match memo.as_mut() {
-                        Some(m) => {
-                            let key: MrcKey = (
-                                std::sync::Arc::as_ptr(p.dist.table_token()) as usize,
-                                p.dist.p_new.to_bits(),
-                                p.dist.alpha.to_bits(),
-                                p.dist.reuse_span as u64,
-                            );
-                            if m.len() >= MRC_MEMO_CAP && !m.contains_key(&key) {
-                                m.clear();
-                            }
-                            let (_, mrc) = m.entry(key).or_insert_with(|| {
-                                (
-                                    std::sync::Arc::clone(p.dist.table_token()),
-                                    std::sync::Arc::new(p.mrc()),
-                                )
-                            });
-                            std::sync::Arc::clone(mrc)
-                        }
-                        // A poisoned memo degrades to direct construction.
-                        None => std::sync::Arc::new(p.mrc()),
-                    })
-                    .collect()
-            })
-            .collect()
+        Ok(Machine { spec, mem })
     }
 
     /// The machine's spec.
@@ -441,8 +376,12 @@ impl Machine {
             g.app.validate().map_err(MachineError::BadProfile)?;
         }
 
-        // Per-group, per-phase MRCs, served from the machine's curve memo.
-        let mrcs = self.mrcs_for(workload);
+        // Per-group, per-phase MRCs, each served from its table's curve
+        // memo: the value a fresh construction gives.
+        let mrcs: Vec<Vec<std::sync::Arc<MissRateCurve>>> = workload
+            .iter()
+            .map(|g| g.app.phases.iter().map(|p| p.dist.shared_curve()).collect())
+            .collect();
         let n_groups = workload.len();
 
         // Run-global state carried across eras, indexed by the original

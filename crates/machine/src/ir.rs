@@ -5,9 +5,9 @@
 //! conformance corpus' `CorpusCase` (names + run axes), the `RunCache`
 //! digest (a private byte encoding), and `Lab::plan_digest` (another
 //! private byte encoding). [`ScenarioIr`] is the one representation they
-//! all converge on: a serializable, digestable value holding everything
-//! the engine reads — machine spec, workload groups, run options, and the
-//! optional fault plan.
+//! all converge on: a digestable value holding everything the engine
+//! reads — machine spec, workload groups, run options, and the optional
+//! fault plan.
 //!
 //! ## Digest canonicalization rules
 //!
@@ -24,7 +24,11 @@
 //! * strings are length-prefixed, then raw UTF-8 bytes;
 //! * locality distributions hash their scalar parameters **and** their
 //!   representative/CDF tables, so two distributions with equal parameters
-//!   but different construction key apart;
+//!   but different construction key apart. The table bytes are absorbed
+//!   through digest slots kept in the distribution's shared table block:
+//!   after the first absorption from a given state low byte, a table costs
+//!   one multiply-add instead of thousands of byte steps, with the same
+//!   bits (see `absorb_dist`);
 //! * a fault plan contributes a `1` tag byte plus its digest only when it
 //!   can actually fire; a no-op plan encodes as the `0` tag, identical to
 //!   no plan at all (it cannot change any outcome, so clean sweeps and
@@ -40,6 +44,7 @@ use crate::engine::{Machine, RunOptions, RunnerGroup};
 use crate::event::GroupSchedule;
 use crate::faults::FaultPlan;
 use crate::spec::MachineSpec;
+use coloc_cachesim::StackDistanceDist;
 
 const FNV128_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 const FNV128_PRIME: u128 = 0x0000000001000000000000000000013b;
@@ -105,16 +110,6 @@ impl IrWriter {
         self.state
     }
 
-    /// The current internal state (for memoized block transitions).
-    fn state(&self) -> u128 {
-        self.state
-    }
-
-    /// A writer resumed at an arbitrary internal state.
-    fn resume(state: u128) -> IrWriter {
-        IrWriter { state }
-    }
-
     /// The digest folded to 64 bits (high half XOR low half) for callers
     /// that persist a `u64` — checkpoint headers, fault-plan digests.
     pub fn finish64(self) -> u64 {
@@ -124,10 +119,10 @@ impl IrWriter {
 }
 
 /// Canonical encoding of a locality distribution's tables: length-prefixed
-/// representatives, then the CDF. This is the block [`DigestMemo`] caches
-/// affine transitions for, so its byte count must be a pure function of the
-/// table lengths (it is: every entry widens to 8 bytes).
-fn absorb_dist_tables(d: &mut IrWriter, dist: &coloc_cachesim::StackDistanceDist) {
+/// representatives, then the CDF. This is the reference [`absorb_dist`]
+/// fills the table's digest slots from, so its byte count must be a pure
+/// function of the table lengths (it is: every entry widens to 8 bytes).
+fn absorb_dist_tables(d: &mut IrWriter, dist: &StackDistanceDist) {
     d.usize(dist.representatives().len());
     for &r in dist.representatives() {
         d.usize(r);
@@ -137,9 +132,40 @@ fn absorb_dist_tables(d: &mut IrWriter, dist: &coloc_cachesim::StackDistanceDist
     }
 }
 
+/// Absorb `dist`'s tables into `d`, bit-identical to
+/// [`absorb_dist_tables`], through the table block's digest slots.
+///
+/// FNV-1a is affine in its state: absorbing one byte `b` maps `s` to
+/// `(s ^ b) * p`, and `s ^ b = s + ((l ^ b) - l)` where `l` is the low
+/// byte of `s` (XOR with a one-byte value only touches the low byte, and
+/// the carry-free difference is exact in wrapping arithmetic). Chaining
+/// over a fixed byte block `B` therefore gives `s_out = s * p^|B| + D`,
+/// where `D` depends only on `B` and the low byte of `s` — because the
+/// low byte of the state after each step, `((l ^ b) * p) & 0xff`, is
+/// itself a function of the previous low byte alone (`p`'s low byte is
+/// `0x3b`). So the first absorption of a table from each input low byte
+/// runs the reference encoder and stores `D` in that byte's slot; every
+/// later one, from any state with the same low byte, is one multiply-add.
+/// The slots live in the table block, so clones of a distribution share
+/// them and an independently built one starts cold.
+fn absorb_dist(d: &mut IrWriter, dist: &StackDistanceDist) {
+    let slots = dist.digest_slots();
+    let s_in = d.state;
+    let pow = *slots
+        .pow
+        .get_or_init(|| fnv_pow((1 + dist.representatives().len() + dist.cdf().len()) * 8));
+    let mul = s_in.wrapping_mul(pow);
+    let add = *slots.add[usize::from(s_in as u8)].get_or_init(|| {
+        let mut probe = IrWriter { state: s_in };
+        absorb_dist_tables(&mut probe, dist);
+        probe.state.wrapping_sub(mul)
+    });
+    d.state = mul.wrapping_add(add);
+}
+
 /// Canonical encoding of an application profile, down to its per-phase
 /// locality tables.
-fn encode_app(d: &mut IrWriter, app: &AppProfile, memo: Option<&DigestMemo>) {
+fn encode_app(d: &mut IrWriter, app: &AppProfile) {
     d.str(&app.name);
     d.f64(app.instructions);
     d.usize(app.phases.len());
@@ -154,14 +180,11 @@ fn encode_app(d: &mut IrWriter, app: &AppProfile, memo: Option<&DigestMemo>) {
         d.f64(ph.dist.p_new);
         d.usize(ph.dist.reuse_span);
         d.f64(ph.dist.alpha);
-        match memo {
-            Some(m) => m.absorb(d, &ph.dist),
-            None => absorb_dist_tables(d, &ph.dist),
-        }
+        absorb_dist(d, &ph.dist);
     }
 }
 
-/// `FNV128_PRIME` raised to `8 * n_u64s` (one multiply per absorbed byte),
+/// `FNV128_PRIME` raised to `n_bytes` (one multiply per absorbed byte),
 /// by repeated squaring.
 fn fnv_pow(n_bytes: usize) -> u128 {
     let mut acc: u128 = 1;
@@ -177,80 +200,11 @@ fn fnv_pow(n_bytes: usize) -> u128 {
     acc
 }
 
-/// Memoized affine transitions for one distribution's table block.
-struct MemoEntry {
-    /// Keeps the distribution's identity token alive so its address cannot
-    /// be recycled by a different table set while this entry exists.
-    _keepalive: std::sync::Arc<()>,
-    /// `FNV128_PRIME ^ block_bytes` — the multiplicative part of the
-    /// affine transition, shared by every input state.
-    pow: u128,
-    /// Additive part, keyed by the input state's low byte (the only part
-    /// of the state the XOR-then-multiply chain actually reads).
-    d: std::collections::HashMap<u8, u128>,
-}
-
-/// Cap on distinct distributions the memo tracks; reaching it clears the
-/// map (a full reset is bit-transparent — entries are pure caches).
-const DIGEST_MEMO_CAP: usize = 8192;
-
-/// Shared memo of digest-state transitions across locality-table blocks.
-///
-/// FNV-1a is affine in its state: absorbing one byte `b` maps `s` to
-/// `(s ^ b) * p`, and `s ^ b = s + ((l ^ b) - l)` where `l` is the low
-/// byte of `s` (XOR with a one-byte value only touches the low byte, and
-/// the carry-free difference is exact in wrapping arithmetic). Chaining
-/// over a fixed byte block `B` therefore gives `s_out = s * p^|B| + D`,
-/// where `D` depends only on `B` and the low byte of `s` — because the
-/// low byte of the state after each step, `((l ^ b) * p) & 0xff`, is
-/// itself a function of the previous low byte alone (`p`'s low byte is
-/// `0x3b`). So for each distribution (identified by its table token) and
-/// each input low byte, one reference absorption yields an affine rule
-/// replayed forever after as a single multiply-add — bit-identical to
-/// hashing the tables byte-by-byte. Each [`crate::RunCache`] owns one.
-#[derive(Default)]
-pub(crate) struct DigestMemo {
-    inner: std::sync::Mutex<std::collections::HashMap<usize, MemoEntry>>,
-}
-
-impl DigestMemo {
-    /// Absorb `dist`'s tables into `w`, replaying a memoized affine
-    /// transition when this distribution (by identity token) and input
-    /// low byte have been absorbed before.
-    fn absorb(&self, w: &mut IrWriter, dist: &coloc_cachesim::StackDistanceDist) {
-        let Ok(mut memo) = self.inner.lock() else {
-            // A poisoned memo degrades to the direct path.
-            absorb_dist_tables(w, dist);
-            return;
-        };
-        let key = std::sync::Arc::as_ptr(dist.table_token()) as usize;
-        if memo.len() >= DIGEST_MEMO_CAP && !memo.contains_key(&key) {
-            memo.clear();
-        }
-        let s_in = w.state();
-        let l_in = s_in as u8;
-        let entry = memo.entry(key).or_insert_with(|| MemoEntry {
-            _keepalive: std::sync::Arc::clone(dist.table_token()),
-            pow: fnv_pow((1 + dist.representatives().len() + dist.cdf().len()) * 8),
-            d: std::collections::HashMap::new(),
-        });
-        let mul = s_in.wrapping_mul(entry.pow);
-        let add = *entry.d.entry(l_in).or_insert_with(|| {
-            let mut probe = IrWriter::resume(s_in);
-            absorb_dist_tables(&mut probe, dist);
-            probe.state().wrapping_sub(mul)
-        });
-        *w = IrWriter::resume(mul.wrapping_add(add));
-    }
-}
-
 /// Canonical encoding of a complete scenario — machine spec, workload,
 /// run options, optional fault plan, optional event schedules — into `d`.
 /// This is **the** scenario byte encoding: [`ScenarioIr::digest`], the
 /// run-cache key, and the sweep-checkpoint digest all read these exact
-/// bytes. `memo`, when present, replays each previously seen
-/// locality-table block as one multiply-add: the bytes absorbed, and so
-/// the digest, are identical either way.
+/// bytes.
 pub(crate) fn encode_scenario(
     d: &mut IrWriter,
     spec: &MachineSpec,
@@ -258,7 +212,6 @@ pub(crate) fn encode_scenario(
     opts: &RunOptions,
     faults: Option<&FaultPlan>,
     schedules: Option<&[GroupSchedule]>,
-    memo: Option<&DigestMemo>,
 ) {
     d.str(&spec.name);
     d.usize(spec.cores);
@@ -278,7 +231,7 @@ pub(crate) fn encode_scenario(
     d.usize(workload.len());
     for g in workload {
         d.usize(g.count);
-        encode_app(d, &g.app, memo);
+        encode_app(d, &g.app);
     }
 
     d.usize(opts.pstate);
@@ -324,15 +277,14 @@ pub(crate) fn encode_scenario(
     }
 }
 
-/// One serializable, digestable description of everything a run reads:
-/// machine preset, workload groups, run options, and fault plan.
+/// One digestable description of everything a run reads: machine preset,
+/// workload groups, run options, and fault plan.
 ///
 /// Higher layers lower their own scenario notions onto this type —
 /// `coloc_core::Scenario` through `Lab::scenario_ir`, the conformance
 /// corpus through `CorpusCase::to_ir` — so one canonical encoding backs
 /// every cache key and checkpoint digest in the workspace.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ScenarioIr {
     /// The machine the workload runs on.
     pub machine: MachineSpec,
@@ -394,7 +346,6 @@ impl ScenarioIr {
             &self.opts,
             self.faults.as_ref(),
             self.schedules.as_deref(),
-            None,
         );
         d
     }
@@ -486,40 +437,53 @@ mod tests {
     }
 
     #[test]
-    fn memoized_digest_is_bit_identical() {
-        let memo = DigestMemo::default();
-        let memoized = |s: &ScenarioIr| {
-            let mut d = IrWriter::new();
-            encode_scenario(
-                &mut d,
-                &s.machine,
-                &s.workload,
-                &s.opts,
-                s.faults.as_ref(),
-                s.schedules.as_deref(),
-                Some(&memo),
-            );
-            d.finish()
+    fn table_slots_match_the_reference_encoder() {
+        // The suite's `cg` table: 449 representatives, 7,192 bytes.
+        let dist = StackDistanceDist::power_law(3_000_000, 0.75, 0.02);
+        assert_eq!(dist.representatives().len(), 449);
+        let reference = |state: u128| {
+            let mut w = IrWriter { state };
+            absorb_dist_tables(&mut w, &dist);
+            w.state
         };
-        // Vary spans (different tables), names/opts (different digest
-        // state preceding the tables → different input low bytes), and
-        // cloned vs fresh dists (shared vs distinct identity tokens).
-        for span in [100_000usize, 800_000, 3_000_000] {
-            for pstate in 0..3usize {
-                let mut s = ir(span);
-                s.opts.pstate = pstate;
-                s.opts.seed = 0x5eed ^ span as u64;
-                let plain = s.digest();
-                for _ in 0..3 {
-                    assert_eq!(memoized(&s), plain, "span {span} pstate {pstate}");
-                }
+        let through_slots = |state: u128| {
+            let mut w = IrWriter { state };
+            absorb_dist(&mut w, &dist);
+            w.state
+        };
+        // Two input states per low byte that differ above it: the first
+        // fills the byte's slot, the second replays it.
+        let (high_a, high_b) = (0x0123_4567_89ab_cdef_fedc_ba98_7654_3200u128, FNV128_OFFSET);
+        for low in 0..=255u8 {
+            let a = high_a & !0xff | u128::from(low);
+            let b = high_b & !0xff | u128::from(low);
+            let (cold, warm, other) = (through_slots(a), through_slots(a), through_slots(b));
+            assert_eq!(cold, reference(a), "low byte {low:#04x}: cold slot");
+            assert_eq!(warm, reference(a), "low byte {low:#04x}: warm slot");
+            assert_eq!(other, reference(b), "low byte {low:#04x}: replayed slot");
+        }
+        assert!(dist.digest_slots().add.iter().all(|s| s.get().is_some()));
+
+        // A clone shares the block and its filled slots; an equal-parameter
+        // rebuild and a second suite build do not. All digest alike.
+        let base = ir(800_000);
+        let clone = base.clone();
+        let rebuilt = ir(800_000);
+        let target = |s: &ScenarioIr| s.workload[0].app.phases[0].dist.clone();
+        assert!(target(&clone).shares_tables(&target(&base)));
+        assert!(!target(&rebuilt).shares_tables(&target(&base)));
+        assert_eq!(base.digest(), clone.digest());
+        assert_eq!(base.digest(), rebuilt.digest());
+        let (suite_a, suite_b) = (coloc_workloads::standard(), coloc_workloads::standard());
+        for (a, b) in suite_a.iter().zip(&suite_b) {
+            for (pa, pb) in a.app.phases.iter().zip(&b.app.phases) {
+                assert!(!pa.dist.shares_tables(&pb.dist), "{}", a.name);
+                let (mut wa, mut wb) = (IrWriter::new(), IrWriter::new());
+                absorb_dist(&mut wa, &pa.dist);
+                absorb_dist_tables(&mut wb, &pb.dist);
+                assert_eq!(wa.finish(), wb.finish(), "{}", a.name);
             }
         }
-        // A clone shares its token; an equal-parameter rebuild does not.
-        // Both must still digest identically to the memo-free path.
-        let base = ir(800_000);
-        assert_eq!(memoized(&base.clone()), base.digest());
-        assert_eq!(memoized(&ir(800_000)), base.digest());
     }
 
     #[test]

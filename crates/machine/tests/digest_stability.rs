@@ -11,8 +11,8 @@
 //!
 //! The fixture is plain text, one `name = 0x<32 hex>` line per scenario,
 //! so an encoding change reviews as a readable diff. The run cache's own
-//! key path ([`RunCache::key_for_scheduled`], with its digest memo) is
-//! pinned against the same lines.
+//! key path ([`RunCache::key_for_scheduled`]) is pinned against the same
+//! lines, with each table's digest slots cold and warm.
 //!
 //! The same fixture also pins the [`MixFeatures`] canonical encoding
 //! (`mix-*` lines, appended after the `ScenarioIr` block): the mix digest
@@ -522,9 +522,9 @@ fn run_cache_keys_match_the_checked_in_fixture() {
             .unwrap_or_else(|| panic!("{name}: no fixture line"));
         u128::from_str_radix(line, 16).expect("fixture digest is hex")
     };
-    // One cache for every scenario: the first key of a scenario hashes
-    // its locality tables byte by byte and records them in the digest
-    // memo, the second replays the memo. Both must hit the pinned bits.
+    // The first key of a scenario hashes each locality table byte by
+    // byte and fills the table's digest slot for that input state, the
+    // second replays the slot. Both must hit the pinned bits.
     let cache = RunCache::new(8);
     for (name, ir) in pinned_scenarios() {
         let machine = ir.machine().expect("pinned machine validates");
@@ -541,6 +541,70 @@ fn run_cache_keys_match_the_checked_in_fixture() {
         assert_eq!(first, pinned(name), "{name}: first-sight cache key");
         assert_eq!(replay, pinned(name), "{name}: memo-replayed cache key");
     }
+}
+
+#[test]
+fn rewritten_scalars_never_reuse_a_stale_curve() {
+    // Run `target` beside two `cg`: the outcome digest and scenario digest.
+    let run = |target: &AppProfile| {
+        let ir = ScenarioIr::new(
+            presets::xeon_e5649(),
+            vec![
+                RunnerGroup::solo(target.clone()),
+                RunnerGroup {
+                    app: suite_app("cg"),
+                    count: 2,
+                },
+            ],
+            RunOptions::default(),
+        );
+        let machine = ir.machine().expect("preset validates");
+        let outcome = machine.run(&ir.workload, &ir.opts).expect("suite mix runs");
+        (outcome_digest(&outcome), ir.digest())
+    };
+    // A suite table that has run: its block holds the curve of the
+    // scalars it was built from, and the clone below shares that block.
+    let suite = suite_app("canneal");
+    let before = run(&suite);
+    // The same profile on freshly built table blocks, whose memos have
+    // never seen a scalar.
+    let fresh_suite = || {
+        let mut app = suite.clone();
+        for p in &mut app.phases {
+            p.dist = StackDistanceDist::power_law(p.dist.reuse_span, p.dist.alpha, p.dist.p_new);
+        }
+        app
+    };
+    assert_eq!(
+        run(&fresh_suite()),
+        before,
+        "a rebuild has the suite's bits"
+    );
+    let mut rewritten = suite.clone();
+    assert!(rewritten.phases[0]
+        .dist
+        .shares_tables(&suite.phases[0].dist));
+    let fields = ["p_new", "alpha", "reuse_span"];
+    let rewrite = |app: &mut AppProfile, field: &str| {
+        for p in &mut app.phases {
+            match field {
+                "p_new" => p.dist.p_new *= 2.0,
+                "alpha" => p.dist.alpha += 0.25,
+                _ => p.dist.reuse_span /= 2,
+            }
+        }
+    };
+    for (i, field) in fields.iter().enumerate() {
+        rewrite(&mut rewritten, field);
+        let mut fresh = fresh_suite();
+        for f in &fields[..=i] {
+            rewrite(&mut fresh, f);
+        }
+        assert_eq!(run(&rewritten), run(&fresh), "after rewriting {field}");
+    }
+    let after = run(&rewritten);
+    assert_ne!(after.0, before.0, "the rewrites move the outcome");
+    assert_ne!(after.1, before.1, "the rewrites move the digest");
 }
 
 #[test]

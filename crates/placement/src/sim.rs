@@ -127,6 +127,9 @@ impl PlacementSim {
                 "placement stream has no jobs".into(),
             ));
         }
+        // One suite for every lab: its clones share each locality table,
+        // and with it the table's digest slots and curve memo.
+        let suite = coloc_workloads::standard();
         let mut names: Vec<String> = Vec::new();
         let mut group_spec = Vec::with_capacity(cfg.fleet.groups.len());
         let mut labs = Vec::new();
@@ -136,7 +139,7 @@ impl PlacementSim {
                 None => {
                     let mut lab = Lab::new(
                         g.machine.clone(),
-                        coloc_workloads::standard(),
+                        suite.clone(),
                         derive_seed_str(cfg.seed, &g.machine.name),
                     )?
                     .with_threads(cfg.threads);

@@ -244,12 +244,11 @@ impl PlacementSim {
         self.run_policy_inner(policy, jobs, None).map(|(o, _)| o)
     }
 
-    /// The seeded job stream this config generates.
+    /// The seeded job stream this config generates, over the labs' suite.
     pub fn stream_jobs(&self) -> Result<Vec<u8>> {
-        let suite = coloc_workloads::standard();
-        Ok(JobStream::new(self.cfg.seed, self.cfg.mix, &suite)
-            .map_err(ColocError::InvalidSpec)?
-            .take_jobs(self.cfg.jobs))
+        let mut stream = JobStream::new(self.cfg.seed, self.cfg.mix, self.labs[0].suite())
+            .map_err(ColocError::InvalidSpec)?;
+        Ok(stream.take_jobs(self.cfg.jobs))
     }
 
     fn run_policy_inner(

@@ -98,9 +98,15 @@ impl QueryClient {
         })
     }
 
-    /// Send one raw request line and read one reply line.
+    /// Send one raw request line and read one reply line. The line and
+    /// its newline go out in one write, so in one segment.
     pub fn round_trip(&mut self, line: &str) -> Result<Reply, ColocError> {
-        writeln!(self.writer, "{line}").map_err(|e| ColocError::Machine(format!("send: {e}")))?;
+        let mut frame = String::with_capacity(line.len() + 1);
+        frame.push_str(line);
+        frame.push('\n');
+        self.writer
+            .write_all(frame.as_bytes())
+            .map_err(|e| ColocError::Machine(format!("send: {e}")))?;
         self.writer
             .flush()
             .map_err(|e| ColocError::Machine(format!("flush: {e}")))?;

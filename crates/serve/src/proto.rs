@@ -177,7 +177,10 @@ fn base_reply(id: Option<&str>) -> Map {
     m
 }
 
-/// Build a successful query response line (no trailing newline).
+/// Build a successful query response line (no trailing newline). Every
+/// answer goes out through here, so the fields are written straight into
+/// one `String` instead of through a [`Map`], with the key order and the
+/// token bytes that `Map` would serialize to.
 pub fn ok_line(
     id: Option<&str>,
     time_s: f64,
@@ -185,15 +188,28 @@ pub fn ok_line(
     source: &str,
     degraded: bool,
 ) -> String {
-    let mut m = base_reply(id);
-    m.insert("ok", Value::Bool(true));
-    m.insert("time_s", Value::Float(time_s));
-    if let Some(s) = slowdown {
-        m.insert("slowdown", Value::Float(s));
+    // Room for the keys and two floats of a typical answer.
+    let mut out = String::with_capacity(128 + id.map_or(0, str::len) + source.len());
+    out.push('{');
+    if let Some(id) = id {
+        out.push_str("\"id\":");
+        serde_json::write_escaped(&mut out, id);
+        out.push(',');
     }
-    m.insert("source", Value::Str(source.to_string()));
-    m.insert("degraded", Value::Bool(degraded));
-    serde_json::to_string(&Value::Object(m)).expect("response serialization is total")
+    out.push_str("\"ok\":true,\"time_s\":");
+    serde_json::write_f64(&mut out, time_s);
+    if let Some(s) = slowdown {
+        out.push_str(",\"slowdown\":");
+        serde_json::write_f64(&mut out, s);
+    }
+    out.push_str(",\"source\":");
+    serde_json::write_escaped(&mut out, source);
+    out.push_str(if degraded {
+        ",\"degraded\":true}"
+    } else {
+        ",\"degraded\":false}"
+    });
+    out
 }
 
 /// Build the `ping` response line.
@@ -440,6 +456,92 @@ mod tests {
         };
         assert_eq!(time_s.to_bits(), t.to_bits());
         assert_eq!(slowdown.unwrap().to_bits(), (t * 2.0).to_bits());
+    }
+
+    /// The `Map`/`Value` encoding `ok_line` used to build and serialize:
+    /// the reference its bytes must equal.
+    fn reference_ok_line(
+        id: Option<&str>,
+        time_s: f64,
+        slowdown: Option<f64>,
+        source: &str,
+        degraded: bool,
+    ) -> String {
+        let mut m = base_reply(id);
+        m.insert("ok", Value::Bool(true));
+        m.insert("time_s", Value::Float(time_s));
+        if let Some(s) = slowdown {
+            m.insert("slowdown", Value::Float(s));
+        }
+        m.insert("source", Value::Str(source.to_string()));
+        m.insert("degraded", Value::Bool(degraded));
+        serde_json::to_string(&Value::Object(m)).unwrap()
+    }
+
+    #[test]
+    fn ok_lines_equal_the_map_encoding_and_round_trip() {
+        let ids = [
+            None,
+            Some(""),
+            Some("q7"),
+            Some("say \"hi\""),
+            Some(r"C:\dir\"),
+            Some("nul\u{0} bell\u{7} bs\u{8} tab\t nl\n ff\u{c} cr\r esc\u{1b} us\u{1f} del\u{7f}"),
+            Some("é€😀 中"),
+        ];
+        let floats = [
+            1.0,
+            -3.0,
+            2741.0,
+            0.1,
+            -0.0,
+            1.238_476_190_3e-1_f64.sqrt() * 3.7,
+            2.5e17,
+            1e21,
+            1e300,
+            f64::MAX,
+            1e-7,
+            1e-300,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            5e-324,
+        ];
+        let sources = ["engine", "cache", "predictor", "fallback"];
+        for (i, &time_s) in floats.iter().enumerate() {
+            for slowdown in [None, Some(floats[(i + 5) % floats.len()])] {
+                for id in ids {
+                    for source in sources {
+                        for degraded in [false, true] {
+                            let line = ok_line(id, time_s, slowdown, source, degraded);
+                            let want = reference_ok_line(id, time_s, slowdown, source, degraded);
+                            assert_eq!(line, want);
+                            let Reply::Ok {
+                                id: got_id,
+                                time_s: got_time,
+                                slowdown: got_slowdown,
+                                source: got_source,
+                                degraded: got_degraded,
+                            } = parse_reply(&line).unwrap()
+                            else {
+                                panic!("expected ok, got {line}")
+                            };
+                            assert_eq!(got_id.as_deref(), id, "{line}");
+                            assert_eq!(got_time.to_bits(), time_s.to_bits(), "{line}");
+                            assert_eq!(got_slowdown.map(f64::to_bits), slowdown.map(f64::to_bits));
+                            assert_eq!((got_source.as_str(), got_degraded), (source, degraded));
+                        }
+                    }
+                }
+            }
+        }
+        // A non-finite time writes `null` either way; it cannot round-trip.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let line = ok_line(Some("q"), bad, Some(bad), "engine", false);
+            assert_eq!(
+                line,
+                reference_ok_line(Some("q"), bad, Some(bad), "engine", false)
+            );
+        }
     }
 
     #[test]

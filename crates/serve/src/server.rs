@@ -10,12 +10,15 @@
 //!   [`AdmissionQueue`] — which is where load shedding happens, before
 //!   any work is done;
 //! * per-connection **writers** drain a *bounded* response channel to
-//!   the socket, so a slow or stalled client can never hold a lock or a
-//!   worker: when its channel is full, responses are counted dropped
+//!   the socket, each line together with every line waiting behind it
+//!   in one write, so a slow or stalled client can never hold a lock or
+//!   a worker: when its channel is full, responses are counted dropped
 //!   and the engine moves on;
-//! * the **dispatcher** pops admitted queries in batches, expires the
-//!   ones whose deadline already passed, groups the rest by machine and
-//!   answers each group through one work-stealing engine sweep.
+//! * the **dispatcher** pops admitted queries in batches and groups them
+//!   by machine. It answers every query that needs no engine run itself
+//!   (expired deadlines, predictions, cache hits, degraded rungs) and
+//!   hands each group's cache misses to one work-stealing engine sweep
+//!   on the worker pool; replies leave in arrival order.
 //!
 //! Degradation is a ladder, decided per batch from the queue depth at
 //! dispatch time: below the watermark every `measure` query gets the
@@ -80,13 +83,14 @@ pub struct ServeConfig {
     pub degrade_watermark: usize,
     /// Most queries answered by one engine sweep.
     pub max_batch: usize,
-    /// Threads answering one dispatched batch (0 = one per CPU): the
-    /// dispatcher hands each batch to this many helpers of the
-    /// process-wide worker pool ([`coloc_ml::parallel::run_indexed`])
-    /// and waits; a batch of one query is answered on the dispatcher
-    /// itself. Also the labs' sweep thread count, which training the
-    /// fallback model uses in full: a batch's model is resolved on the
-    /// dispatcher before the hand-off, never inside a pool task.
+    /// Threads running one dispatched batch's engine runs (0 = one per
+    /// CPU). The dispatcher answers every query that needs no engine
+    /// run itself, then hands the batch's cache misses to this many
+    /// helpers of the process-wide worker pool
+    /// ([`coloc_ml::parallel::run_indexed`]) and waits; a single miss
+    /// runs on the dispatcher. Also the labs' sweep thread count, which
+    /// training the fallback model uses in full: a batch's model is
+    /// resolved on the dispatcher, never inside a pool task.
     pub engine_threads: usize,
     /// Deadline applied to queries that carry none.
     pub default_deadline_ms: u64,
@@ -329,7 +333,9 @@ impl Shared {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Answer one admitted query. Returns the response line. `model` is
+    /// Answer one admitted query. Returns the response line, or `None`
+    /// when `run` is false and the answer needs an engine run (an
+    /// undegraded `measure` query whose run is not cached). `model` is
     /// the lab's artifact as the dispatcher resolved it for this batch;
     /// with `None` the query resolves it itself if it needs one.
     fn answer(
@@ -337,12 +343,13 @@ impl Shared {
         p: &Pending,
         degraded: bool,
         model: Option<&Result<Arc<ModelArtifact>, ColocError>>,
-    ) -> String {
+        run: bool,
+    ) -> Option<String> {
         let id = p.req.id.as_deref();
         if Instant::now() > p.deadline {
             Self::bump(&self.counters.shed_deadline);
             let deadline_ms = p.req.deadline_ms.unwrap_or(self.cfg.default_deadline_ms);
-            return proto::err_line(id, &ColocError::Timeout { deadline_ms }, 0);
+            return Some(proto::err_line(id, &ColocError::Timeout { deadline_ms }, 0));
         }
         let lab = &self.labs[p.lab_idx].1;
         let sc = &p.req.scenario;
@@ -358,7 +365,7 @@ impl Shared {
         // swaps the slot, not this batch's model, so every answer comes
         // from exactly one epoch's artifact.
         let model = || model.cloned().unwrap_or_else(|| self.model(p.lab_idx));
-        match p.req.mode {
+        let line = match p.req.mode {
             QueryMode::Predict => match model() {
                 Ok(model) => match lab.featurize(sc) {
                     Ok(features) => reply(model.predictor.predict(&features), "predictor", false),
@@ -368,6 +375,7 @@ impl Shared {
             },
             QueryMode::Measure if !degraded => match lab.cached_run(sc) {
                 Ok(Some(t)) => reply(t, "cache", false),
+                Ok(None) if !run => return None,
                 Ok(None) => match lab.run_scenario(sc) {
                     Ok(t) => reply(t, "engine", false),
                     Err(e) => proto::err_line(id, &e, 0),
@@ -393,7 +401,8 @@ impl Shared {
                 },
                 Err(e) => proto::err_line(id, &e, 0),
             },
-        }
+        };
+        Some(line)
     }
 
     /// Deliver a response line without ever blocking on the client.
@@ -424,8 +433,11 @@ impl Shared {
                 continue;
             }
             let degraded = depth > self.cfg.degrade_watermark;
-            // Group by machine, preserving arrival order within a group,
-            // and answer each group through one `run_indexed` call.
+            // Group by machine, preserving arrival order within a group.
+            // Each group's answers are made here, on the dispatcher,
+            // except its cache misses, which run through one
+            // `run_indexed` call: a pool hand-off costs more than an
+            // answer that needs no engine run.
             let mut groups: Vec<(usize, Vec<Pending>)> = Vec::new();
             for p in batch {
                 match groups.iter_mut().find(|(idx, _)| *idx == p.lab_idx) {
@@ -445,12 +457,26 @@ impl Shared {
                 let needs_model =
                     degraded || group.iter().any(|p| p.req.mode == QueryMode::Predict);
                 let model = needs_model.then(|| self.model(lab_idx));
-                let lines =
-                    coloc_ml::parallel::run_indexed(group.len(), self.cfg.engine_threads, |i| {
-                        self.answer(&group[i], degraded, model.as_ref())
+                let mut lines: Vec<Option<String>> = group
+                    .iter()
+                    .map(|p| self.answer(p, degraded, model.as_ref(), false))
+                    .collect();
+                let misses: Vec<usize> = (0..group.len()).filter(|&i| lines[i].is_none()).collect();
+                // A miss task answers its query from the top: its deadline
+                // is checked again, and a scenario an earlier task of the
+                // batch just ran is answered from the cache.
+                let runs =
+                    coloc_ml::parallel::run_indexed(misses.len(), self.cfg.engine_threads, |k| {
+                        self.answer(&group[misses[k]], degraded, model.as_ref(), true)
                     });
+                for (&i, line) in misses.iter().zip(runs) {
+                    lines[i] = line;
+                }
+                // Replies leave in arrival order, misses in their place.
                 for (pending, line) in group.iter().zip(lines) {
-                    self.send(pending, line);
+                    if let Some(line) = line {
+                        self.send(pending, line);
+                    }
                 }
             }
         }
@@ -459,7 +485,7 @@ impl Shared {
 
 /// Maximum accepted request-line length; longer lines are a protocol
 /// violation and close the connection (bounds per-connection memory).
-const MAX_LINE: usize = 1 << 20;
+pub const MAX_LINE: usize = 1 << 20;
 
 /// One bound listen socket, TCP or Unix, behind a common nonblocking
 /// accept. Accepted connections come back as boxed read/write halves so
@@ -517,6 +543,8 @@ impl Drop for Listener {
 /// Read side of one connection.
 fn reader_loop(shared: &Shared, mut conn: Box<dyn Read + Send>, reply: SyncSender<String>) {
     let mut pending = Vec::new();
+    // Bytes at the front of `pending` already searched for a newline.
+    let mut scanned = 0;
     let mut chunk = [0u8; 4096];
     loop {
         if shared.should_drain() {
@@ -535,7 +563,9 @@ fn reader_loop(shared: &Shared, mut conn: Box<dyn Read + Send>, reply: SyncSende
             let _ = reply.try_send(proto::bad_request_line("request line exceeds 1 MiB"));
             return;
         }
-        while let Some(nl) = pending.iter().position(|&b| b == b'\n') {
+        while let Some(at) = pending[scanned..].iter().position(|&b| b == b'\n') {
+            let nl = scanned + at;
+            scanned = 0;
             let line: Vec<u8> = pending.drain(..=nl).collect();
             let line = String::from_utf8_lossy(&line[..nl]);
             let line = line.trim();
@@ -544,6 +574,7 @@ fn reader_loop(shared: &Shared, mut conn: Box<dyn Read + Send>, reply: SyncSende
             }
             handle_line(shared, line, &reply);
         }
+        scanned = pending.len();
     }
 }
 
@@ -619,20 +650,23 @@ fn handle_line(shared: &Shared, line: &str, reply: &SyncSender<String>) {
 }
 
 /// Write side of one connection: drains the bounded channel until every
-/// sender (reader + pending queries) is gone, then closes. After a write
-/// failure the channel keeps draining into the void so no sender can
-/// ever block on a dead client.
+/// sender (reader + pending queries) is gone, then closes. Each line goes
+/// out with its newline and every line already waiting behind it, in one
+/// write. After a write failure the channel keeps draining into the void
+/// so no sender can ever block on a dead client.
 fn writer_loop(mut conn: Box<dyn Write + Send>, rx: Receiver<String>) {
     let mut dead = false;
+    let mut out = String::new();
     while let Ok(line) = rx.recv() {
         if dead {
             continue;
         }
-        if conn
-            .write_all(line.as_bytes())
-            .and_then(|_| conn.write_all(b"\n"))
-            .is_err()
-        {
+        out.clear();
+        for line in std::iter::once(line).chain(rx.try_iter().take(REPLY_CHANNEL_BOUND)) {
+            out.push_str(&line);
+            out.push('\n');
+        }
+        if conn.write_all(out.as_bytes()).is_err() {
             dead = true;
         }
     }
@@ -893,6 +927,55 @@ mod tests {
         let final_frame = handle.join();
         assert_eq!(final_frame.completed, 2);
         assert_eq!(final_frame.queue_depth, 0);
+    }
+
+    #[test]
+    fn a_batch_mixing_misses_and_inline_answers_replies_in_arrival_order() {
+        let handle = Server::spawn(ServeConfig {
+            engine_threads: 2,
+            ..test_config()
+        })
+        .unwrap();
+        let (mut reader, mut conn) = connect(&handle);
+        // P2 is outside the fallback model's training plan, so nothing
+        // at P2 is cached before the warm-up query runs.
+        let warm = r#"{"op":"query","id":"w","target":"cg","co":[["ep",1]],"pstate":2}"#;
+        assert!(ask(&mut reader, &mut conn, warm).contains(r#""source":"engine""#));
+        // Misses, cache hits and predictions, written in one piece so
+        // they reach the dispatcher together.
+        let kinds = [
+            "miss", "predict", "hit", "miss", "hit", "predict", "miss", "hit",
+        ];
+        let mut burst = String::new();
+        for (i, kind) in kinds.iter().enumerate() {
+            let (count, mode) = match *kind {
+                "miss" => (2 + i / 3, "measure"),
+                "hit" => (1, "measure"),
+                _ => (3, "predict"),
+            };
+            burst.push_str(&format!(
+                r#"{{"op":"query","id":"q{i}","target":"cg","co":[["ep",{count}]],"pstate":2,"mode":"{mode}"}}"#
+            ));
+            burst.push('\n');
+        }
+        conn.write_all(burst.as_bytes()).unwrap();
+        for (i, kind) in kinds.iter().enumerate() {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let proto::Reply::Ok { id, source, .. } = proto::parse_reply(line.trim()).unwrap()
+            else {
+                panic!("expected ok, got {line}")
+            };
+            assert_eq!(id, Some(format!("q{i}")), "{line}");
+            let want = match *kind {
+                "miss" => "engine",
+                "hit" => "cache",
+                _ => "predictor",
+            };
+            assert_eq!(source, want, "{line}");
+        }
+        handle.shutdown();
+        handle.join();
     }
 
     #[test]

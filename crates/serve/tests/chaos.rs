@@ -7,7 +7,7 @@
 
 use coloc_model::ColocError;
 use coloc_serve::proto::QueryMode;
-use coloc_serve::server::{BindAddr, ServeConfig, Server};
+use coloc_serve::server::{BindAddr, ServeConfig, Server, MAX_LINE};
 use coloc_serve::{signals, QueryClient, Reply, RetryPolicy};
 use std::io::Write;
 use std::net::TcpStream;
@@ -272,6 +272,70 @@ fn draining_server_refuses_new_work_with_typed_error() {
         }
         Err(other) => panic!("unexpected error: {other}"),
     }
+    handle.join();
+}
+
+/// A request line just under the 1 MiB bound, long because of its `id`,
+/// is read, parsed and answered within its deadline, id echoed intact,
+/// and a second connection is answered meanwhile: no part of the path
+/// may cost more than linear time in the line.
+#[test]
+fn a_line_just_under_the_bound_is_answered_within_its_deadline() {
+    const DEADLINE_MS: u64 = 10_000;
+    let _guard = serial();
+    signals::reset();
+    let handle = Server::spawn(chaos_config()).unwrap();
+    let addr = handle.local_addr().unwrap().to_string();
+
+    // Escapes and 2-, 3- and 4-byte characters throughout, padded with
+    // ASCII so the line and its newline come to exactly `MAX_LINE` bytes.
+    let head = r#"{"op":"query","id":"#;
+    let tail = format!(r#","target":"ep","mode":"predict","deadline_ms":{DEADLINE_MS}}}"#);
+    let unit = "q-é€😀\"\\\n";
+    let unit_len = serde_json::to_string(unit).unwrap().len() - 2;
+    let room = MAX_LINE - 1 - head.len() - tail.len() - 2;
+    let mut id = unit.repeat(room / unit_len);
+    id.push_str(&"x".repeat(room % unit_len));
+    let line = format!("{head}{}{tail}", serde_json::to_string(&id).unwrap());
+    assert_eq!(line.len() + 1, MAX_LINE);
+
+    let mut long = QueryClient::connect_tcp(&addr).unwrap();
+    let sent = Instant::now();
+    let answered = std::thread::spawn(move || (long.round_trip(&line), sent.elapsed()));
+
+    // Meanwhile, a second connection is answered promptly.
+    let mut probe = QueryClient::connect_tcp(&addr).unwrap();
+    for _ in 0..3 {
+        let t0 = Instant::now();
+        probe.ping().unwrap();
+        match probe.query(&solo("cg", 0), QueryMode::Predict, None, None) {
+            Ok(Reply::Ok { source, .. }) => assert_eq!(source, "predictor"),
+            other => panic!("probe query: {other:?}"),
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "the probe stalled behind the long line: {:?}",
+            t0.elapsed()
+        );
+    }
+
+    let (reply, elapsed) = answered.join().unwrap();
+    assert!(
+        elapsed < Duration::from_millis(DEADLINE_MS),
+        "the long line took {elapsed:?}"
+    );
+    match reply.unwrap() {
+        Reply::Ok {
+            id: Some(got),
+            source,
+            ..
+        } => {
+            assert!(got == id, "the id came back altered");
+            assert_eq!(source, "predictor");
+        }
+        other => panic!("expected an answer, got {other:?}"),
+    }
+    handle.shutdown();
     handle.join();
 }
 

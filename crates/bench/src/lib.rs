@@ -2,11 +2,10 @@
 //!
 //! The reproduction harness: one generator per table and figure in the
 //! paper's evaluation, plus the ablations and the `chaos` and
-//! `conformance` artifacts, shared by the `repro` binary (which prints
-//! them) and the Criterion benchmarks (which time the underlying
-//! components). End-to-end timing lives in the separate `perfbench`
-//! package; the placement and cross-interference results reproduce with
-//! `coloc place` and `coloc matrix`.
+//! `conformance` artifacts, which the `repro` binary prints. Timing lives
+//! only in the separate `perfbench` package; the placement and
+//! cross-interference results reproduce with `coloc place` and
+//! `coloc matrix`.
 //!
 //! Generated artifacts are cached as JSON under `repro-out/` (next to the
 //! workspace root, override with `COLOC_REPRO_DIR`) because the full
@@ -18,7 +17,6 @@ pub mod cache;
 pub mod chaos;
 pub mod conformance;
 pub mod figures;
-pub mod synth;
 pub mod tables;
 
 use coloc_machine::presets;

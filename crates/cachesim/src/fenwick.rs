@@ -8,8 +8,7 @@
 //! distance as the number of marked slots after the line's previous
 //! access — an O(log n) query + two O(log n) updates per access.
 //!
-//! Equivalence with the naive analyzer is property-tested; a Criterion
-//! bench contrasts their scaling.
+//! Equivalence with the naive analyzer is property-tested.
 
 use crate::Line;
 use std::collections::HashMap;

@@ -4,11 +4,12 @@ use crate::args::ArgMap;
 use coloc_machine::{FaultPlan, MachineSpec, SegmentTrace, StageId, StageProfile};
 use coloc_model::lab::CheckpointConfig;
 use coloc_model::persist;
-use coloc_model::scheduler::{Policy, Scheduler};
 use coloc_model::{
     ColocError, CrossMatrix, FeatureSet, Lab, ModelKind, ModelRegistry, Scenario, TrainPolicy,
     TrainRequest, TrainingPlan,
 };
+use coloc_placement::fleet::MAX_SOCKETS;
+use coloc_placement::{ClassMix, FleetSpec, PlacePolicy, PlacementSim, SimConfig};
 use coloc_serve::proto::QueryMode;
 use coloc_serve::server::{BindAddr, ServeConfig, Server};
 use coloc_serve::{QueryClient, Reply, RetryPolicy};
@@ -307,49 +308,105 @@ pub fn predict(argv: &[String]) -> CmdResult {
 }
 
 /// `coloc schedule --machine <key> --model <file> --jobs a,b,c --sockets N`
+///
+/// One wave of a single-group [`PlacementSim`]: the listed jobs, placed
+/// by the loaded model and scored against the simulator.
 pub fn schedule(argv: &[String]) -> CmdResult {
     let args = ArgMap::parse(argv)?;
     if args.has_flag("help") {
         println!(
             "coloc schedule --machine <key> --model <file> --jobs a,b,c \
-             [--sockets N] [--pstate N] [--naive]"
+             [--sockets N] [--pstate N] [--seed N] [--threads N] [--naive]\n\n\
+             Places the listed jobs on N sockets of one machine at once.\n\
+             Least-interference (the default) puts each job, in suite order,\n\
+             where the model predicts the smallest added slowdown, empty\n\
+             sockets first on ties; --naive packs socket by socket instead.\n\
+             Slowdowns are normalized by the model's own solo prediction.\n\
+             Every job's expected slowdown (when it was placed) prints beside\n\
+             the slowdown the simulator measures on its final socket."
         );
         return Ok(());
     }
-    let lab = lab_from(&args)?;
+    let fleet = FleetSpec::single(
+        machine_by_key(args.get("machine").unwrap_or("e5649"))?,
+        args.get_parsed_or("sockets", 1usize)?,
+    );
+    // Validated first: an unchecked socket count overflows the capacity.
+    fleet
+        .validate()
+        .map_err(|e| ColocError::InvalidSpec(e).to_string())?;
+    let suite = coloc_workloads::standard();
+    let jobs = args
+        .require("jobs")?
+        .split(',')
+        .map(|name| {
+            let name = name.trim();
+            suite
+                .iter()
+                .position(|b| b.name == name)
+                .map(|app| app as u8)
+                .ok_or_else(|| ColocError::UnknownApp(name.to_string()).to_string())
+        })
+        .collect::<Result<Vec<u8>, String>>()?;
+    if jobs.len() > fleet.total_cores() {
+        return Err(format!(
+            "{} jobs exceed {} sockets × {} cores",
+            jobs.len(),
+            fleet.total_sockets(),
+            fleet.groups[0].machine.cores
+        ));
+    }
     let artifact = ModelRegistry::new()
         .load(args.require("model")?)
         .map_err(|e| e.to_string())?;
-    let model = &artifact.predictor;
-    let jobs: Vec<String> = args
-        .require("jobs")?
-        .split(',')
-        .map(|s| s.trim().to_string())
-        .collect();
-    let sockets = args.get_parsed_or("sockets", 1usize)?;
-    let pstate = args.get_parsed_or("pstate", 0usize)?;
     let policy = if args.has_flag("naive") {
-        Policy::PackFirstFit
+        PlacePolicy::PackFirstFit
     } else {
-        Policy::LeastInterference
+        PlacePolicy::LeastInterference
     };
-    let sched = Scheduler::new(&lab, model, pstate);
-    let placement = sched
-        .place(&jobs, sockets, policy)
+    let cfg = SimConfig {
+        fleet,
+        seed: args.get_parsed_or("seed", 2015u64)?,
+        pstate: args.get_parsed_or("pstate", 0usize)?,
+        threads: args.get_parsed_or("threads", 0usize)?,
+        ..SimConfig::smoke(jobs.len())
+    };
+    let mut sim = PlacementSim::with_artifact(cfg, artifact).map_err(|e| e.to_string())?;
+    let (outcome, placed) = sim
+        .run_policy_on_jobs(policy, jobs)
         .map_err(|e| e.to_string())?;
-    for (i, s) in placement.sockets.iter().enumerate() {
-        println!("socket {i}: {}", s.jobs.join(", "));
+
+    let mut sockets: std::collections::BTreeMap<u32, Vec<&str>> = Default::default();
+    for a in &placed {
+        sockets
+            .entry(a.socket)
+            .or_default()
+            .push(suite[a.app as usize].name);
     }
-    if placement.predicted_slowdowns.is_empty() {
-        println!("no jobs placed");
-        return Ok(());
+    for (socket, names) in &sockets {
+        println!("socket {socket}: {}", names.join(", "));
     }
     println!(
-        "predicted slowdown: mean {:.3}x, worst {:.3}x, unfairness {:.3} ({} sockets used)",
-        placement.mean_slowdown().map_err(|e| e.to_string())?,
-        placement.max_slowdown().map_err(|e| e.to_string())?,
-        placement.unfairness().map_err(|e| e.to_string())?,
-        placement.sockets_used()
+        "{:>4}  {:<14} {:>6}  {:>9}  {:>9}",
+        "job", "app", "socket", "expected", "measured"
+    );
+    for a in &placed {
+        println!(
+            "{:>4}  {:<14} {:>6}  {:>8.3}x  {:>8.3}x",
+            a.job, suite[a.app as usize].name, a.socket, a.expected, a.oracle
+        );
+    }
+    println!("policy: {}", outcome.policy);
+    println!(
+        "expected slowdown: mean {:.3}x (regret {:.4})",
+        outcome.expected_mean_slowdown, outcome.regret_mean
+    );
+    println!(
+        "measured slowdown: mean {:.3}x, worst {:.3}x, unfairness {:.3} ({} sockets used)",
+        outcome.oracle_mean_slowdown,
+        outcome.oracle_max_slowdown,
+        outcome.unfairness,
+        outcome.sockets_used
     );
     Ok(())
 }
@@ -548,8 +605,6 @@ pub fn trace(argv: &[String]) -> CmdResult {
 /// --sockets N] [--mix <name>] [--policy <name>|all] [--qos X]
 /// [--seed N] [--threads N] [--out <file>]`
 pub fn place(argv: &[String]) -> CmdResult {
-    use coloc_placement::fleet::MAX_SOCKETS;
-    use coloc_placement::{ClassMix, FleetSpec, PlacePolicy, PlacementSim, SimConfig};
     let args = ArgMap::parse(argv)?;
     if args.has_flag("help") {
         println!(

@@ -187,10 +187,10 @@ impl PlacementLaw for JobPermutationInvariance {
         permuted.shuffle(&mut StdRng::seed_from_u64(case.seed.wrapping_add(1)));
 
         let mut sim = case.sim()?;
-        let base = sim
+        let (base, _) = sim
             .run_policy_on_jobs(policy, jobs)
             .map_err(|e| format!("base run failed: {e}"))?;
-        let shuffled = sim
+        let (shuffled, _) = sim
             .run_policy_on_jobs(policy, permuted)
             .map_err(|e| format!("permuted run failed: {e}"))?;
         if outcome_bits(&base) != outcome_bits(&shuffled) {
@@ -300,10 +300,10 @@ impl PlacementLaw for EmptyMachineNeverHurts {
         let jobs = case.stream()?;
         let mut small = case.sim()?;
         let mut grown = case.sim_with_sockets(case.sockets + 1)?;
-        let base = small
+        let (base, _) = small
             .run_policy_on_jobs(policy, jobs.clone())
             .map_err(|e| format!("base fleet run failed: {e}"))?;
-        let wide = grown
+        let (wide, _) = grown
             .run_policy_on_jobs(policy, jobs)
             .map_err(|e| format!("grown fleet run failed: {e}"))?;
         match policy {

@@ -24,13 +24,12 @@
 //!    MPE/NRMSE, the numbers behind Figs. 1–4.
 //!
 //! Beyond the paper's core results, the crate implements its §IV-B1
-//! class-average prediction mode ([`classavg`]), its §VI energy-modeling
-//! extension ([`energy`]), and an interference-aware scheduler
-//! ([`scheduler`]) of the kind the introduction motivates.
+//! class-average prediction mode ([`classavg`]). The interference-aware
+//! scheduler the introduction motivates is the `coloc-placement` crate,
+//! built on this one.
 
 pub mod baseline;
 pub mod classavg;
-pub mod energy;
 pub mod experiment;
 pub mod features;
 pub mod lab;
@@ -44,7 +43,6 @@ pub mod robust;
 pub mod sample;
 pub mod sanitize;
 pub mod scenario;
-pub mod scheduler;
 
 pub use baseline::{AppBaseline, BaselineDb};
 pub use experiment::{evaluate_model, ModelEvaluation};

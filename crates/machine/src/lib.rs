@@ -31,7 +31,6 @@ pub mod cache;
 pub mod engine;
 pub mod event;
 pub mod faults;
-pub mod governor;
 pub mod ir;
 pub mod presets;
 pub mod spec;
@@ -44,7 +43,6 @@ pub use engine::{
 };
 pub use event::{Event, EventKind, EventQueue, GroupSchedule};
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
-pub use governor::{run_throttled, GovernorConfig, ThermalModel, ThrottledOutcome};
 pub use ir::{IrWriter, ScenarioIr};
 pub use spec::MachineSpec;
 

@@ -66,9 +66,20 @@ impl SpecEstimator {
     /// deterministic and cheap; the sharded run cache memoizes the plan's
     /// scenarios.
     pub fn train_with(registry: &ModelRegistry, lab: &Lab, pstate: usize) -> Result<SpecEstimator> {
+        let artifact = registry.resolve(lab, &Self::request(lab, pstate))?;
+        Self::from_artifact(lab, artifact, pstate)
+    }
+
+    /// An estimator over a given artifact — a trained or loaded model of
+    /// any kind and feature set — evaluated on `lab`'s features at
+    /// `pstate`.
+    pub fn from_artifact(
+        lab: &Lab,
+        artifact: Arc<ModelArtifact>,
+        pstate: usize,
+    ) -> Result<SpecEstimator> {
         let app_names: Vec<String> = lab.suite().iter().map(|b| b.name.to_string()).collect();
         assert!(app_names.len() <= MAX_APPS, "suite exceeds key packing");
-        let artifact = registry.resolve(lab, &Self::request(lab, pstate))?;
         let solo = app_names
             .iter()
             .map(|name| {

@@ -3,14 +3,15 @@
 //! The paper motivates its prediction methodology with "intelligent
 //! application scheduling … increasing opportunities for server
 //! consolidation to save power while still maintaining quality of
-//! service". `crates/core`'s [`coloc_model::scheduler`] does that for one
-//! machine; this crate scales the same idea to a fleet: millions of
-//! seeded synthetic jobs, thousands of simulated sockets across four
-//! machine presets, predictor-guided policies, and — because the
-//! workloads are simulated — an *oracle* that re-measures every final
-//! placement in the engine and scores each policy by its **regret**: the
-//! gap between what the policy expected at decision time and what the
-//! oracle measured once the dust settled.
+//! service". This crate is that scheduler, from one machine's sockets
+//! (`coloc schedule`, a single-group fleet placing the jobs it is given)
+//! up to a fleet (`coloc place`): millions of seeded synthetic jobs,
+//! thousands of simulated sockets across four machine presets,
+//! predictor-guided policies, and — because the workloads are simulated
+//! — an *oracle* that re-measures every final placement in the engine
+//! and scores each policy by its **regret**: the gap between what the
+//! policy expected at decision time and what the oracle measured once
+//! the dust settled.
 //!
 //! ## The model
 //!

@@ -4,8 +4,8 @@
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum PlacePolicy {
     /// Fill sockets in id order, each to capacity, interference-blind —
-    /// maximum consolidation, the fleet analogue of
-    /// `coloc_model::scheduler::Policy::PackFirstFit`.
+    /// maximum consolidation, the naive baseline (`coloc schedule
+    /// --naive`).
     PackFirstFit,
     /// Greedy: each job goes to the candidate socket with the smallest
     /// predicted marginal slowdown (ties: fewer occupants, lower group,

@@ -29,7 +29,8 @@ use crate::report::{PlacementReport, PolicyOutcome};
 use crate::Result;
 use coloc_machine::IrWriter;
 use coloc_ml::rng::derive_seed_str;
-use coloc_model::{ColocError, Lab};
+use coloc_model::{ColocError, Lab, ModelArtifact, ModelRegistry};
+use std::sync::Arc;
 
 /// Candidate ranking: the sort key (predicted-delta bits, occupants,
 /// group, contents — a deterministic total order) plus the candidate
@@ -86,8 +87,9 @@ struct Placed {
     expected: f64,
 }
 
-/// One job's final assignment, for inspection and property checks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+/// One job's final assignment and its two slowdowns, for inspection
+/// and property checks.
+#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Assignment {
     /// Stream index of the job.
     pub job: usize,
@@ -97,10 +99,16 @@ pub struct Assignment {
     pub socket: u32,
     /// Wave the job was placed in.
     pub wave: usize,
+    /// Decision-time expected slowdown: what the policy predicted for the
+    /// job on its socket as the socket stood when the job landed.
+    pub expected: f64,
+    /// Oracle (measured) slowdown of the job on its socket's final
+    /// contents.
+    pub oracle: f64,
 }
 
-/// The placement simulator: per-spec labs, trained estimators, and
-/// oracles, shared across policies so memoization compounds.
+/// The placement simulator: per-spec labs, estimators and oracles,
+/// shared across policies so memoization compounds.
 pub struct PlacementSim {
     cfg: SimConfig,
     /// One lab per *distinct* machine spec (by name).
@@ -115,6 +123,26 @@ impl PlacementSim {
     /// Validate the fleet, build one lab per distinct spec (seeded from
     /// the config seed and the spec name), and train each estimator.
     pub fn new(cfg: SimConfig) -> Result<PlacementSim> {
+        // One registry across the fleet: specs sharing a machine resolve
+        // the same digest-addressed artifact instead of retraining.
+        let registry = ModelRegistry::new();
+        Self::build(cfg, |lab, pstate| {
+            SpecEstimator::train_with(&registry, lab, pstate)
+        })
+    }
+
+    /// Like [`PlacementSim::new`], but every spec's estimator evaluates
+    /// `artifact` (a loaded model) instead of training its own.
+    pub fn with_artifact(cfg: SimConfig, artifact: Arc<ModelArtifact>) -> Result<PlacementSim> {
+        Self::build(cfg, |lab, pstate| {
+            SpecEstimator::from_artifact(lab, artifact.clone(), pstate)
+        })
+    }
+
+    fn build(
+        cfg: SimConfig,
+        mut estimator: impl FnMut(&Lab, usize) -> Result<SpecEstimator>,
+    ) -> Result<PlacementSim> {
         cfg.fleet.validate().map_err(ColocError::InvalidSpec)?;
         if !cfg.qos_threshold.is_finite() {
             return Err(ColocError::InvalidSpec(format!(
@@ -153,12 +181,9 @@ impl PlacementSim {
             };
             group_spec.push(idx);
         }
-        // One registry across the fleet: specs sharing a machine resolve
-        // the same digest-addressed artifact instead of retraining.
-        let registry = coloc_model::ModelRegistry::new();
         let estimators = labs
             .iter()
-            .map(|lab| SpecEstimator::train_with(&registry, lab, cfg.pstate))
+            .map(|lab| estimator(lab, cfg.pstate))
             .collect::<Result<Vec<_>>>()?;
         let oracles = labs
             .iter()
@@ -230,18 +255,21 @@ impl PlacementSim {
     }
 
     /// Place an *explicit* job list (suite app indices) instead of the
-    /// seeded stream — the conformance permutation law reorders jobs and
-    /// requires the scored outcome to stay bit-identical.
+    /// seeded stream, additionally returning every job's [`Assignment`]
+    /// in list order. `coloc schedule` places the jobs it is given; the
+    /// conformance permutation law reorders jobs and requires the scored
+    /// outcome to stay bit-identical.
     pub fn run_policy_on_jobs(
         &mut self,
         policy: PlacePolicy,
         jobs: Vec<u8>,
-    ) -> Result<PolicyOutcome> {
+    ) -> Result<(PolicyOutcome, Vec<Assignment>)> {
         let apps = self.labs[0].suite().len() as u8;
         if let Some(&bad) = jobs.iter().find(|&&a| a >= apps) {
             return Err(ColocError::UnknownApp(format!("job app index {bad}")));
         }
-        self.run_policy_inner(policy, jobs, None).map(|(o, _)| o)
+        let (outcome, trace) = self.run_policy_inner(policy, jobs, Some(Vec::new()))?;
+        Ok((outcome, trace.expect("trace requested")))
     }
 
     /// The seeded job stream this config generates, over the labs' suite.
@@ -322,16 +350,18 @@ impl PlacementSim {
                 digest.u64(p.socket as u64);
                 digest.f64(p.expected);
                 digest.f64(oracle_sd);
+                if let Some(t) = trace.as_mut() {
+                    t.push(Assignment {
+                        job: p.job,
+                        app: p.app,
+                        socket: p.socket,
+                        wave: waves,
+                        expected: p.expected,
+                        oracle: oracle_sd,
+                    });
+                }
             }
 
-            if let Some(t) = trace.as_mut() {
-                t.extend(placed.iter().map(|p| Assignment {
-                    job: p.job,
-                    app: p.app,
-                    socket: p.socket,
-                    wave: waves,
-                }));
-            }
             sockets_used = sockets_used.max(fleet.sockets_used());
             waves += 1;
             fleet.reset();

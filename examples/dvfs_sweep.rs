@@ -1,73 +1,44 @@
-//! P-state (DVFS) sensitivity of co-location degradation, plus the
-//! paper's §VI energy extension.
+//! P-state (DVFS) sensitivity of co-location degradation.
 //!
 //! Memory-bound applications lose less from frequency scaling than
 //! compute-bound ones (the memory wall), and co-location degradation
-//! interacts with the P-state. The energy model composes predicted time
-//! with DVFS-aware socket power to find the energy-optimal P-state.
+//! interacts with the P-state. The models take the target's baseline
+//! time at the running P-state as a feature, so one model trained across
+//! P-states predicts the slowdown at each.
 //!
 //! Run with: `cargo run --release --example dvfs_sweep`
 
 use coloc::machine::presets;
-use coloc::model::energy::{EnergyPredictor, PowerModel};
 use coloc::model::{FeatureSet, Lab, ModelKind, Predictor, Scenario, TrainingPlan};
 use coloc::workloads::standard;
 
 fn main() {
     let lab = Lab::new(presets::xeon_e5649(), standard(), 21).expect("valid preset");
-    let spec_pstates = lab.machine().spec().pstates_ghz.clone();
 
-    // Degradation vs. P-state, measured.
-    println!("measured slowdown of canneal under 5x cg, per P-state:");
+    // Train a predictor across all P-states.
+    let plan = TrainingPlan {
+        counts: vec![1, 3, 5],
+        ..lab.paper_plan()
+    };
+    println!("training on {} runs…", plan.len());
+    let samples = lab.collect(&plan).expect("sweep");
+    let nn = Predictor::train(ModelKind::NeuralNet, FeatureSet::F, &samples, 5).expect("train");
+
+    println!("\nslowdown of canneal under 5x cg, per P-state:");
+    println!(
+        "{:>4} {:>6} {:>10} {:>10}",
+        "P", "GHz", "measured", "predicted"
+    );
     let base = lab
         .baselines()
         .get("canneal")
         .expect("canneal")
         .exec_time_s
         .clone();
-    for (p, f) in spec_pstates.iter().enumerate() {
+    for (p, ghz) in lab.machine().spec().pstates_ghz.iter().enumerate() {
         let sc = Scenario::homogeneous("canneal", "cg", 5, p);
-        let t = lab.run_scenario(&sc).expect("run");
-        println!(
-            "  P{p} ({f:.2} GHz): {:.0}s vs baseline {:.0}s = {:.3}x",
-            t,
-            base[p],
-            t / base[p]
-        );
+        let measured = lab.run_scenario(&sc).expect("run") / base[p];
+        let predicted = nn.predict_slowdown(&lab.featurize(&sc).expect("features"));
+        println!("{p:>4} {ghz:>6.2} {measured:>9.3}x {predicted:>9.3}x");
     }
-
-    // Train a predictor across all P-states and use it for energy planning.
-    let plan = TrainingPlan {
-        counts: vec![1, 3, 5],
-        ..lab.paper_plan()
-    };
-    println!("\ntraining on {} runs…", plan.len());
-    let samples = lab.collect(&plan).expect("sweep");
-    let nn = Predictor::train(ModelKind::NeuralNet, FeatureSet::F, &samples, 5).expect("train");
-    let energy = EnergyPredictor::new(&nn, PowerModel::default());
-
-    println!("\npredicted time/power/energy for canneal+5x cg per P-state:");
-    println!(
-        "{:>4} {:>10} {:>10} {:>12}",
-        "P", "time (s)", "power (W)", "energy (kJ)"
-    );
-    let mut best = (0usize, f64::INFINITY);
-    for p in 0..spec_pstates.len() {
-        let sc = Scenario::homogeneous("canneal", "cg", 5, p);
-        let est = energy.predict(&lab, &sc).expect("estimate");
-        if est.socket_energy_j < best.1 {
-            best = (p, est.socket_energy_j);
-        }
-        println!(
-            "{:>4} {:>10.1} {:>10.1} {:>12.2}",
-            p,
-            est.predicted_time_s,
-            est.socket_power_w,
-            est.socket_energy_j / 1e3
-        );
-    }
-    println!(
-        "\nenergy-optimal P-state for this co-location: P{} ({:.2} GHz)",
-        best.0, spec_pstates[best.0]
-    );
 }

@@ -2,29 +2,21 @@
 //! introduction motivates.
 //!
 //! A batch of mixed jobs must be consolidated onto two sockets. A naive
-//! packer fills the first socket and then the second; the model-driven
-//! scheduler spreads memory-hungry jobs so they do not fight for the same
-//! LLC and memory bus. We verify the predicted win by actually running
-//! both placements on the simulator.
+//! packer fills the first socket and then the second; least-interference
+//! placement spreads memory-hungry jobs so they do not fight for the same
+//! LLC and memory bus. The simulator then measures every job on its
+//! final socket, so each job's expected slowdown prints beside the
+//! measured one.
 //!
 //! Run with: `cargo run --release --example scheduler`
 
 use coloc::machine::presets;
-use coloc::model::scheduler::{Policy, Scheduler};
-use coloc::model::{FeatureSet, Lab, ModelKind, Predictor, Scenario};
+use coloc::placement::{FleetSpec, PlacePolicy, PlacementSim, SimConfig};
 use coloc::workloads::standard;
 
 fn main() {
-    let lab = Lab::new(presets::xeon_e5649(), standard(), 11).expect("valid preset");
-
-    // Train on the paper's sweep (thinned for example runtime).
-    let plan = lab.paper_plan().thinned(3, 1);
-    println!("training on {} runs…", plan.len());
-    let samples = lab.collect(&plan).expect("sweep");
-    let model = Predictor::train(ModelKind::NeuralNet, FeatureSet::E, &samples, 3).expect("train");
-
     // The batch: four memory hogs, four moderate, four compute-bound.
-    let jobs: Vec<String> = [
+    let batch = [
         "cg",
         "cg",
         "streamcluster",
@@ -37,49 +29,49 @@ fn main() {
         "ep",
         "blackscholes",
         "blackscholes",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    ];
+    let suite = standard();
+    let jobs: Vec<u8> = batch
+        .iter()
+        .map(|name| {
+            suite
+                .iter()
+                .position(|b| b.name == *name)
+                .expect("suite app") as u8
+        })
+        .collect();
 
-    let sched = Scheduler::new(&lab, &model, 0);
-    for policy in [Policy::PackFirstFit, Policy::LeastInterference] {
-        let placement = sched.place(&jobs, 2, policy).expect("placement fits");
-        println!("\n--- {policy:?} ---");
-        for (i, s) in placement.sockets.iter().enumerate() {
-            println!("socket {i}: {:?}", s.jobs);
+    // Two E5649 sockets; the simulator trains its linear estimator on
+    // the registry's plan before placing anything.
+    let cfg = SimConfig {
+        fleet: FleetSpec::single(presets::xeon_e5649(), 2),
+        seed: 11,
+        ..SimConfig::smoke(jobs.len())
+    };
+    let mut sim = PlacementSim::new(cfg).expect("valid fleet");
+    for policy in [PlacePolicy::PackFirstFit, PlacePolicy::LeastInterference] {
+        let (outcome, placed) = sim
+            .run_policy_on_jobs(policy, jobs.clone())
+            .expect("placement fits");
+        println!("\n--- {policy} ---");
+        for socket in 0..2 {
+            let line: Vec<String> = placed
+                .iter()
+                .filter(|a| a.socket == socket)
+                .map(|a| {
+                    let name = suite[a.app as usize].name;
+                    format!("{name} {:.3}/{:.3}", a.expected, a.oracle)
+                })
+                .collect();
+            println!("socket {socket} (expected/measured): {}", line.join(", "));
         }
         println!(
-            "predicted slowdown: mean {:.3}, worst {:.3}",
-            placement.mean_slowdown().expect("non-empty placement"),
-            placement.max_slowdown().expect("non-empty placement")
+            "expected slowdown: mean {:.3}",
+            outcome.expected_mean_slowdown
         );
-
-        // Ground truth: measure each job's actual slowdown in its socket.
-        let mut actual = Vec::new();
-        for s in &placement.sockets {
-            for (i, job) in s.jobs.iter().enumerate() {
-                let mut co: Vec<(String, usize)> = Vec::new();
-                for (k, n) in s.jobs.iter().enumerate() {
-                    if k != i {
-                        match co.iter_mut().find(|(name, _)| name == n) {
-                            Some((_, c)) => *c += 1,
-                            None => co.push((n.clone(), 1)),
-                        }
-                    }
-                }
-                let sc = Scenario {
-                    target: job.clone(),
-                    co_located: co,
-                    pstate: 0,
-                };
-                let t = lab.run_scenario(&sc).expect("run");
-                let base = lab.baselines().get(job).expect("baseline").exec_time_s[0];
-                actual.push(t / base);
-            }
-        }
-        let mean = actual.iter().sum::<f64>() / actual.len() as f64;
-        let worst = actual.iter().cloned().fold(0.0f64, f64::max);
-        println!("measured  slowdown: mean {mean:.3}, worst {worst:.3}");
+        println!(
+            "measured slowdown: mean {:.3}, worst {:.3}, unfairness {:.3}",
+            outcome.oracle_mean_slowdown, outcome.oracle_max_slowdown, outcome.unfairness
+        );
     }
 }

@@ -19,6 +19,8 @@
 //!   memory-intensity classes.
 //! * [`model`] — the paper's contribution: features, feature sets A–F,
 //!   training plans, data collection, and trained predictors.
+//! * [`placement`] — interference-aware placement of jobs on sockets,
+//!   scored against the simulator as oracle.
 //!
 //! ## Quickstart
 //!
@@ -51,4 +53,5 @@ pub use coloc_memsys as memsys;
 pub use coloc_ml as ml;
 pub use coloc_model as model;
 pub use coloc_perfmon as perfmon;
+pub use coloc_placement as placement;
 pub use coloc_workloads as workloads;

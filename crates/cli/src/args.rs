@@ -2,6 +2,17 @@
 
 use std::collections::BTreeMap;
 
+/// One command's usage: its help text and every option and flag it reads.
+pub struct Usage {
+    /// Printed for `--help`; its first paragraph is the synopsis.
+    pub help: &'static str,
+    /// Options that take a value (`--key value`), as lists so commands
+    /// can share one.
+    pub options: &'static [&'static [&'static str]],
+    /// Boolean flags. `--help` is accepted by every command.
+    pub flags: &'static [&'static str],
+}
+
 /// Parsed `--key value` pairs plus repeated keys and boolean flags.
 #[derive(Debug, Default)]
 pub struct ArgMap {
@@ -10,10 +21,12 @@ pub struct ArgMap {
 }
 
 impl ArgMap {
-    /// Parse an argument list. `--key value` adds a value (repeatable);
-    /// `--key` followed by another `--` token (or nothing) is a boolean
-    /// flag.
-    pub fn parse(argv: &[String]) -> Result<ArgMap, String> {
+    /// Parse an argument list against what a command reads. An option of
+    /// `usage` takes the next token as its value (repeatable); a flag of
+    /// `usage`, or `--help`, takes none. Any other `--key` is an error
+    /// that names it, so a misspelled option never falls back silently
+    /// to its default.
+    pub fn parse(argv: &[String], usage: &Usage) -> Result<ArgMap, String> {
         let mut out = ArgMap::default();
         let mut i = 0;
         while i < argv.len() {
@@ -24,16 +37,22 @@ impl ArgMap {
             if key.is_empty() {
                 return Err("empty flag `--`".into());
             }
-            let has_value = argv.get(i + 1).is_some_and(|v| !v.starts_with("--"));
-            if has_value {
+            if key == "help" || usage.flags.contains(&key) {
+                out.flags.push(key.to_string());
+                i += 1;
+            } else if usage.options.iter().any(|list| list.contains(&key)) {
+                let Some(value) = argv.get(i + 1).filter(|v| !v.starts_with("--")) else {
+                    return Err(format!("option `--{key}` needs a value"));
+                };
                 out.values
                     .entry(key.to_string())
                     .or_default()
-                    .push(argv[i + 1].clone());
+                    .push(value.clone());
                 i += 2;
             } else {
-                out.flags.push(key.to_string());
-                i += 1;
+                return Err(format!(
+                    "unknown option `--{key}` (see `--help` for this command's options)"
+                ));
             }
         }
         Ok(out)
@@ -85,9 +104,19 @@ mod tests {
         s.iter().map(|x| x.to_string()).collect()
     }
 
+    const TEST: Usage = Usage {
+        help: "",
+        options: &[&["machine", "co"], &["pstate", "seed", "model"]],
+        flags: &["paper-plan"],
+    };
+
+    fn parse(s: &[&str]) -> Result<ArgMap, String> {
+        ArgMap::parse(&argv(s), &TEST)
+    }
+
     #[test]
     fn parses_values_flags_and_repeats() {
-        let a = ArgMap::parse(&argv(&[
+        let a = parse(&[
             "--machine",
             "e5649",
             "--co",
@@ -95,11 +124,13 @@ mod tests {
             "--co",
             "ep:1",
             "--paper-plan",
-        ]))
+            "--help",
+        ])
         .unwrap();
         assert_eq!(a.get("machine"), Some("e5649"));
         assert_eq!(a.get_all("co"), &["cg:2".to_string(), "ep:1".to_string()]);
         assert!(a.has_flag("paper-plan"));
+        assert!(a.has_flag("help"));
         assert!(!a.has_flag("machine"));
         // Repeated key is not a single value.
         assert_eq!(a.get("co"), None);
@@ -107,23 +138,37 @@ mod tests {
 
     #[test]
     fn rejects_positionals() {
-        assert!(ArgMap::parse(&argv(&["stray"])).is_err());
-        assert!(ArgMap::parse(&argv(&["--"])).is_err());
+        assert!(parse(&["stray"]).is_err());
+        assert!(parse(&["--"]).is_err());
+        // A flag takes no value.
+        assert!(parse(&["--paper-plan", "yes"]).is_err());
+    }
+
+    #[test]
+    fn rejects_unknown_options_by_name() {
+        for bad in [&["--sokets", "2"][..], &["--faults", "heavy"], &["--naive"]] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.contains(bad[0]), "{err}");
+        }
+        let err = parse(&["--pstate"]).unwrap_err();
+        assert!(err.contains("--pstate") && err.contains("value"), "{err}");
+        let err = parse(&["--model", "--paper-plan"]).unwrap_err();
+        assert!(err.contains("--model") && err.contains("value"), "{err}");
     }
 
     #[test]
     fn parsed_defaults() {
-        let a = ArgMap::parse(&argv(&["--pstate", "3"])).unwrap();
+        let a = parse(&["--pstate", "3"]).unwrap();
         assert_eq!(a.get_parsed_or("pstate", 0usize).unwrap(), 3);
         assert_eq!(a.get_parsed_or("seed", 42u64).unwrap(), 42);
         assert!(a.get_parsed_or::<usize>("pstate", 0).is_ok());
-        let bad = ArgMap::parse(&argv(&["--pstate", "xyz"])).unwrap();
+        let bad = parse(&["--pstate", "xyz"]).unwrap();
         assert!(bad.get_parsed_or::<usize>("pstate", 0).is_err());
     }
 
     #[test]
     fn require_reports_missing() {
-        let a = ArgMap::parse(&argv(&[])).unwrap();
+        let a = parse(&[]).unwrap();
         assert!(a.require("model").unwrap_err().contains("--model"));
     }
 }

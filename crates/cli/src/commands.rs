@@ -1,6 +1,6 @@
 //! Command implementations.
 
-use crate::args::ArgMap;
+use crate::args::{ArgMap, Usage};
 use coloc_machine::{FaultPlan, MachineSpec, SegmentTrace, StageId, StageProfile};
 use coloc_model::lab::CheckpointConfig;
 use coloc_model::persist;
@@ -77,6 +77,9 @@ fn preset_key(m: &MachineSpec) -> &'static str {
     }
 }
 
+/// The options [`lab_from`] reads.
+const LAB_OPTIONS: &[&str] = &["machine", "seed", "threads", "faults"];
+
 fn lab_from(args: &ArgMap) -> Result<Lab, String> {
     let spec = machine_by_key(args.get("machine").unwrap_or("e5649"))?;
     let seed = args.get_parsed_or("seed", 2015u64)?;
@@ -138,11 +141,17 @@ fn parse_co(specs: &[String]) -> Result<Vec<(String, usize)>, String> {
         .collect()
 }
 
+const BASELINES_USAGE: Usage = Usage {
+    help: "coloc baselines --machine <e5649|e5_2697v2> [--seed N] --out <file>",
+    options: &[LAB_OPTIONS, &["out"]],
+    flags: &[],
+};
+
 /// `coloc baselines --machine <key> [--seed N] --out <file>`
 pub fn baselines(argv: &[String]) -> CmdResult {
-    let args = ArgMap::parse(argv)?;
+    let args = ArgMap::parse(argv, &BASELINES_USAGE)?;
     if args.has_flag("help") {
-        println!("coloc baselines --machine <e5649|e5_2697v2> [--seed N] --out <file>");
+        println!("{}", BASELINES_USAGE.help);
         return Ok(());
     }
     let lab = lab_from(&args)?;
@@ -159,16 +168,30 @@ pub fn baselines(argv: &[String]) -> CmdResult {
     Ok(())
 }
 
+const COLLECT_USAGE: Usage = Usage {
+    help: "coloc collect --machine <key> [--paper-plan] [--counts 1,3,5] \
+          [--pstates 0,3] [--seed N] [--threads N] [--stage-stats] \
+          [--faults light|heavy|<plan.json>] [--checkpoint <file>] \
+          [--checkpoint-every N] [--crash-after N] --out <file>",
+    options: &[
+        LAB_OPTIONS,
+        &[
+            "out",
+            "counts",
+            "pstates",
+            "checkpoint",
+            "checkpoint-every",
+            "crash-after",
+        ],
+    ],
+    flags: &["paper-plan", "stage-stats"],
+};
+
 /// `coloc collect --machine <key> (--paper-plan | --counts a,b,c) --out <file>`
 pub fn collect(argv: &[String]) -> CmdResult {
-    let args = ArgMap::parse(argv)?;
+    let args = ArgMap::parse(argv, &COLLECT_USAGE)?;
     if args.has_flag("help") {
-        println!(
-            "coloc collect --machine <key> [--paper-plan] [--counts 1,3,5] \
-             [--pstates 0,3] [--seed N] [--threads N] [--stage-stats] \
-             [--faults light|heavy|<plan.json>] [--checkpoint <file>] \
-             [--checkpoint-every N] [--crash-after N] --out <file>"
-        );
+        println!("{}", COLLECT_USAGE.help);
         return Ok(());
     }
     let mut lab = lab_from(&args)?;
@@ -223,18 +246,22 @@ fn parse_usize_list(s: &str) -> Result<Vec<usize>, String> {
         .collect()
 }
 
+const TRAIN_USAGE: Usage = Usage {
+    help: "coloc train --samples <file> [--kind linear|nn|quadratic] \
+          [--set A..F] [--seed N] [--robust] [--retries N] --out <file>\n\n\
+          Trains through the model registry and writes a versioned,\n\
+          digest-addressed model artifact (predictor + provenance) that\n\
+          `coloc predict`, `coloc schedule`, `coloc matrix` and\n\
+          `coloc serve --model` all resolve the same way.",
+    options: &[&["samples", "kind", "set", "seed", "retries", "out"]],
+    flags: &["robust"],
+};
+
 /// `coloc train --samples <file> --kind <k> --set <s> --out <file>`
 pub fn train(argv: &[String]) -> CmdResult {
-    let args = ArgMap::parse(argv)?;
+    let args = ArgMap::parse(argv, &TRAIN_USAGE)?;
     if args.has_flag("help") {
-        println!(
-            "coloc train --samples <file> [--kind linear|nn|quadratic] \
-             [--set A..F] [--seed N] [--robust] [--retries N] --out <file>\n\n\
-             Trains through the model registry and writes a versioned,\n\
-             digest-addressed model artifact (predictor + provenance) that\n\
-             `coloc predict`, `coloc schedule`, `coloc matrix` and\n\
-             `coloc serve --model` all resolve the same way."
-        );
+        println!("{}", TRAIN_USAGE.help);
         return Ok(());
     }
     let samples = persist::load_samples(args.require("samples")?).map_err(|e| e.to_string())?;
@@ -270,14 +297,18 @@ pub fn train(argv: &[String]) -> CmdResult {
     Ok(())
 }
 
+const PREDICT_USAGE: Usage = Usage {
+    help: "coloc predict --machine <key> --model <file> --target <app> \
+          [--co name:count]… [--pstate N] [--measure]",
+    options: &[LAB_OPTIONS, &["model", "target", "co", "pstate"]],
+    flags: &["measure"],
+};
+
 /// `coloc predict --machine <key> --model <file> --target <app> --co name:count… --pstate N`
 pub fn predict(argv: &[String]) -> CmdResult {
-    let args = ArgMap::parse(argv)?;
+    let args = ArgMap::parse(argv, &PREDICT_USAGE)?;
     if args.has_flag("help") {
-        println!(
-            "coloc predict --machine <key> --model <file> --target <app> \
-             [--co name:count]… [--pstate N] [--measure]"
-        );
+        println!("{}", PREDICT_USAGE.help);
         return Ok(());
     }
     let lab = lab_from(&args)?;
@@ -307,24 +338,30 @@ pub fn predict(argv: &[String]) -> CmdResult {
     Ok(())
 }
 
+const SCHEDULE_USAGE: Usage = Usage {
+    help: "coloc schedule --machine <key> --model <file> --jobs a,b,c \
+          [--sockets N] [--pstate N] [--seed N] [--threads N] [--naive]\n\n\
+          Places the listed jobs on N sockets of one machine at once.\n\
+          Least-interference (the default) puts each job, in suite order,\n\
+          where the model predicts the smallest added slowdown, empty\n\
+          sockets first on ties; --naive packs socket by socket instead.\n\
+          Slowdowns are normalized by the model's own solo prediction.\n\
+          Every job's expected slowdown (when it was placed) prints beside\n\
+          the slowdown the simulator measures on its final socket.",
+    options: &[&[
+        "machine", "sockets", "jobs", "model", "seed", "pstate", "threads",
+    ]],
+    flags: &["naive"],
+};
+
 /// `coloc schedule --machine <key> --model <file> --jobs a,b,c --sockets N`
 ///
 /// One wave of a single-group [`PlacementSim`]: the listed jobs, placed
 /// by the loaded model and scored against the simulator.
 pub fn schedule(argv: &[String]) -> CmdResult {
-    let args = ArgMap::parse(argv)?;
+    let args = ArgMap::parse(argv, &SCHEDULE_USAGE)?;
     if args.has_flag("help") {
-        println!(
-            "coloc schedule --machine <key> --model <file> --jobs a,b,c \
-             [--sockets N] [--pstate N] [--seed N] [--threads N] [--naive]\n\n\
-             Places the listed jobs on N sockets of one machine at once.\n\
-             Least-interference (the default) puts each job, in suite order,\n\
-             where the model predicts the smallest added slowdown, empty\n\
-             sockets first on ties; --naive packs socket by socket instead.\n\
-             Slowdowns are normalized by the model's own solo prediction.\n\
-             Every job's expected slowdown (when it was placed) prints beside\n\
-             the slowdown the simulator measures on its final socket."
-        );
+        println!("{}", SCHEDULE_USAGE.help);
         return Ok(());
     }
     let fleet = FleetSpec::single(
@@ -411,23 +448,27 @@ pub fn schedule(argv: &[String]) -> CmdResult {
     Ok(())
 }
 
+const MATRIX_USAGE: Usage = Usage {
+    help: "coloc matrix --machine <key> [--pstate N] [--seed N] [--threads N]\n\
+          \x20           [--model <artifact.json>] [--out <matrix.json>]\n\n\
+          Measures slowdown for all suite pairs (target × 1 co-runner) and\n\
+          fills the predicted side from a model artifact: either --model,\n\
+          or a linear full-feature model the registry trains on the spot.\n\
+          Identical-app pairs are checked for bit-identical per-group\n\
+          counters (the `matrix-identical-pair-symmetry` law).",
+    options: &[LAB_OPTIONS, &["pstate", "model", "out"]],
+    flags: &[],
+};
+
 /// `coloc matrix --machine <key> [--pstate N] [--model <file>] [--out <file>]`
 ///
 /// Measures the full pairwise cross-interference matrix over the suite
 /// (every target × every single co-runner) and compares it with a
 /// registry-resolved model's predictions.
 pub fn matrix(argv: &[String]) -> CmdResult {
-    let args = ArgMap::parse(argv)?;
+    let args = ArgMap::parse(argv, &MATRIX_USAGE)?;
     if args.has_flag("help") {
-        println!(
-            "coloc matrix --machine <key> [--pstate N] [--seed N] [--threads N]\n\
-             \x20           [--model <artifact.json>] [--out <matrix.json>]\n\n\
-             Measures slowdown for all suite pairs (target × 1 co-runner) and\n\
-             fills the predicted side from a model artifact: either --model,\n\
-             or a linear full-feature model the registry trains on the spot.\n\
-             Identical-app pairs are checked for bit-identical per-group\n\
-             counters (the `matrix-identical-pair-symmetry` law)."
-        );
+        println!("{}", MATRIX_USAGE.help);
         return Ok(());
     }
     let lab = lab_from(&args)?;
@@ -487,11 +528,17 @@ pub fn matrix(argv: &[String]) -> CmdResult {
     Ok(())
 }
 
+const SUITE_USAGE: Usage = Usage {
+    help: "coloc suite — list the benchmark suite",
+    options: &[],
+    flags: &[],
+};
+
 /// `coloc suite`
 pub fn suite(argv: &[String]) -> CmdResult {
-    let args = ArgMap::parse(argv)?;
+    let args = ArgMap::parse(argv, &SUITE_USAGE)?;
     if args.has_flag("help") {
-        println!("coloc suite — list the benchmark suite");
+        println!("{}", SUITE_USAGE.help);
         return Ok(());
     }
     println!("{:<16} {:<8} class", "application", "suite");
@@ -501,11 +548,17 @@ pub fn suite(argv: &[String]) -> CmdResult {
     Ok(())
 }
 
+const MACHINES_USAGE: Usage = Usage {
+    help: "coloc machines — list machine presets",
+    options: &[],
+    flags: &[],
+};
+
 /// `coloc machines`
 pub fn machines(argv: &[String]) -> CmdResult {
-    let args = ArgMap::parse(argv)?;
+    let args = ArgMap::parse(argv, &MACHINES_USAGE)?;
     if args.has_flag("help") {
-        println!("coloc machines — list machine presets");
+        println!("{}", MACHINES_USAGE.help);
         return Ok(());
     }
     for m in coloc_machine::presets::all() {
@@ -522,6 +575,16 @@ pub fn machines(argv: &[String]) -> CmdResult {
     Ok(())
 }
 
+const TRACE_USAGE: Usage = Usage {
+    help: "coloc trace --machine <key> --target <app> [--co name:count]… \
+          [--pstate N] [--seed N] [--last N] [--stage-stats]\n\n\
+          Replays one scenario with the engine's segment trace ring\n\
+          attached and dumps the last N segments (default 32), plus the\n\
+          per-stage pipeline breakdown with --stage-stats.",
+    options: &[LAB_OPTIONS, &["target", "co", "pstate", "last"]],
+    flags: &["stage-stats"],
+};
+
 /// `coloc trace --machine <key> --target <app> [--co name:count]… [--pstate N]`
 ///
 /// Runs one scenario through the staged engine with the segment trace
@@ -530,15 +593,9 @@ pub fn machines(argv: &[String]) -> CmdResult {
 /// residual. `--stage-stats` attaches a stage profile to the same run
 /// and adds the per-stage pipeline breakdown.
 pub fn trace(argv: &[String]) -> CmdResult {
-    let args = ArgMap::parse(argv)?;
+    let args = ArgMap::parse(argv, &TRACE_USAGE)?;
     if args.has_flag("help") {
-        println!(
-            "coloc trace --machine <key> --target <app> [--co name:count]… \
-             [--pstate N] [--seed N] [--last N] [--stage-stats]\n\n\
-             Replays one scenario with the engine's segment trace ring\n\
-             attached and dumps the last N segments (default 32), plus the\n\
-             per-stage pipeline breakdown with --stage-stats."
-        );
+        println!("{}", TRACE_USAGE.help);
         return Ok(());
     }
     let lab = lab_from(&args)?;
@@ -601,26 +658,33 @@ pub fn trace(argv: &[String]) -> CmdResult {
     Ok(())
 }
 
+const PLACE_USAGE: Usage = Usage {
+    help: "coloc place --jobs N [--fleet standard:<scale>] [--machine <key> --sockets N]\n\
+          \x20          [--mix uniform|memory-heavy|compute-heavy] [--policy <name>|all]\n\
+          \x20          [--qos X] [--seed N] [--threads N] [--out <file>]\n\n\
+          Streams N synthetic jobs through a simulated fleet in waves,\n\
+          places each wave with the chosen policy (pack-first-fit |\n\
+          least-interference | regret-batched | all), and scores the\n\
+          result against the simulator-as-oracle: mean/max slowdown,\n\
+          unfairness, QoS violations above --qos, sockets used, and the\n\
+          regret between decision-time expectations and measured truth.\n\
+          --fleet standard:<scale> is the mixed 4-preset rack (8×scale\n\
+          sockets); --machine/--sockets builds a single-preset fleet.\n\
+          --out writes the full JSON report.",
+    options: &[&[
+        "jobs", "fleet", "machine", "sockets", "mix", "policy", "qos", "seed", "pstate", "threads",
+        "out",
+    ]],
+    flags: &[],
+};
+
 /// `coloc place --jobs N [--fleet standard:<scale> | --machine <key>
 /// --sockets N] [--mix <name>] [--policy <name>|all] [--qos X]
 /// [--seed N] [--threads N] [--out <file>]`
 pub fn place(argv: &[String]) -> CmdResult {
-    let args = ArgMap::parse(argv)?;
+    let args = ArgMap::parse(argv, &PLACE_USAGE)?;
     if args.has_flag("help") {
-        println!(
-            "coloc place --jobs N [--fleet standard:<scale>] [--machine <key> --sockets N]\n\
-             \x20          [--mix uniform|memory-heavy|compute-heavy] [--policy <name>|all]\n\
-             \x20          [--qos X] [--seed N] [--threads N] [--out <file>]\n\n\
-             Streams N synthetic jobs through a simulated fleet in waves,\n\
-             places each wave with the chosen policy (pack-first-fit |\n\
-             least-interference | regret-batched | all), and scores the\n\
-             result against the simulator-as-oracle: mean/max slowdown,\n\
-             unfairness, QoS violations above --qos, sockets used, and the\n\
-             regret between decision-time expectations and measured truth.\n\
-             --fleet standard:<scale> is the mixed 4-preset rack (8×scale\n\
-             sockets); --machine/--sockets builds a single-preset fleet.\n\
-             --out writes the full JSON report."
-        );
+        println!("{}", PLACE_USAGE.help);
         return Ok(());
     }
     let jobs = args.get_parsed_or("jobs", 1000usize)?;
@@ -701,19 +765,23 @@ pub fn place(argv: &[String]) -> CmdResult {
     Ok(())
 }
 
+const VERIFY_USAGE: Usage = Usage {
+    help: "coloc verify [--corpus <dir>] [--spot N] [--seed N] [--threads N]\n\n\
+          Replays the checked-in conformance corpus (differential cases\n\
+          through the naive reference engine, law-tagged cases through\n\
+          their metamorphic law), then differential-spot-checks N freshly\n\
+          generated scenarios. Cases fan out across --threads workers\n\
+          (0 = one per core); the report is identical at any setting.\n\
+          Exits non-zero on any divergence.",
+    options: &[&["corpus", "spot", "seed", "threads"]],
+    flags: &[],
+};
+
 /// `coloc verify [--corpus <dir>] [--spot N] [--seed N] [--threads N]`
 pub fn verify(argv: &[String]) -> CmdResult {
-    let args = ArgMap::parse(argv)?;
+    let args = ArgMap::parse(argv, &VERIFY_USAGE)?;
     if args.has_flag("help") {
-        println!(
-            "coloc verify [--corpus <dir>] [--spot N] [--seed N] [--threads N]\n\n\
-             Replays the checked-in conformance corpus (differential cases\n\
-             through the naive reference engine, law-tagged cases through\n\
-             their metamorphic law), then differential-spot-checks N freshly\n\
-             generated scenarios. Cases fan out across --threads workers\n\
-             (0 = one per core); the report is identical at any setting.\n\
-             Exits non-zero on any divergence."
-        );
+        println!("{}", VERIFY_USAGE.help);
         return Ok(());
     }
     let dir = match args.get("corpus") {
@@ -778,6 +846,36 @@ pub fn verify(argv: &[String]) -> CmdResult {
     }
 }
 
+const SERVE_USAGE: Usage = Usage {
+    help: "coloc serve [--tcp 127.0.0.1:7105 | --unix <path>] [--machine <key>]\n\
+          \x20           [--seed N] [--threads N] [--capacity N] [--watermark N]\n\
+          \x20           [--max-batch N] [--deadline-ms N] [--retry-hint-ms N]\n\
+          \x20           [--stats-interval-s N] [--model <file>] [--quiet]\n\n\
+          Serves slowdown queries as line-delimited JSON. Bounded admission\n\
+          sheds with `overloaded` past --capacity; past --watermark the\n\
+          degradation ladder answers from cache / the linear fallback and\n\
+          labels those answers degraded. --model points at a registry\n\
+          artifact (as written by `coloc train`); SIGHUP or a `reload`\n\
+          frame hot-swaps it with zero drain — in-flight requests finish\n\
+          on the old artifact and stats frames report model_epoch and\n\
+          model_digest. SIGTERM drains gracefully.",
+    options: &[&[
+        "tcp",
+        "unix",
+        "machine",
+        "seed",
+        "threads",
+        "capacity",
+        "watermark",
+        "max-batch",
+        "deadline-ms",
+        "retry-hint-ms",
+        "stats-interval-s",
+        "model",
+    ]],
+    flags: &["quiet"],
+};
+
 /// `coloc serve [--tcp addr | --unix path] [--machine <key>] …`
 ///
 /// Runs the prediction service on the calling thread until SIGTERM /
@@ -785,22 +883,9 @@ pub fn verify(argv: &[String]) -> CmdResult {
 /// frame to stderr. SIGHUP (or a `reload` frame) hot-swaps the model
 /// artifacts without a drain.
 pub fn serve(argv: &[String]) -> Result<(), Failure> {
-    let args = ArgMap::parse(argv)?;
+    let args = ArgMap::parse(argv, &SERVE_USAGE)?;
     if args.has_flag("help") {
-        println!(
-            "coloc serve [--tcp 127.0.0.1:7105 | --unix <path>] [--machine <key>]\n\
-             \x20           [--seed N] [--threads N] [--capacity N] [--watermark N]\n\
-             \x20           [--max-batch N] [--deadline-ms N] [--retry-hint-ms N]\n\
-             \x20           [--stats-interval-s N] [--model <file>] [--quiet]\n\n\
-             Serves slowdown queries as line-delimited JSON. Bounded admission\n\
-             sheds with `overloaded` past --capacity; past --watermark the\n\
-             degradation ladder answers from cache / the linear fallback and\n\
-             labels those answers degraded. --model points at a registry\n\
-             artifact (as written by `coloc train`); SIGHUP or a `reload`\n\
-             frame hot-swaps it with zero drain — in-flight requests finish\n\
-             on the old artifact and stats frames report model_epoch and\n\
-             model_digest. SIGTERM drains gracefully."
-        );
+        println!("{}", SERVE_USAGE.help);
         return Ok(());
     }
     let bind = match (args.get("tcp"), args.get("unix")) {
@@ -866,6 +951,29 @@ fn connect_client(args: &ArgMap) -> Result<QueryClient, Failure> {
     }
 }
 
+const QUERY_USAGE: Usage = Usage {
+    help: "coloc query [--addr 127.0.0.1:7105 | --unix <path>] --target <app>\n\
+          \x20           [--co name:count]… [--pstate N] [--predict]\n\
+          \x20           [--deadline-ms N] [--machine <key>] [--retries N]\n\
+          \x20           [--backoff-ms N] [--jitter-seed N]\n\
+          coloc query … --ping | --stats | --reload | --shutdown\n\n\
+          Exit codes: 0 ok, 75 overloaded (after retries), 124 deadline\n\
+          expired, 69 server shutting down, 1 other errors, 2 usage.",
+    options: &[&[
+        "addr",
+        "unix",
+        "target",
+        "co",
+        "pstate",
+        "deadline-ms",
+        "machine",
+        "retries",
+        "backoff-ms",
+        "jitter-seed",
+    ]],
+    flags: &["predict", "ping", "stats", "reload", "shutdown"],
+};
+
 /// `coloc query [--addr host:port | --unix path] --target <app> …`
 ///
 /// One round trip to a running `coloc serve`, with the bounded
@@ -873,17 +981,9 @@ fn connect_client(args: &ArgMap) -> Result<QueryClient, Failure> {
 /// 0 ok, 75 overloaded after retries, 124 deadline expired, 69 server
 /// draining, 1 anything else.
 pub fn query(argv: &[String]) -> Result<(), Failure> {
-    let args = ArgMap::parse(argv)?;
+    let args = ArgMap::parse(argv, &QUERY_USAGE)?;
     if args.has_flag("help") {
-        println!(
-            "coloc query [--addr 127.0.0.1:7105 | --unix <path>] --target <app>\n\
-             \x20           [--co name:count]… [--pstate N] [--predict]\n\
-             \x20           [--deadline-ms N] [--machine <key>] [--retries N]\n\
-             \x20           [--backoff-ms N] [--jitter-seed N]\n\
-             coloc query … --ping | --stats | --reload | --shutdown\n\n\
-             Exit codes: 0 ok, 75 overloaded (after retries), 124 deadline\n\
-             expired, 69 server shutting down, 1 other errors, 2 usage."
-        );
+        println!("{}", QUERY_USAGE.help);
         return Ok(());
     }
     let mut client = connect_client(&args)?;
@@ -974,6 +1074,44 @@ mod tests {
 
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
+    }
+
+    #[test]
+    fn every_option_in_each_help_synopsis_parses() {
+        let usages = [
+            ("baselines", &BASELINES_USAGE),
+            ("collect", &COLLECT_USAGE),
+            ("train", &TRAIN_USAGE),
+            ("predict", &PREDICT_USAGE),
+            ("schedule", &SCHEDULE_USAGE),
+            ("matrix", &MATRIX_USAGE),
+            ("suite", &SUITE_USAGE),
+            ("machines", &MACHINES_USAGE),
+            ("trace", &TRACE_USAGE),
+            ("place", &PLACE_USAGE),
+            ("verify", &VERIFY_USAGE),
+            ("serve", &SERVE_USAGE),
+            ("query", &QUERY_USAGE),
+        ];
+        for (name, usage) in usages {
+            let synopsis = usage.help.split("\n\n").next().unwrap();
+            assert!(synopsis.starts_with(&format!("coloc {name}")), "{synopsis}");
+            let mut args = vec!["--help".to_string()];
+            for word in synopsis.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+                let Some(key) = word.strip_prefix("--").filter(|k| !k.is_empty()) else {
+                    continue;
+                };
+                args.push(word.to_string());
+                if usage.options.iter().any(|list| list.contains(&key)) {
+                    args.push("1".to_string());
+                }
+            }
+            let parsed = ArgMap::parse(&args, usage).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(parsed.has_flag("help"), "{name}");
+        }
+        // And an option no synopsis lists is refused by name.
+        let err = schedule(&argv(&["--sokets", "2"])).unwrap_err();
+        assert!(err.contains("--sokets"), "{err}");
     }
 
     #[test]

@@ -120,3 +120,11 @@ fn refuses_more_jobs_than_cores() {
     let (sockets, _) = placed(&["--sockets", "2", "--jobs", &twelve]);
     assert_eq!(sockets.iter().map(Vec::len).sum::<usize>(), 12);
 }
+
+#[test]
+fn refuses_an_unknown_option_by_name() {
+    // A misspelled `--sockets` used to place every job on one socket.
+    refused(&["--sokets", "2", "--jobs", "cg,cg"], "--sokets");
+    // `schedule` reads no fault plan; it used to ignore one.
+    refused(&["--faults", "heavy", "--jobs", "cg,cg"], "--faults");
+}

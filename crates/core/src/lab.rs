@@ -12,10 +12,10 @@ use crate::sample::Sample;
 use crate::scenario::Scenario;
 use crate::{ColocError, ModelError, Result};
 use coloc_machine::{
-    FaultPlan, IrWriter, Machine, MachineSpec, RunCache, RunOptions, RunOutcome, RunnerGroup,
-    ScenarioIr, StageId, StageProfile,
+    FaultPlan, GroupRef, GroupSchedule, GroupView, IrWriter, Machine, MachineSpec, RunCache,
+    RunOptions, RunOutcome, RunnerGroup, ScenarioIr, StageId, StageProfile,
 };
-use coloc_ml::rng::{derive_seed, derive_seed_str};
+use coloc_ml::rng::{derive_seed, derive_seed_fmt};
 use coloc_perfmon::{EventSet, FlatProfiler};
 use coloc_workloads::Benchmark;
 use std::collections::HashSet;
@@ -230,10 +230,12 @@ impl Lab {
             .ok_or_else(|| ModelError::UnknownApp(name.to_string()))
     }
 
-    fn run_options(&self, label: &str, stream: u64) -> RunOptions {
+    /// Run options at P-state 0, seeded from the bytes `label` displays
+    /// as and `stream`.
+    fn run_options(&self, label: impl std::fmt::Display, stream: u64) -> RunOptions {
         RunOptions {
             pstate: 0,
-            seed: derive_seed(derive_seed_str(self.seed, label), stream),
+            seed: derive_seed(derive_seed_fmt(self.seed, label), stream),
             noise_sigma: self.noise_sigma,
             ..RunOptions::default()
         }
@@ -273,28 +275,46 @@ impl Lab {
         })
     }
 
-    /// Build the machine workload for a scenario.
-    fn workload(&self, scenario: &Scenario) -> Result<Vec<RunnerGroup>> {
-        let mut wl = vec![RunnerGroup::solo(self.app(&scenario.target)?.app.clone())];
+    /// Lower a scenario onto borrowed parts: its groups resolved into the
+    /// lab's own suite (target first, zero-count co-groups dropped) and
+    /// its run options, seeded from the label bytes as `Scenario`'s
+    /// `Display` writes them. Nothing is cloned and no label is built.
+    fn lower(&self, scenario: &Scenario) -> Result<(Vec<GroupRef<'_>>, RunOptions)> {
+        let mut groups = Vec::with_capacity(1 + scenario.co_located.len());
+        groups.push(GroupRef::solo(&self.app(&scenario.target)?.app));
         for (name, count) in scenario.co_groups() {
-            wl.push(RunnerGroup {
-                app: self.app(name)?.app.clone(),
+            groups.push(GroupRef {
+                app: &self.app(name)?.app,
                 count,
             });
         }
-        Ok(wl)
+        let mut opts = self.run_options(scenario, 1);
+        opts.pstate = scenario.pstate;
+        Ok((groups, opts))
+    }
+
+    /// The run-cache key the lab runs a lowered scenario under.
+    fn key(&self, groups: &[GroupRef<'_>], opts: &RunOptions) -> u128 {
+        self.run_cache
+            .key_for_scheduled(&self.machine, groups, opts, self.faults.as_ref(), None)
     }
 
     /// Lower a [`Scenario`] to the canonical [`ScenarioIr`] this lab
     /// would execute it as: the resolved workload, the derived run
     /// options (seed stream, noise σ, P-state), and the lab's fault
-    /// plan. [`Lab::run_scenario`] runs exactly this IR, and
-    /// [`Lab::plan_digest`] keys checkpoints on its digest — one
-    /// encoding for what runs, what is cached, and what is resumable.
+    /// plan. [`Lab::run_scenario`] runs the same pieces borrowed from the
+    /// lab's suite, under the run-cache key that equals this IR's
+    /// digest, and [`Lab::plan_digest`] folds that key — one encoding
+    /// for what runs, what is cached, and what is resumable.
     pub fn scenario_ir(&self, scenario: &Scenario) -> Result<ScenarioIr> {
-        let workload = self.workload(scenario)?;
-        let mut opts = self.run_options(&scenario.label(), 1);
-        opts.pstate = scenario.pstate;
+        let (groups, opts) = self.lower(scenario)?;
+        let workload = groups
+            .iter()
+            .map(|g| RunnerGroup {
+                app: g.app.clone(),
+                count: g.count,
+            })
+            .collect();
         let ir = ScenarioIr::new(self.machine.spec().clone(), workload, opts);
         Ok(match &self.faults {
             Some(plan) => ir.with_faults(*plan),
@@ -307,7 +327,9 @@ impl Lab {
     /// cache; determinism makes the memoized outcome bit-identical to a
     /// fresh simulation.
     pub fn run_scenario(&self, scenario: &Scenario) -> Result<f64> {
-        Ok(self.run_ir(&self.scenario_ir(scenario)?)?.wall_time_s)
+        let (groups, opts) = self.lower(scenario)?;
+        let outcome = self.run_groups(&groups, None, &opts, self.faults.as_ref())?;
+        Ok(outcome.wall_time_s)
     }
 
     /// Execute an arbitrary [`ScenarioIr`] — including ones carrying
@@ -318,13 +340,30 @@ impl Lab {
     /// matrix artifact reads per-group counter blocks from here; the
     /// memoized outcome is bit-identical to a fresh simulation.
     pub fn run_ir(&self, ir: &ScenarioIr) -> Result<Arc<RunOutcome>> {
-        let mut profile = self.stage_profile.as_ref().map(|_| StageProfile::new());
-        let (outcome, hit) = self.run_cache.run_scheduled_observed(
-            &self.machine,
+        self.run_groups(
             &ir.workload,
             ir.schedules.as_deref(),
             &ir.opts,
             ir.faults.as_ref(),
+        )
+    }
+
+    /// The lab's one call into the run cache, over owned or borrowed
+    /// groups, with the lab's stage profiling and sweep telemetry.
+    fn run_groups<G: GroupView>(
+        &self,
+        workload: &[G],
+        schedules: Option<&[GroupSchedule]>,
+        opts: &RunOptions,
+        faults: Option<&FaultPlan>,
+    ) -> Result<Arc<RunOutcome>> {
+        let mut profile = self.stage_profile.as_ref().map(|_| StageProfile::new());
+        let (outcome, hit) = self.run_cache.run_scheduled_observed(
+            &self.machine,
+            workload,
+            schedules,
+            opts,
+            faults,
             profile.as_mut(),
         )?;
         if let (Some(shared), Some(local)) = (&self.stage_profile, &profile) {
@@ -344,10 +383,10 @@ impl Lab {
 
     /// Execute a scenario batch: duplicates (by run-cache key) collapse
     /// onto one run, and the distinct scenarios fan out across the lab's
-    /// worker threads ([`coloc_ml::parallel::run_indexed`]) through
-    /// [`Lab::run_ir`]. Returns measured wall times in request order,
-    /// bit-identical to calling [`Lab::run_scenario`] per element at any
-    /// thread count.
+    /// worker threads ([`coloc_ml::parallel::run_indexed`]) through the
+    /// run path of [`Lab::run_scenario`]. Returns measured wall times in
+    /// request order, bit-identical to calling [`Lab::run_scenario`] per
+    /// element at any thread count.
     ///
     /// This is the placement-oracle entry point: a placement wave asks
     /// for thousands of socket outcomes at once, most of them repeats.
@@ -356,45 +395,41 @@ impl Lab {
     /// On failure the error of the first failing request, in request
     /// order, is returned.
     pub fn run_scenarios_batch(&self, scenarios: &[Scenario]) -> Result<Vec<f64>> {
-        let irs = scenarios
+        let lowered = scenarios
             .iter()
-            .map(|sc| self.scenario_ir(sc))
+            .map(|sc| self.lower(sc))
             .collect::<Result<Vec<_>>>()?;
         let mut seen = HashSet::new();
-        let is_first: Vec<bool> = irs.iter().map(|ir| seen.insert(self.run_key(ir))).collect();
-        let distinct: Vec<&ScenarioIr> = irs
+        let is_first: Vec<bool> = lowered
+            .iter()
+            .map(|(groups, opts)| seen.insert(self.key(groups, opts)))
+            .collect();
+        let distinct: Vec<_> = lowered
             .iter()
             .zip(&is_first)
-            .filter_map(|(ir, &first)| first.then_some(ir))
+            .filter_map(|(low, &first)| first.then_some(low))
             .collect();
-        let wall_time = |ir: &ScenarioIr| self.run_ir(ir).map(|o| o.wall_time_s);
+        let wall_time = |(groups, opts): &(Vec<GroupRef<'_>>, RunOptions)| {
+            self.run_groups(groups, None, opts, self.faults.as_ref())
+                .map(|o| o.wall_time_s)
+        };
         let mut firsts = coloc_ml::parallel::run_indexed(distinct.len(), self.threads, |d| {
             wall_time(distinct[d])
         })
         .into_iter();
         // Repeats run after every first occurrence is resident, so each
         // is a cache hit, exactly as it would be when asked one by one.
-        irs.iter()
+        lowered
+            .iter()
             .zip(is_first)
-            .map(|(ir, first)| {
+            .map(|(low, first)| {
                 if first {
                     firsts.next().expect("one result per distinct scenario")
                 } else {
-                    wall_time(ir)
+                    wall_time(low)
                 }
             })
             .collect()
-    }
-
-    /// The run-cache key [`Lab::run_ir`] memoizes `ir` under.
-    fn run_key(&self, ir: &ScenarioIr) -> u128 {
-        self.run_cache.key_for_scheduled(
-            &self.machine,
-            &ir.workload,
-            &ir.opts,
-            ir.faults.as_ref(),
-            ir.schedules.as_deref(),
-        )
     }
 
     /// Probe the run cache for a scenario without ever simulating:
@@ -406,10 +441,10 @@ impl Lab {
     /// cache hit (it is one); a miss is not counted, because nothing
     /// fell through to the engine.
     pub fn cached_run(&self, scenario: &Scenario) -> Result<Option<f64>> {
-        let ir = self.scenario_ir(scenario)?;
+        let (groups, opts) = self.lower(scenario)?;
         Ok(self
             .run_cache
-            .peek(self.run_key(&ir))
+            .peek(self.key(&groups, &opts))
             .map(|o| o.wall_time_s))
     }
 
@@ -526,10 +561,13 @@ impl Lab {
         d.str(&self.machine.spec().name);
         d.usize(scenarios.len());
         for sc in scenarios {
-            match self.scenario_ir(sc) {
-                Ok(ir) => {
+            match self.lower(sc) {
+                Ok((groups, opts)) => {
+                    // The IR's `digest64`: its digest, which is the run
+                    // key, folded to 64 bits.
+                    let key = self.key(&groups, &opts);
                     d.byte(1);
-                    d.u64(ir.digest64());
+                    d.u64((key >> 64) as u64 ^ key as u64);
                 }
                 Err(_) => {
                     d.byte(0);
@@ -653,6 +691,7 @@ mod tests {
     use super::*;
     use crate::features::Feature;
     use coloc_machine::presets;
+    use coloc_ml::rng::derive_seed_str;
 
     fn small_lab() -> Lab {
         Lab::new(presets::xeon_e5649(), coloc_workloads::standard(), 42).unwrap()
@@ -789,26 +828,37 @@ mod tests {
 
     #[test]
     fn repeat_collect_is_served_from_cache() {
-        let lab = small_lab().with_threads(2);
         let plan = small_plan();
-        let cold = lab.collect(&plan).unwrap();
-        let after_cold = lab.sweep_stats();
-        assert_eq!(after_cold.scenarios_run as usize, plan.len());
-        assert!(after_cold.cache_misses >= plan.len() as u64);
-        assert!(after_cold.segments_simulated > 0);
-        assert!(after_cold.fp_iterations > 0);
-        assert!(after_cold.sweep_wall_time_s > 0.0);
+        let n = plan.len() as u64;
+        for threads in [2, 8] {
+            let lab = small_lab().with_threads(threads);
+            let cold = lab.collect(&plan).unwrap();
+            let after_cold = lab.sweep_stats();
+            assert_eq!(after_cold.scenarios_run, n);
+            assert!(after_cold.cache_misses >= n);
+            assert!(after_cold.segments_simulated > 0);
+            assert!(after_cold.fp_iterations > 0);
+            assert!(after_cold.sweep_wall_time_s > 0.0);
 
-        let warm = lab.collect(&plan).unwrap();
-        let after_warm = lab.sweep_stats();
-        // The warm pass must be answered entirely by the memo cache:
-        // misses, segments and fixed-point work all stay flat.
-        assert_eq!(after_warm.cache_misses, after_cold.cache_misses);
-        assert_eq!(after_warm.segments_simulated, after_cold.segments_simulated);
-        assert_eq!(after_warm.fp_iterations, after_cold.fp_iterations);
-        assert!(after_warm.cache_hits >= after_cold.cache_hits + plan.len() as u64);
-        for (a, b) in cold.iter().zip(&warm) {
-            assert_eq!(a.actual_time_s.to_bits(), b.actual_time_s.to_bits());
+            let warm = lab.collect(&plan).unwrap();
+            let after_warm = lab.sweep_stats();
+            // The warm pass must be answered entirely by the memo cache:
+            // exactly one hit per scenario, no miss, no eviction, and
+            // segments and fixed-point work stay flat.
+            assert_eq!(
+                (
+                    after_warm.cache_hits - after_cold.cache_hits,
+                    after_warm.cache_misses - after_cold.cache_misses,
+                    after_warm.cache_evictions - after_cold.cache_evictions,
+                ),
+                (n, 0, 0),
+                "threads={threads}"
+            );
+            assert_eq!(after_warm.segments_simulated, after_cold.segments_simulated);
+            assert_eq!(after_warm.fp_iterations, after_cold.fp_iterations);
+            for (a, b) in cold.iter().zip(&warm) {
+                assert_eq!(a.actual_time_s.to_bits(), b.actual_time_s.to_bits());
+            }
         }
     }
 
@@ -1060,6 +1110,98 @@ mod tests {
         // The faulted lab threads its plan into the IR.
         let faulty = small_lab().with_faults(FaultPlan::heavy(5)).unwrap();
         assert!(faulty.scenario_ir(&sc).unwrap().faults.is_some());
+    }
+
+    /// Both paper plans plus 1000 seeded mixes of 2 or 3 co-groups on
+    /// `lab`'s machine; every other mix has a zero-count co-group.
+    fn key_scenarios(lab: &Lab) -> Vec<Scenario> {
+        let names: Vec<&str> = lab.suite().iter().map(|b| b.name).collect();
+        let mut state = 0x5eed_u64;
+        let mut below = |n: usize| {
+            state = coloc_ml::rng::splitmix64(state);
+            (state % n as u64) as usize
+        };
+        let mut scenarios = lab.paper_plan().scenarios();
+        for m in 0..1000 {
+            let groups = 2 + below(2);
+            let zero = (m % 2 == 0).then(|| below(groups));
+            let co_located = (0..groups)
+                .map(|g| {
+                    let count = if zero == Some(g) { 0 } else { below(3) };
+                    (names[below(names.len())].to_string(), count)
+                })
+                .collect();
+            scenarios.push(Scenario {
+                target: names[below(names.len())].to_string(),
+                co_located,
+                pstate: below(lab.machine().spec().num_pstates()),
+            });
+        }
+        scenarios
+    }
+
+    /// The key a lab runs a scenario under is the digest of the owned IR
+    /// it lowers to, the cache key of that IR, and the digest of an IR
+    /// built here from the suite by name; its seed comes from the label's
+    /// bytes. On both paper presets, with and without a fault plan.
+    #[test]
+    fn borrowed_keys_equal_the_ir_digest() {
+        let lab_seed = 42;
+        for spec in [presets::xeon_e5649(), presets::xeon_e5_2697v2()] {
+            let clean = Lab::new(spec.clone(), coloc_workloads::standard(), lab_seed).unwrap();
+            let faulty = Lab::new(spec, coloc_workloads::standard(), lab_seed)
+                .unwrap()
+                .with_faults(FaultPlan::light(lab_seed))
+                .unwrap();
+            let scenarios = key_scenarios(&clean);
+            let zeros = scenarios
+                .iter()
+                .filter(|sc| sc.co_located.iter().any(|&(_, c)| c == 0))
+                .count();
+            assert_eq!(scenarios.len(), clean.paper_plan().len() + 1000);
+            assert!(zeros >= 500, "{zeros} scenarios with a zero-count co-group");
+            for lab in [&clean, &faulty] {
+                for sc in &scenarios {
+                    let seed = derive_seed(derive_seed_str(lab_seed, &sc.label()), 1);
+                    let app = |name: &str| lab.app(name).unwrap().app.clone();
+                    let mut workload = vec![RunnerGroup::solo(app(&sc.target))];
+                    for (name, count) in &sc.co_located {
+                        if *count > 0 {
+                            workload.push(RunnerGroup {
+                                app: app(name),
+                                count: *count,
+                            });
+                        }
+                    }
+                    let mut reference = ScenarioIr::new(
+                        lab.machine().spec().clone(),
+                        workload,
+                        RunOptions {
+                            pstate: sc.pstate,
+                            seed,
+                            noise_sigma: DEFAULT_NOISE_SIGMA,
+                            ..RunOptions::default()
+                        },
+                    );
+                    reference.faults = lab.fault_plan().copied();
+
+                    let (groups, opts) = lab.lower(sc).unwrap();
+                    assert_eq!(opts.seed, seed, "{sc}");
+                    let key = lab.key(&groups, &opts);
+                    let ir = lab.scenario_ir(sc).unwrap();
+                    assert_eq!(key, ir.digest(), "{sc}");
+                    assert_eq!(key, reference.digest(), "{sc}");
+                    let ir_key = lab.run_cache.key_for_scheduled(
+                        lab.machine(),
+                        &ir.workload,
+                        &ir.opts,
+                        ir.faults.as_ref(),
+                        None,
+                    );
+                    assert_eq!(key, ir_key, "{sc}");
+                }
+            }
+        }
     }
 
     fn chaos_tmp(name: &str) -> std::path::PathBuf {

@@ -60,19 +60,31 @@ impl Scenario {
             .map(|(n, c)| (n.as_str(), *c))
     }
 
-    /// A human-readable label, e.g. `canneal+3x cg @P2`.
+    /// A human-readable label, e.g. `canneal+3x cg @P2`: the scenario's
+    /// `Display` text.
     pub fn label(&self) -> String {
-        if self.co_located.is_empty() {
-            return format!("{} solo @P{}", self.target, self.pstate);
-        }
-        let co: Vec<String> = self.co_groups().map(|(n, c)| format!("{c}x {n}")).collect();
-        format!("{}+{} @P{}", self.target, co.join("+"), self.pstate)
+        self.to_string()
     }
 }
 
+/// Writes the label: `<target> solo @P<p>` with no co-runner entries,
+/// else `<target>+` then the nonzero co-groups as `<count>x <name>`
+/// joined by `+`, then ` @P<p>`. The lab derives each scenario's seed
+/// from these bytes, so they are pinned by tests.
 impl std::fmt::Display for Scenario {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.label())
+        f.write_str(&self.target)?;
+        if self.co_located.is_empty() {
+            return write!(f, " solo @P{}", self.pstate);
+        }
+        f.write_str("+")?;
+        for (i, (name, count)) in self.co_groups().enumerate() {
+            if i > 0 {
+                f.write_str("+")?;
+            }
+            write!(f, "{count}x {name}")?;
+        }
+        write!(f, " @P{}", self.pstate)
     }
 }
 
@@ -86,6 +98,24 @@ mod tests {
         assert_eq!(s.num_co_located(), 3);
         assert_eq!(s.cores_needed(), 4);
         assert_eq!(s.label(), "canneal+3x cg @P2");
+        // The label is the byte string every lab seed is derived from:
+        // solo, two co-groups, and co-runner entries that are all zero
+        // (no group is written, but the `+` is).
+        let mix = |co: &[(&str, usize)], pstate| Scenario {
+            target: "ft".into(),
+            co_located: co.iter().map(|&(n, c)| (n.to_string(), c)).collect(),
+            pstate,
+        };
+        for (s, label) in [
+            (Scenario::solo("ep", 5), "ep solo @P5"),
+            (mix(&[("cg", 2), ("sp", 1)], 0), "ft+2x cg+1x sp @P0"),
+            (mix(&[("ep", 0)], 3), "ft+ @P3"),
+            (mix(&[("ep", 0), ("cg", 0)], 1), "ft+ @P1"),
+            (mix(&[("ep", 0), ("cg", 4)], 1), "ft+4x cg @P1"),
+        ] {
+            assert_eq!(s.label(), label);
+            assert_eq!(format!("{s}"), label);
+        }
     }
 
     #[test]

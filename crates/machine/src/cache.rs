@@ -33,18 +33,19 @@
 //! same shard. Each shard is bounded at `capacity / shards` entries and
 //! evicts least-recently-used (a hit refreshes recency; with no
 //! intervening hits this degenerates to insertion order, the previous
-//! FIFO behavior). Hit/miss/eviction counters are global atomics, so
-//! [`RunCache::stats`] aggregates are exactly what the single-mutex cache
-//! reported and `SweepStats`/`repro` artifacts are unchanged.
+//! FIFO behavior). Each shard counts its own hits, misses and evictions
+//! under the lock every request already holds, so a request touches no
+//! cache-wide counter; [`RunCache::stats`] sums the shards, which gives
+//! exactly what the single-mutex cache reported, and
+//! `SweepStats`/`repro` artifacts are unchanged.
 
-use crate::engine::{Machine, RunOptions, RunOutcome, RunnerGroup, StageProfile};
+use crate::engine::{GroupView, Machine, RunOptions, RunOutcome, StageProfile};
 use crate::event::GroupSchedule;
 use crate::faults::FaultPlan;
 use crate::ir;
 use crate::Result;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Counter snapshot for telemetry.
@@ -61,15 +62,22 @@ pub struct CacheStats {
 }
 
 /// One independently locked cache segment: a key→outcome map plus an
-/// LRU index. Recency is a per-shard logical clock: every touch stamps
-/// the entry, and eviction removes the minimum stamp. `BTreeMap` keeps
-/// both touch and evict at `O(log n)` for the small per-shard n.
+/// LRU index, and the shard's share of the cache's counters. Recency is a
+/// per-shard logical clock: every touch stamps the entry, and eviction
+/// removes the minimum stamp. `BTreeMap` keeps both touch and evict at
+/// `O(log n)` for the small per-shard n.
 struct Shard {
     map: HashMap<u128, (Arc<RunOutcome>, u64)>,
     /// stamp → key, the eviction order. Stamps are unique per shard.
     lru: BTreeMap<u64, u128>,
     /// Next recency stamp.
     clock: u64,
+    /// Lookups in this shard answered from it.
+    hits: u64,
+    /// Lookups in this shard that fell through to the engine.
+    misses: u64,
+    /// Entries this shard displaced at its bound.
+    evictions: u64,
 }
 
 impl Shard {
@@ -78,40 +86,46 @@ impl Shard {
             map: HashMap::new(),
             lru: BTreeMap::new(),
             clock: 0,
+            hits: 0,
+            misses: 0,
+            evictions: 0,
         }
     }
 
-    /// Look up `key`, refreshing its recency on a hit.
+    /// Look up `key`, refreshing its recency and counting a hit when it
+    /// is resident.
     fn get(&mut self, key: u128) -> Option<Arc<RunOutcome>> {
         let clock = &mut self.clock;
         let lru = &mut self.lru;
-        self.map.get_mut(&key).map(|(outcome, stamp)| {
+        let hit = self.map.get_mut(&key).map(|(outcome, stamp)| {
             lru.remove(stamp);
             *stamp = *clock;
             lru.insert(*clock, key);
             *clock += 1;
             Arc::clone(outcome)
-        })
+        });
+        if hit.is_some() {
+            self.hits += 1;
+        }
+        hit
     }
 
-    /// Insert `key` if vacant, then evict down to `capacity`. Returns the
-    /// number of entries evicted.
-    fn insert_bounded(&mut self, key: u128, outcome: Arc<RunOutcome>, capacity: usize) -> u64 {
+    /// Insert `key` if vacant, then evict down to `capacity`, counting
+    /// every eviction.
+    fn insert_bounded(&mut self, key: u128, outcome: Arc<RunOutcome>, capacity: usize) {
         if let Entry::Vacant(slot) = self.map.entry(key) {
             slot.insert((outcome, self.clock));
             self.lru.insert(self.clock, key);
             self.clock += 1;
         }
-        let mut evicted = 0;
         while self.map.len() > capacity {
             let Some((&stamp, &victim)) = self.lru.iter().next() else {
                 break;
             };
             self.lru.remove(&stamp);
             self.map.remove(&victim);
-            evicted += 1;
+            self.evictions += 1;
         }
-        evicted
     }
 }
 
@@ -124,9 +138,6 @@ pub struct RunCache {
     /// Bit mask selecting a shard from a digest (shard count is a power
     /// of two).
     shard_mask: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
 /// Default capacity: comfortably holds a full paper-shape sweep
@@ -163,9 +174,6 @@ impl RunCache {
             shard_capacity,
             shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
             shard_mask: shards - 1,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
     }
 
@@ -179,8 +187,11 @@ impl RunCache {
         self.shard_capacity
     }
 
-    fn shard_for(&self, key: u128) -> &Mutex<Shard> {
-        &self.shards[(key as usize) & self.shard_mask]
+    /// Lock the shard `key` lives in.
+    fn shard_for(&self, key: u128) -> std::sync::MutexGuard<'_, Shard> {
+        self.shards[(key as usize) & self.shard_mask]
+            .lock()
+            .expect("run cache poisoned")
     }
 
     /// Whether `key` is resident, refreshing its recency (and counting a
@@ -188,15 +199,7 @@ impl RunCache {
     /// triggering a simulation — the degraded path of an overloaded
     /// prediction service.
     pub fn peek(&self, key: u128) -> Option<Arc<RunOutcome>> {
-        let hit = self
-            .shard_for(key)
-            .lock()
-            .expect("run cache poisoned")
-            .get(key);
-        if hit.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
+        self.shard_for(key).get(key)
     }
 
     /// The memo key this cache uses for a scenario: the encoding behind
@@ -205,16 +208,16 @@ impl RunCache {
     /// slots, shared by every clone of that table. All-default (or absent)
     /// schedules key like no schedules, and a no-op fault plan like no
     /// plan.
-    pub fn key_for_scheduled(
+    pub fn key_for_scheduled<G: GroupView>(
         &self,
         machine: &Machine,
-        workload: &[RunnerGroup],
+        workload: &[G],
         opts: &RunOptions,
         faults: Option<&FaultPlan>,
         schedules: Option<&[GroupSchedule]>,
     ) -> u128 {
-        let mut d = ir::IrWriter::new();
-        ir::encode_scenario(&mut d, machine.spec(), workload, opts, faults, schedules);
+        let mut d = machine.spec_prefix().clone();
+        ir::encode_run(&mut d, workload, opts, faults, schedules);
         d.finish()
     }
 
@@ -230,42 +233,33 @@ impl RunCache {
     /// the plan is part of the memo key (a clean request never sees a
     /// faulted entry). Stage costs accrue into `profile` only on the miss
     /// path — a hit does no simulation work, so there is nothing to time.
-    pub fn run_scheduled_observed(
+    pub fn run_scheduled_observed<G: GroupView>(
         &self,
         machine: &Machine,
-        workload: &[RunnerGroup],
+        workload: &[G],
         schedules: Option<&[GroupSchedule]>,
         opts: &RunOptions,
         faults: Option<&FaultPlan>,
         profile: Option<&mut StageProfile>,
     ) -> Result<(Arc<RunOutcome>, bool)> {
         let key = self.key_for_scheduled(machine, workload, opts, faults, schedules);
-        if let Some(hit) = self
-            .shard_for(key)
-            .lock()
-            .expect("run cache poisoned")
-            .get(key)
         {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((hit, true));
+            let mut shard = self.shard_for(key);
+            if let Some(hit) = shard.get(key) {
+                return Ok((hit, true));
+            }
+            shard.misses += 1;
         }
         // The engine runs outside the lock: concurrent misses on the same
         // key may both simulate, but they produce identical outcomes, so
         // the race is benign and the sweep never serializes on the cache.
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let mut outcome = machine.run_observed(workload, schedules, opts, profile, None)?;
         if let Some(plan) = faults {
             plan.apply(opts.seed, &mut outcome);
         }
         let outcome = Arc::new(outcome);
-        let evicted = self
-            .shard_for(key)
-            .lock()
-            .expect("run cache poisoned")
+        self.shard_for(key)
             .insert_bounded(key, Arc::clone(&outcome), self.shard_capacity);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
         Ok((outcome, false))
     }
 
@@ -278,18 +272,18 @@ impl RunCache {
         }
     }
 
-    /// Snapshot the hit/miss/eviction counters and current size.
+    /// Snapshot the hit/miss/eviction counters and current size, summed
+    /// over the shards.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            len: self
-                .shards
-                .iter()
-                .map(|s| s.lock().expect("run cache poisoned").map.len())
-                .sum(),
+        let mut total = CacheStats::default();
+        for shard in &self.shards {
+            let s = shard.lock().expect("run cache poisoned");
+            total.hits += s.hits;
+            total.misses += s.misses;
+            total.evictions += s.evictions;
+            total.len += s.map.len();
         }
+        total
     }
 }
 
@@ -297,6 +291,7 @@ impl RunCache {
 mod tests {
     use super::*;
     use crate::app::{AppPhase, AppProfile};
+    use crate::engine::RunnerGroup;
     use crate::presets;
     use crate::ScenarioIr;
     use coloc_cachesim::StackDistanceDist;

@@ -40,6 +40,7 @@ pub use stages::{
 use crate::app::AppProfile;
 use crate::event::{self, Event, EventKind, EventQueue, GroupSchedule};
 use crate::faults::FaultEvent;
+use crate::ir::IrWriter;
 use crate::spec::MachineSpec;
 use crate::{MachineError, Result};
 use coloc_cachesim::MissRateCurve;
@@ -65,10 +66,11 @@ impl RunnerGroup {
 }
 
 /// A borrowed view of one workload group — the engine's internal workload
-/// representation. [`Machine::run_observed`] lowers `&[RunnerGroup]` to a
-/// slice of these (a pointer-sized copy per group), and [`Machine::run_solo`]
-/// builds one directly from the borrowed profile, so the per-query
-/// baseline measurement never clones the [`AppProfile`] just to run it.
+/// representation. [`Machine::run_observed`] lowers any [`GroupView`]
+/// slice to a slice of these (a pointer-sized copy per group), and
+/// [`Machine::run_solo`] builds one directly from the borrowed profile, so
+/// the per-query baseline measurement never clones the [`AppProfile`] just
+/// to run it.
 #[derive(Clone, Copy, Debug)]
 pub struct GroupRef<'a> {
     /// Profile shared by every instance in the group.
@@ -89,6 +91,29 @@ impl<'a> GroupRef<'a> {
     /// A single-instance group over a borrowed profile.
     pub fn solo(app: &'a AppProfile) -> GroupRef<'a> {
         GroupRef { app, count: 1 }
+    }
+}
+
+/// Anything that reads as one workload group: an owned [`RunnerGroup`]
+/// or a borrowed [`GroupRef`]. The run and key paths
+/// ([`Machine::run_observed`], [`crate::RunCache::key_for_scheduled`],
+/// [`crate::RunCache::run_scheduled_observed`]) take a slice of either,
+/// so a caller holding profiles elsewhere (a lab's suite) runs and keys
+/// a scenario without cloning them into an owned workload.
+pub trait GroupView {
+    /// The group as a borrowed view.
+    fn group(&self) -> GroupRef<'_>;
+}
+
+impl GroupView for RunnerGroup {
+    fn group(&self) -> GroupRef<'_> {
+        GroupRef::from_group(self)
+    }
+}
+
+impl GroupView for GroupRef<'_> {
+    fn group(&self) -> GroupRef<'_> {
+        *self
     }
 }
 
@@ -242,14 +267,17 @@ pub struct RunOutcome {
 
 /// The simulator: a machine spec plus its memory system.
 ///
-/// A machine holds no memo of its own. The miss-rate curve of each
-/// locality table is memoized in the table itself
-/// ([`coloc_cachesim::StackDistanceDist::shared_curve`]), so every machine
-/// and every thread running clones of one profile shares one curve.
+/// The miss-rate curve of each locality table is memoized in the table
+/// itself ([`coloc_cachesim::StackDistanceDist::shared_curve`]), so every
+/// machine and every thread running clones of one profile shares one
+/// curve. The machine's one memo is the digest writer's state after
+/// absorbing its spec, the prefix of every run-cache key on it; the
+/// machine owns its spec immutably, so the prefix cannot go stale.
 #[derive(Clone, Debug)]
 pub struct Machine {
     spec: MachineSpec,
     mem: MemorySystem,
+    spec_prefix: IrWriter,
 }
 
 /// Run `f`, attributing its wall time to `id` when a profile is attached.
@@ -273,12 +301,24 @@ impl Machine {
     pub fn new(spec: MachineSpec) -> Result<Machine> {
         spec.validate().map_err(MachineError::InvalidSpec)?;
         let mem = MemorySystem::new(spec.dram);
-        Ok(Machine { spec, mem })
+        let mut spec_prefix = IrWriter::new();
+        crate::ir::encode_spec(&mut spec_prefix, &spec);
+        Ok(Machine {
+            spec,
+            mem,
+            spec_prefix,
+        })
     }
 
     /// The machine's spec.
     pub fn spec(&self) -> &MachineSpec {
         &self.spec
+    }
+
+    /// A digest writer that has absorbed this machine's spec: where every
+    /// canonical scenario encoding on this machine starts.
+    pub(crate) fn spec_prefix(&self) -> &IrWriter {
+        &self.spec_prefix
     }
 
     /// The machine's memory system (stage-test access).
@@ -301,15 +341,15 @@ impl Machine {
     /// pipeline stage; `trace` records the most recent segments into its
     /// ring. Either, both or neither may be attached: observation never
     /// changes a bit of the outcome.
-    pub fn run_observed(
+    pub fn run_observed<G: GroupView>(
         &self,
-        workload: &[RunnerGroup],
+        workload: &[G],
         schedules: Option<&[GroupSchedule]>,
         opts: &RunOptions,
         profile: Option<&mut StageProfile>,
         trace: Option<&mut SegmentTrace>,
     ) -> Result<RunOutcome> {
-        let groups: Vec<GroupRef<'_>> = workload.iter().map(GroupRef::from_group).collect();
+        let groups: Vec<GroupRef<'_>> = workload.iter().map(GroupView::group).collect();
         self.drive(&groups, schedules, opts, profile, trace)
     }
 

@@ -15,7 +15,9 @@
 //! FNV-1a writer. Scenario digests hash one canonical byte encoding,
 //! written by one private encoder behind [`ScenarioIr::digest`],
 //! [`ScenarioIr::digest64`] and the run-cache key
-//! ([`crate::RunCache::key_for_scheduled`]):
+//! ([`crate::RunCache::key_for_scheduled`]). The encoding opens with the
+//! machine spec; a [`Machine`] keeps the writer's state after its spec,
+//! so the run-cache key starts there and absorbs only the rest:
 //!
 //! * integers are hashed as little-endian `u64` bytes (`usize` widens);
 //! * floats are hashed by **bit pattern** (`f64::to_bits`), so `-0.0`,
@@ -40,7 +42,7 @@
 //! run caches and sweep checkpoints — fails CI instead.
 
 use crate::app::AppProfile;
-use crate::engine::{Machine, RunOptions, RunnerGroup};
+use crate::engine::{GroupView, Machine, RunOptions, RunnerGroup};
 use crate::event::GroupSchedule;
 use crate::faults::FaultPlan;
 use crate::spec::MachineSpec;
@@ -200,19 +202,10 @@ fn fnv_pow(n_bytes: usize) -> u128 {
     acc
 }
 
-/// Canonical encoding of a complete scenario — machine spec, workload,
-/// run options, optional fault plan, optional event schedules — into `d`.
-/// This is **the** scenario byte encoding: [`ScenarioIr::digest`], the
-/// run-cache key, and the sweep-checkpoint digest all read these exact
-/// bytes.
-pub(crate) fn encode_scenario(
-    d: &mut IrWriter,
-    spec: &MachineSpec,
-    workload: &[RunnerGroup],
-    opts: &RunOptions,
-    faults: Option<&FaultPlan>,
-    schedules: Option<&[GroupSchedule]>,
-) {
+/// Canonical encoding of a machine spec: the first bytes of every
+/// scenario encoding. [`Machine::new`] keeps the writer's state after
+/// these bytes, and the run-cache key starts from it.
+pub(crate) fn encode_spec(d: &mut IrWriter, spec: &MachineSpec) {
     d.str(&spec.name);
     d.usize(spec.cores);
     d.u64(spec.llc_bytes);
@@ -227,11 +220,25 @@ pub(crate) fn encode_scenario(
     d.f64(spec.dram.max_queue_ns);
     d.f64(spec.dram.bank_penalty_ns);
     d.usize(spec.dram.banks);
+}
 
+/// Canonical encoding of the rest of a scenario — workload, run options,
+/// optional fault plan, optional event schedules — into `d`, after the
+/// machine spec ([`encode_spec`]). The two together are **the** scenario
+/// byte encoding: [`ScenarioIr::digest`], the run-cache key, and the
+/// sweep-checkpoint digest all read these exact bytes.
+pub(crate) fn encode_run<G: GroupView>(
+    d: &mut IrWriter,
+    workload: &[G],
+    opts: &RunOptions,
+    faults: Option<&FaultPlan>,
+    schedules: Option<&[GroupSchedule]>,
+) {
     d.usize(workload.len());
     for g in workload {
+        let g = g.group();
         d.usize(g.count);
-        encode_app(d, &g.app);
+        encode_app(d, g.app);
     }
 
     d.usize(opts.pstate);
@@ -339,9 +346,9 @@ impl ScenarioIr {
     /// A writer that has absorbed this scenario's canonical encoding.
     fn encoded(&self) -> IrWriter {
         let mut d = IrWriter::new();
-        encode_scenario(
+        encode_spec(&mut d, &self.machine);
+        encode_run(
             &mut d,
-            &self.machine,
             &self.workload,
             &self.opts,
             self.faults.as_ref(),

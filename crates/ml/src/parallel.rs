@@ -9,11 +9,12 @@
 //! so load balance is automatic and the idle tail is at most one task per
 //! worker.
 //!
-//! Determinism: each task is keyed by its index, every worker tags results
-//! with the index it pulled, and the merged output is sorted back into
-//! index order. The values produced are whatever `f(i)` returns — bit-wise
-//! independent of thread count or scheduling, provided `f` itself is a
-//! pure function of `i`.
+//! Determinism: each task is keyed by its index. A worker keeps each batch
+//! of indices it claims as one run of results in index order, tagged with
+//! the batch's start, and the merged output concatenates the batches in
+//! start order — index order. The values produced are whatever `f(i)`
+//! returns — bit-wise independent of thread count or scheduling, provided
+//! `f` itself is a pure function of `i`.
 //!
 //! # The pool
 //!
@@ -94,20 +95,19 @@ where
 
     let batch = (n / (threads * CHUNKS_PER_WORKER)).max(1);
     let cursor = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
+    // Claimed batches, each as (start index, results in index order).
+    let results: Mutex<Vec<(usize, Vec<T>)>> = Mutex::new(Vec::with_capacity(n.div_ceil(batch)));
     let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
     // One worker's share of the call. It never unwinds: a task's panic is
     // caught here, so the pool's bookkeeping always sees the worker leave.
     let work = || {
-        let mut acc: Vec<(usize, T)> = Vec::new();
+        let mut acc: Vec<(usize, Vec<T>)> = Vec::new();
         let claimed = panic::catch_unwind(AssertUnwindSafe(|| loop {
             let start = cursor.fetch_add(batch, Ordering::Relaxed);
             if start >= n {
                 break;
             }
-            for i in start..(start + batch).min(n) {
-                acc.push((i, f(i)));
-            }
+            acc.push((start, (start..(start + batch).min(n)).map(&f).collect()));
         }));
         match claimed {
             Ok(()) => results.lock().expect("results lock").append(&mut acc),
@@ -125,10 +125,14 @@ where
     if let Some(payload) = panicked.into_inner().expect("panic slot lock") {
         panic::resume_unwind(payload);
     }
-    let mut tagged = results.into_inner().expect("results lock");
-    debug_assert_eq!(tagged.len(), n, "every index must be executed exactly once");
-    tagged.sort_unstable_by_key(|&(i, _)| i);
-    tagged.into_iter().map(|(_, v)| v).collect()
+    let mut batches = results.into_inner().expect("results lock");
+    batches.sort_unstable_by_key(|&(start, _)| start);
+    let mut out = Vec::with_capacity(n);
+    for (_, b) in batches {
+        out.extend(b);
+    }
+    debug_assert_eq!(out.len(), n, "every index must be executed exactly once");
+    out
 }
 
 /// The process-wide pool behind [`run_indexed`].
@@ -308,6 +312,28 @@ mod tests {
         for threads in [2, 3, 8] {
             let out = run_indexed(64, threads, |i| (i as f64).sqrt().sin());
             assert_eq!(out, baseline, "threads = {threads}");
+        }
+        // 203 tasks is no multiple of the claim batch at any of these
+        // counts (12, 8 and 3 tasks), so every call ends on a short batch;
+        // every 17th task costs ~1000 times the rest, so workers can
+        // finish their batches out of start order.
+        let skewed = |i: usize| {
+            let spins = if i.is_multiple_of(17) { 200_000 } else { 200 };
+            let mut acc = i as u64;
+            for k in 0..spins {
+                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
+            }
+            (i, acc)
+        };
+        let baseline = run_indexed(203, 1, skewed);
+        for threads in [2, 3, 8] {
+            let batch = 203 / (threads * CHUNKS_PER_WORKER);
+            assert!(!203usize.is_multiple_of(batch), "threads = {threads}");
+            assert_eq!(
+                run_indexed(203, threads, skewed),
+                baseline,
+                "threads = {threads}"
+            );
         }
     }
 

@@ -28,12 +28,44 @@ pub fn derive_seed(base: u64, stream: u64) -> u64 {
 /// name), for call sites where numeric stream ids would be error-prone.
 pub fn derive_seed_str(base: u64, label: &str) -> u64 {
     // FNV-1a over the label, then mix with the base.
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in label.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+    let mut h = Fnv64::default();
+    h.absorb(label);
+    derive_seed(base, h.0)
+}
+
+/// [`derive_seed_str`] of `label`'s `Display` text, hashed as it is
+/// written, so no string is built: the seed of a value whose label is
+/// only ever formatted to derive it.
+pub fn derive_seed_fmt(base: u64, label: impl std::fmt::Display) -> u64 {
+    use std::fmt::Write as _;
+    let mut h = Fnv64::default();
+    write!(h, "{label}").expect("hashing a label cannot fail");
+    derive_seed(base, h.0)
+}
+
+/// FNV-1a/64 over every byte absorbed, as a `fmt::Write` sink.
+struct Fnv64(u64);
+
+impl Default for Fnv64 {
+    fn default() -> Fnv64 {
+        Fnv64(0xcbf29ce484222325)
     }
-    derive_seed(base, h)
+}
+
+impl Fnv64 {
+    fn absorb(&mut self, s: &str) {
+        for b in s.bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+}
+
+impl std::fmt::Write for Fnv64 {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.absorb(s);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -63,6 +95,18 @@ mod tests {
         let b = splitmix64(0x1234_5679);
         let flipped = (a ^ b).count_ones();
         assert!((16..=48).contains(&flipped), "only {flipped} bits flipped");
+    }
+
+    #[test]
+    fn formatted_labels_seed_like_their_text() {
+        for (base, label) in [(42, "canneal+3x cg @P2"), (0, "")] {
+            assert_eq!(derive_seed_fmt(base, label), derive_seed_str(base, label));
+        }
+        // Written in pieces, hashed like the whole text.
+        assert_eq!(
+            derive_seed_fmt(7, format_args!("{}+{}x {} @P{}", "ft", 2, "cg", 1)),
+            derive_seed_str(7, "ft+2x cg @P1")
+        );
     }
 
     #[test]

@@ -487,9 +487,104 @@ impl Shared {
 /// violation and close the connection (bounds per-connection memory).
 pub const MAX_LINE: usize = 1 << 20;
 
-/// One bound listen socket, TCP or Unix, behind a common nonblocking
-/// accept. Accepted connections come back as boxed read/write halves so
-/// the reader/writer threads are transport-agnostic.
+/// How long one `accept` waits for a connection before the accept loop
+/// checks the drain latch, SIGHUP and the stats frame. A connection is
+/// accepted as soon as it arrives; the wait only bounds how often an idle
+/// loop wakes.
+const ACCEPT_WAIT: Duration = Duration::from_millis(50);
+
+/// `accept` waits at most [`ACCEPT_WAIT`]: Linux bounds a blocking
+/// `accept` by the listener's `SO_RCVTIMEO` and then fails it with
+/// `EAGAIN`. The option is set through `setsockopt` declared here, as
+/// [`signals`] declares its two C functions, for the targets whose
+/// `SO_RCVTIMEO` and `struct timeval` layout it spells out.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+mod accept_wait {
+    use std::io;
+    use std::os::fd::AsRawFd;
+
+    /// Whether `accept` returns on its own when no client connects.
+    pub const BOUNDED: bool = true;
+
+    const SOL_SOCKET: i32 = 1;
+    const SO_RCVTIMEO: i32 = 20;
+
+    /// `struct timeval` on 64-bit Linux.
+    #[repr(C)]
+    struct Timeval {
+        tv_sec: i64,
+        tv_usec: i64,
+    }
+
+    extern "C" {
+        fn setsockopt(
+            fd: i32,
+            level: i32,
+            name: i32,
+            value: *const std::ffi::c_void,
+            len: u32,
+        ) -> i32;
+    }
+
+    /// Bound every `accept` on the fresh, blocking `listener` to
+    /// [`super::ACCEPT_WAIT`].
+    pub fn bound(listener: &super::Listener) -> io::Result<()> {
+        let fd = match listener {
+            super::Listener::Tcp(l) => l.as_raw_fd(),
+            super::Listener::Unix(l, _) => l.as_raw_fd(),
+        };
+        let wait = super::ACCEPT_WAIT;
+        let tv = Timeval {
+            tv_sec: wait.as_secs() as i64,
+            tv_usec: i64::from(wait.subsec_micros()),
+        };
+        // SAFETY: `fd` is an open socket for the whole call, and `value`
+        // points at a live `struct timeval` of exactly `len` bytes, which
+        // the kernel only reads.
+        let rc = unsafe {
+            setsockopt(
+                fd,
+                SOL_SOCKET,
+                SO_RCVTIMEO,
+                (&tv as *const Timeval).cast(),
+                std::mem::size_of::<Timeval>() as u32,
+            )
+        };
+        if rc == 0 {
+            Ok(())
+        } else {
+            Err(io::Error::last_os_error())
+        }
+    }
+}
+
+/// Elsewhere the listener is nonblocking and the accept loop sleeps
+/// between polls.
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+mod accept_wait {
+    /// Whether `accept` returns on its own when no client connects.
+    pub const BOUNDED: bool = false;
+
+    /// Make the fresh `listener` nonblocking.
+    pub fn bound(listener: &super::Listener) -> std::io::Result<()> {
+        match listener {
+            super::Listener::Tcp(l) => l.set_nonblocking(true),
+            #[cfg(unix)]
+            super::Listener::Unix(l, _) => l.set_nonblocking(true),
+        }
+    }
+}
+
+/// One bound listen socket, TCP or Unix, behind a common accept that
+/// never blocks past [`ACCEPT_WAIT`]. Accepted connections come back as
+/// boxed read/write halves so the reader/writer threads are
+/// transport-agnostic.
 enum Listener {
     Tcp(TcpListener),
     #[cfg(unix)]
@@ -746,20 +841,15 @@ impl Server {
             )));
         }
         let listener = match &cfg.bind {
-            BindAddr::Tcp(addr) => {
-                let l = TcpListener::bind(addr)
-                    .map_err(|e| ColocError::Machine(format!("bind {addr}: {e}")))?;
-                l.set_nonblocking(true)
-                    .map_err(|e| ColocError::Machine(format!("nonblocking: {e}")))?;
-                Listener::Tcp(l)
-            }
+            BindAddr::Tcp(addr) => Listener::Tcp(
+                TcpListener::bind(addr)
+                    .map_err(|e| ColocError::Machine(format!("bind {addr}: {e}")))?,
+            ),
             #[cfg(unix)]
             BindAddr::Unix(path) => {
                 let _ = std::fs::remove_file(path); // stale socket from a crash
                 let l = std::os::unix::net::UnixListener::bind(path)
                     .map_err(|e| ColocError::Machine(format!("bind {}: {e}", path.display())))?;
-                l.set_nonblocking(true)
-                    .map_err(|e| ColocError::Machine(format!("nonblocking: {e}")))?;
                 Listener::Unix(l, path.clone())
             }
             #[cfg(not(unix))]
@@ -769,6 +859,8 @@ impl Server {
                 ))
             }
         };
+        accept_wait::bound(&listener)
+            .map_err(|e| ColocError::Machine(format!("accept wait: {e}")))?;
         let shared = Arc::new(Shared::new(cfg)?);
         // Warm the default machine before accepting: baselines + the
         // fallback predictor, so the degraded ladder never trains under
@@ -813,8 +905,11 @@ impl Server {
                     }));
                     handles.push(std::thread::spawn(move || writer_loop(write_half, rx)));
                 }
+                // No client within the wait (or, unbounded, right now).
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    std::thread::sleep(Duration::from_millis(5));
+                    if !accept_wait::BOUNDED {
+                        std::thread::sleep(Duration::from_millis(5));
+                    }
                 }
                 Err(_) => std::thread::sleep(Duration::from_millis(5)),
             }

@@ -2,7 +2,7 @@
 //!
 //! Usage: `repro <artifact>` where artifact is one of
 //! `table1..table6`, `fig1..fig5b`, `pca`, `importance`, `ablations`,
-//! `ablation-<name>`, `chaos`, `conformance`, or `all`.
+//! `ablation-<name>`, or `all`.
 //!
 //! Expensive intermediates (training sweeps, model-grid validations) are
 //! cached as JSON under `repro-out/`; delete that directory to force a full
@@ -51,8 +51,6 @@ fn main() {
             coloc_bench::ablations::phases(),
         ),
         "importance" => importance(),
-        "chaos" => coloc_bench::chaos::run_chaos(),
-        "conformance" => coloc_bench::conformance::run_conformance(),
         "ablations" => {
             ablation("Training-set size", coloc_bench::ablations::train_size());
             ablation("Measurement noise", coloc_bench::ablations::noise());
@@ -97,9 +95,8 @@ fn main() {
         other => {
             eprintln!("unknown artifact `{other}`");
             eprintln!(
-                "expected: table1..table6, fig1..fig5b, pca, importance, chaos, \
-                 conformance, all, ablations, \
-                 ablation-{{size,noise,hidden,hetero,classavg,quad,partition,phases}}"
+                "expected: table1..table6, fig1..fig5b, pca, importance, all, \
+                 ablations, ablation-{{size,noise,hidden,hetero,classavg,quad,partition,phases}}"
             );
             std::process::exit(2);
         }

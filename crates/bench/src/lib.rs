@@ -1,11 +1,10 @@
 //! # coloc-bench
 //!
 //! The reproduction harness: one generator per table and figure in the
-//! paper's evaluation, plus the ablations and the `chaos` and
-//! `conformance` artifacts, which the `repro` binary prints. Timing lives
-//! only in the separate `perfbench` package; the placement and
-//! cross-interference results reproduce with `coloc place` and
-//! `coloc matrix`.
+//! paper's evaluation, plus the ablations, which the `repro` binary
+//! prints. Timing lives only in the separate `perfbench` package; the
+//! placement and cross-interference results reproduce with `coloc place`
+//! and `coloc matrix`.
 //!
 //! Generated artifacts are cached as JSON under `repro-out/` (next to the
 //! workspace root, override with `COLOC_REPRO_DIR`) because the full
@@ -14,8 +13,6 @@
 
 pub mod ablations;
 pub mod cache;
-pub mod chaos;
-pub mod conformance;
 pub mod figures;
 pub mod tables;
 

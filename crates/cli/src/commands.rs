@@ -1,7 +1,7 @@
 //! Command implementations.
 
 use crate::args::{ArgMap, Usage};
-use coloc_machine::{FaultPlan, MachineSpec, SegmentTrace, StageId, StageProfile};
+use coloc_machine::{presets, FaultPlan, MachineSpec, SegmentTrace, StageId, StageProfile};
 use coloc_model::lab::CheckpointConfig;
 use coloc_model::persist;
 use coloc_model::{
@@ -53,28 +53,9 @@ fn service_failure(err: ColocError) -> Failure {
 }
 
 fn machine_by_key(key: &str) -> Result<MachineSpec, String> {
-    match key {
-        "e5649" | "6core" => Ok(coloc_machine::presets::xeon_e5649()),
-        "e5_2697v2" | "e5-2697v2" | "12core" => Ok(coloc_machine::presets::xeon_e5_2697v2()),
-        "e5_2630v3" | "e5-2630v3" | "8core" => Ok(coloc_machine::presets::xeon_e5_2630v3()),
-        "platinum_8153" | "platinum-8153" | "16core" => {
-            Ok(coloc_machine::presets::xeon_platinum_8153())
-        }
-        other => Err(format!(
-            "unknown machine `{other}` (try `coloc machines` for the preset list)"
-        )),
-    }
-}
-
-/// The CLI key for a preset spec — inverse of [`machine_by_key`] over the
-/// preset list (core counts are unique across presets).
-fn preset_key(m: &MachineSpec) -> &'static str {
-    match m.cores {
-        6 => "e5649",
-        8 => "e5_2630v3",
-        12 => "e5_2697v2",
-        _ => "platinum_8153",
-    }
+    presets::lookup(key).map(|p| (p.spec)()).ok_or_else(|| {
+        format!("unknown machine `{key}` (try `coloc machines` for the preset list)")
+    })
 }
 
 /// The options [`lab_from`] reads.
@@ -561,10 +542,11 @@ pub fn machines(argv: &[String]) -> CmdResult {
         println!("{}", MACHINES_USAGE.help);
         return Ok(());
     }
-    for m in coloc_machine::presets::all() {
-        let key = preset_key(&m);
+    for p in presets::PRESETS {
+        let m = (p.spec)();
         println!(
-            "{key:<12} {} — {} cores, {} MB L3, {:.2}–{:.2} GHz",
+            "{:<12} {} — {} cores, {} MB L3, {:.2}–{:.2} GHz",
+            p.key,
             m.name,
             m.cores,
             m.llc_bytes >> 20,
@@ -897,12 +879,12 @@ pub fn serve(argv: &[String]) -> Result<(), Failure> {
         (None, Some(path)) => BindAddr::Unix(path.into()),
         (tcp, None) => BindAddr::Tcp(tcp.unwrap_or("127.0.0.1:7105").to_string()),
     };
-    let machine = args.get("machine").unwrap_or("e5649");
-    machine_by_key(machine)?; // fail with the preset list before binding
+    // The server resolves the key, and refuses one it does not serve,
+    // before it binds.
     let cfg = ServeConfig {
         bind,
         seed: args.get_parsed_or("seed", 2015u64)?,
-        default_machine: machine.to_string(),
+        default_machine: args.get("machine").unwrap_or("e5649").to_string(),
         admission_capacity: args.get_parsed_or("capacity", 256usize)?,
         degrade_watermark: args.get_parsed_or("watermark", 128usize)?,
         max_batch: args.get_parsed_or("max-batch", 32usize)?,
@@ -1225,8 +1207,26 @@ mod tests {
     }
 
     #[test]
+    fn every_preset_key_and_alias_resolves_to_its_spec() {
+        // Includes `xeon_e5649` and `E5649`, which only the service
+        // accepted before the table.
+        for p in presets::PRESETS {
+            for key in std::iter::once(p.key).chain(p.aliases.iter().copied()) {
+                for k in [
+                    key.to_string(),
+                    key.to_ascii_uppercase(),
+                    key.replace('_', "-"),
+                ] {
+                    assert_eq!(machine_by_key(&k), Ok((p.spec)()), "`{k}`");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn helpful_errors() {
         assert!(machine_by_key("pentium4").is_err());
+        assert!(machine_by_key("e5").is_err());
         assert!(parse_kind("svm").is_err());
         assert!(parse_set("G").is_err());
         assert!(parse_co(&["cg:x".to_string()]).is_err());

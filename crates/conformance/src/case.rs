@@ -165,19 +165,13 @@ pub struct BuiltCase {
     pub ir: ScenarioIr,
 }
 
-/// Resolve a machine key to its preset spec (the two Table IV platforms
-/// plus the fleet-expansion parts).
+/// Resolve a machine key to its preset spec through
+/// [`presets::lookup`], as the CLI and the service do.
 pub fn machine_spec(key: &str) -> Result<MachineSpec, String> {
-    match key {
-        "e5649" => Ok(presets::xeon_e5649()),
-        "e5_2697v2" => Ok(presets::xeon_e5_2697v2()),
-        "e5_2630v3" => Ok(presets::xeon_e5_2630v3()),
-        "platinum_8153" => Ok(presets::xeon_platinum_8153()),
-        other => Err(format!(
-            "unknown machine key {other:?} (expected \"e5649\", \"e5_2697v2\", \
-             \"e5_2630v3\", or \"platinum_8153\")"
-        )),
-    }
+    presets::lookup(key).map(|p| (p.spec)()).ok_or_else(|| {
+        let keys: Vec<&str> = presets::PRESETS.iter().map(|p| p.key).collect();
+        format!("unknown machine key {key:?} (expected one of {keys:?} or an alias)")
+    })
 }
 
 fn scaled_app(name: &str, scale: f64) -> Result<coloc_machine::AppProfile, String> {
@@ -558,6 +552,22 @@ pub fn shrink<F: Fn(&CorpusCase) -> bool>(case: &CorpusCase, still_fails: F) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_preset_key_and_alias_resolves_to_its_spec() {
+        for p in presets::PRESETS {
+            for key in std::iter::once(p.key).chain(p.aliases.iter().copied()) {
+                for k in [
+                    key.to_string(),
+                    key.to_ascii_uppercase(),
+                    key.replace('_', "-"),
+                ] {
+                    assert_eq!(machine_spec(&k), Ok((p.spec)()), "`{k}`");
+                }
+            }
+        }
+        assert!(machine_spec("cray").is_err());
+    }
 
     #[test]
     fn generation_is_deterministic_and_buildable() {

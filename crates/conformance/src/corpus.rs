@@ -3,9 +3,9 @@
 //! `crates/conformance/corpus/` holds checked-in JSON cases: a seed set
 //! covering every engine feature axis, plus any shrunk counterexample a
 //! failing suite run persisted. Replay is cheap — `coloc verify` and the
-//! `repro conformance` artifact both walk the directory, re-running the
-//! differential oracle on plain cases and the named law on law-tagged
-//! cases — so every future PR re-litigates old failures for free.
+//! root package's `differential` suite both walk the directory, re-running
+//! the differential oracle on plain cases and the named law on law-tagged
+//! cases — so every future change re-litigates old failures for free.
 
 use crate::case::CorpusCase;
 use crate::diff;
@@ -148,7 +148,7 @@ pub fn verify_dir_threaded(dir: &Path, threads: usize) -> Result<VerifyReport, S
 /// axis of the engine (both machines, multi-phase apps, partitioning,
 /// degraded fixed points, every fault preset, solo and crowded mixes).
 /// Checked into `corpus/` and replayed by CI; regenerate the files with
-/// `COLOC_REGEN_CORPUS=1 cargo test -p coloc-conformance seed_corpus`.
+/// `COLOC_REGEN_CORPUS=1 cargo test --test differential seed_corpus`.
 pub fn seed_corpus() -> Vec<CorpusCase> {
     use crate::case::{CoGroup, FaultSpec};
     let mk = |name: &str,

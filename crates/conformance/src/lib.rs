@@ -27,8 +27,8 @@
 //!   invariance of the heterogeneous co-runner encoding).
 //! * [`case`] / [`corpus`] — a seeded scenario generator with a
 //!   deterministic shrinker, and a checked-in JSON corpus under
-//!   `corpus/` that `coloc verify`, `repro conformance`, and CI replay
-//!   on every change. Failing generated cases are shrunk and persisted
+//!   `corpus/` that `coloc verify` and the root package's `differential`
+//!   suite replay on every change. Failing generated cases are shrunk and persisted
 //!   there, so a bug found once is re-checked forever.
 //! * [`mod@placement_laws`] — the same law/shrink/corpus discipline one
 //!   layer up, for the fleet-placement simulation (`crates/placement`):

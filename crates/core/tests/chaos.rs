@@ -155,41 +155,46 @@ fn chaos_collect_survives_a_crash_bit_identically() {
 }
 
 /// Tentpole acceptance: training on fault-riddled data never panics; the
-/// robust path quarantines the damage and produces a usable model.
+/// robust path quarantines the damage and produces a usable model, on the
+/// smallest feature set that sees co-runners and on the full one.
 #[test]
 fn robust_training_on_chaotic_data_produces_a_model() {
     let samples = chaotic_lab().collect(&plan()).unwrap();
-    let (p, report) = train_robust(
-        ModelKind::NeuralNet,
-        FeatureSet::D,
-        &samples,
-        7,
-        &TrainPolicy::default(),
-    )
-    .unwrap();
-    assert!(!report.attempts.is_empty());
-    assert!(!report.sanitize.is_clean(), "{report}");
-    // Whatever rung it landed on, the model must predict finite times.
-    for s in samples.iter().filter(|s| s.actual_time_s.is_finite()) {
-        assert!(p.predict(&s.features).is_finite());
+    for set in [FeatureSet::D, FeatureSet::F] {
+        let (p, report) = train_robust(
+            ModelKind::NeuralNet,
+            set,
+            &samples,
+            7,
+            &TrainPolicy::default(),
+        )
+        .unwrap();
+        assert!(!report.attempts.is_empty(), "{set:?}");
+        assert!(!report.sanitize.is_clean(), "{set:?}: {report}");
+        // Whatever rung it landed on, the model must predict finite times.
+        for s in samples.iter().filter(|s| s.actual_time_s.is_finite()) {
+            assert!(p.predict(&s.features).is_finite(), "{set:?}");
+        }
     }
 }
 
 /// Tentpole acceptance: an unreachable loss ceiling forces every SCG
 /// attempt to fail and the pipeline lands on the linear fallback, with the
-/// whole ladder recorded in the report.
+/// whole ladder recorded in the report, on clean and on faulted data.
 #[test]
 fn divergence_triggers_linear_fallback_with_full_report() {
-    let samples = clean_lab().collect(&plan()).unwrap();
     let policy = TrainPolicy {
         loss_ceiling: 0.0,
         ..Default::default()
     };
-    let (p, report) =
-        train_robust(ModelKind::NeuralNet, FeatureSet::F, &samples, 3, &policy).unwrap();
-    assert!(report.fell_back);
-    assert_eq!(p.kind(), ModelKind::Linear);
-    assert_eq!(report.attempts.len(), policy.retries + 2);
-    let text = format!("{report}");
-    assert!(text.contains("fell back"), "{text}");
+    for lab in [clean_lab(), chaotic_lab()] {
+        let samples = lab.collect(&plan()).unwrap();
+        let (p, report) =
+            train_robust(ModelKind::NeuralNet, FeatureSet::F, &samples, 3, &policy).unwrap();
+        assert!(report.fell_back);
+        assert_eq!(p.kind(), ModelKind::Linear);
+        assert_eq!(report.attempts.len(), policy.retries + 2);
+        let text = format!("{report}");
+        assert!(text.contains("fell back"), "{text}");
+    }
 }

@@ -9,8 +9,7 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 /// Indexing is `(row, col)`; storage is contiguous with stride = `cols`.
 /// The type is cheap to clone for the small systems this workspace solves
 /// (feature matrices of a few thousand rows by ≤ 9 columns).
-#[derive(Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Mat {
     rows: usize,
     cols: usize,

@@ -120,8 +120,7 @@ impl GroupView for GroupRef<'_> {
 /// Per-instance hardware event counts accumulated over a run, as a
 /// performance-counter reader would observe them. Values are `f64` because
 /// segments advance in fractional quanta; round at the presentation layer.
-#[derive(Clone, Copy, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, Default, serde::Serialize, serde::Deserialize)]
 pub struct CounterBlock {
     /// Instructions retired.
     pub instructions: f64,
@@ -165,8 +164,7 @@ impl CounterBlock {
 }
 
 /// Options for one run.
-#[derive(Clone, Copy, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, serde::Serialize, serde::Deserialize)]
 pub struct RunOptions {
     /// P-state index into the machine's frequency table (0 = fastest).
     pub pstate: usize,

@@ -616,8 +616,7 @@ impl StageProfile {
 }
 
 /// One closed segment, as recorded by a traced run.
-#[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SegmentRecord {
     /// 1-based segment index.
     pub segment: usize,

@@ -34,8 +34,7 @@ use crate::{GroupRef, MachineError, Result};
 /// chip clock) and is *canonically absent*: scenario digests only
 /// encode schedules when at least one group deviates from the default,
 /// so every pre-event scenario digests identically to before.
-#[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct GroupSchedule {
     /// Starting position within the app, as a fraction of its total
     /// instructions in `[0, 1)`. Applies to the group's first pass only;

@@ -73,8 +73,7 @@ pub struct FaultEvent {
 /// All rates are per-run probabilities in `[0, 1]`. The default plan is a
 /// no-op (all rates zero); [`FaultPlan::light`] and [`FaultPlan::heavy`]
 /// are calibrated presets for chaos testing.
-#[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct FaultPlan {
     /// Plan seed, mixed with each run's noise seed to draw that run's
     /// fault rolls. Two plans differing only in seed fault different runs.

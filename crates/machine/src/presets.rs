@@ -1,5 +1,6 @@
 //! Machine presets: the paper's two validation platforms (Table IV) plus
-//! two fleet-expansion parts for datacenter-scale placement studies.
+//! two fleet-expansion parts for datacenter-scale placement studies, and
+//! [`PRESETS`], the table every caller resolves a preset key through.
 
 use crate::spec::MachineSpec;
 use coloc_memsys::DramSpec;
@@ -79,20 +80,67 @@ pub fn xeon_platinum_8153() -> MachineSpec {
     }
 }
 
-/// All preset machines: the two paper platforms first (paper order),
-/// then the fleet-expansion parts in core-count order.
-pub fn all() -> Vec<MachineSpec> {
-    vec![
-        xeon_e5649(),
-        xeon_e5_2697v2(),
-        xeon_e5_2630v3(),
-        xeon_platinum_8153(),
-    ]
+/// One preset and the keys that name it on the command line, in the
+/// service's requests and in conformance cases.
+#[derive(Clone, Copy, Debug)]
+pub struct Preset {
+    /// The canonical key, as `coloc machines` lists it.
+    pub key: &'static str,
+    /// Other keys that name the same preset.
+    pub aliases: &'static [&'static str],
+    /// Builds the preset's spec.
+    pub spec: fn() -> MachineSpec,
+}
+
+/// Every preset: the two paper platforms first (paper order), then the
+/// fleet-expansion parts in core-count order. The one table that maps
+/// keys to presets.
+pub const PRESETS: [Preset; 4] = [
+    Preset {
+        key: "e5649",
+        aliases: &["xeon_e5649", "6core"],
+        spec: xeon_e5649,
+    },
+    Preset {
+        key: "e5_2697v2",
+        aliases: &["xeon_e5_2697v2", "12core"],
+        spec: xeon_e5_2697v2,
+    },
+    Preset {
+        key: "e5_2630v3",
+        aliases: &["xeon_e5_2630v3", "8core"],
+        spec: xeon_e5_2630v3,
+    },
+    Preset {
+        key: "platinum_8153",
+        aliases: &["xeon_platinum_8153", "16core"],
+        spec: xeon_platinum_8153,
+    },
+];
+
+/// The preset `key` names: its canonical key or an alias, in any ASCII
+/// case, with `-` read as `_` (`E5-2697V2` names `e5_2697v2`). Allocates
+/// nothing.
+pub fn lookup(key: &str) -> Option<&'static Preset> {
+    let names = |k: &str| {
+        k.len() == key.len()
+            && key.bytes().zip(k.bytes()).all(|(given, name)| {
+                let given = if given == b'-' { b'_' } else { given };
+                given.to_ascii_lowercase() == name
+            })
+    };
+    PRESETS
+        .iter()
+        .find(|p| names(p.key) || p.aliases.iter().any(|a| names(a)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn all() -> Vec<MachineSpec> {
+        PRESETS.iter().map(|p| (p.spec)()).collect()
+    }
 
     #[test]
     fn all_returns_every_platform() {
@@ -120,6 +168,40 @@ mod tests {
                     b.name
                 );
             }
+        }
+    }
+
+    #[test]
+    fn every_key_and_alias_names_its_preset_in_any_spelling() {
+        for p in PRESETS {
+            for key in std::iter::once(p.key).chain(p.aliases.iter().copied()) {
+                for k in [
+                    key.to_string(),
+                    key.to_ascii_uppercase(),
+                    key.replace('_', "-"),
+                ] {
+                    let found = lookup(&k).unwrap_or_else(|| panic!("`{k}` names no preset"));
+                    assert_eq!(found.key, p.key, "`{k}`");
+                }
+            }
+        }
+        // Every key the CLI, the service or the corpus accepted before
+        // they shared this table keeps naming the same preset.
+        for (k, want) in [
+            ("6core", "e5649"),
+            ("xeon_e5649", "e5649"),
+            ("e5-2697v2", "e5_2697v2"),
+            ("12core", "e5_2697v2"),
+            ("xeon_e5_2697v2", "e5_2697v2"),
+            ("e5-2630v3", "e5_2630v3"),
+            ("8core", "e5_2630v3"),
+            ("platinum-8153", "platinum_8153"),
+            ("16core", "platinum_8153"),
+        ] {
+            assert_eq!(lookup(k).map(|p| p.key), Some(want), "`{k}`");
+        }
+        for k in ["", "e5", "e5649x", "cray", "xeon", "e5_2697v3", "4core"] {
+            assert!(lookup(k).is_none(), "`{k}` must name no preset");
         }
     }
 }

@@ -4,8 +4,7 @@ use coloc_memsys::DramSpec;
 
 /// A multicore processor platform (paper Table IV plus the parameters the
 /// simulator needs that the table summarizes).
-#[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct MachineSpec {
     /// Marketing name, e.g. `"Xeon E5649"`.
     pub name: String,

@@ -17,8 +17,7 @@
 //! streams outnumber banks.
 
 /// Static description of a platform's memory subsystem.
-#[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct DramSpec {
     /// Peak sustainable bandwidth, bytes/second.
     pub peak_bw_bytes_per_sec: f64,
@@ -64,8 +63,7 @@ impl DramSpec {
 }
 
 /// A memory system evaluating latency under offered load.
-#[derive(Clone, Copy, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, serde::Serialize, serde::Deserialize)]
 pub struct MemorySystem {
     spec: DramSpec,
 }

@@ -24,10 +24,8 @@
 //! load, convex near saturation, and validated by unit tests for each of
 //! those properties.
 
-pub mod channels;
 pub mod dram;
 
-pub use channels::ChannelArray;
 pub use dram::{DramSpec, MemorySystem};
 
 /// Bytes transferred per LLC miss (one cache line).

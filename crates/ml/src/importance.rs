@@ -17,8 +17,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// Importance of one feature: the increase in MPE when it is destroyed.
-#[derive(Clone, Copy, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, serde::Serialize, serde::Deserialize)]
 pub struct FeatureImportance {
     /// Column index in the dataset.
     pub feature: usize,

@@ -12,8 +12,7 @@ use crate::{Dataset, MlError, Result};
 use coloc_linalg::{lstsq, Cholesky, LinalgError, Mat};
 
 /// A fitted linear regression model with intercept.
-#[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct LinearRegression {
     scaler: Standardizer,
     /// Coefficients in *standardized* feature space.

@@ -62,8 +62,7 @@ impl MlpConfig {
 }
 
 /// A trained network.
-#[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct Mlp {
     inputs: usize,
     hidden: usize,

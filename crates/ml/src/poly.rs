@@ -39,8 +39,7 @@ pub fn quadratic_arity(n: usize) -> usize {
 }
 
 /// A linear model over quadratically-expanded features.
-#[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct QuadraticRegression {
     inner: LinearRegression,
     inputs: usize,

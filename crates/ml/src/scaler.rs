@@ -13,8 +13,7 @@ use coloc_linalg::Mat;
 ///
 /// Columns with zero variance are passed through centered but unscaled
 /// (std treated as 1) so constant features cannot produce NaNs.
-#[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct Standardizer {
     means: Vec<f64>,
     stds: Vec<f64>,

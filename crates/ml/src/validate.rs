@@ -38,8 +38,7 @@ impl Regressor for Mlp {
 }
 
 /// Errors measured on one train/test partition.
-#[derive(Clone, Copy, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Copy, Debug, serde::Serialize, serde::Deserialize)]
 pub struct PartitionResult {
     /// MPE on the 70% training split, percent.
     pub train_mpe: f64,
@@ -52,8 +51,7 @@ pub struct PartitionResult {
 }
 
 /// Aggregated validation outcome across all partitions.
-#[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct ValidationReport {
     /// Mean training MPE across partitions, percent.
     pub train_mpe: f64,

@@ -3,7 +3,6 @@
 /// The derived quantities the prediction models consume, computed from one
 /// flat counter sample.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DerivedMetrics {
     /// Memory intensity: LLC misses per instruction. "Gives an idea of the
     /// rate at which an application needs to go to main memory" (§IV-A3).

@@ -6,7 +6,6 @@
 
 /// A portable hardware-event name, PAPI-style.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Preset {
     /// Instructions retired (PAPI_TOT_INS).
     TotIns,

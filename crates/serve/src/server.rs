@@ -126,13 +126,23 @@ impl Default for ServeConfig {
     }
 }
 
-/// Resolve a machine preset key the same way the CLI does.
-fn machine_index(key: &str) -> Option<usize> {
-    match key.to_ascii_lowercase().replace('-', "_").as_str() {
-        "e5649" | "xeon_e5649" | "6core" => Some(0),
-        "e5_2697v2" | "xeon_e5_2697v2" | "12core" => Some(1),
-        _ => None,
-    }
+/// The presets the service answers for, in `labs` order: the paper's two
+/// platforms.
+const SERVED: [&presets::Preset; 2] = [&presets::PRESETS[0], &presets::PRESETS[1]];
+
+/// The served lab a machine key names. Keys resolve through
+/// [`presets::lookup`], as the CLI's do; a success allocates nothing.
+fn machine_index(key: &str) -> Result<usize, String> {
+    let preset = presets::lookup(key).ok_or_else(|| format!("unknown machine `{key}`"))?;
+    SERVED
+        .iter()
+        .position(|p| p.key == preset.key)
+        .ok_or_else(|| {
+            format!(
+                "machine `{key}` is not served (serve answers {} and {})",
+                SERVED[0].key, SERVED[1].key
+            )
+        })
 }
 
 /// One admitted query waiting for dispatch.
@@ -147,6 +157,8 @@ struct Pending {
 /// State shared by every thread of one server instance.
 struct Shared {
     cfg: ServeConfig,
+    /// `labs` index of `cfg.default_machine`, resolved once at bind.
+    default_idx: usize,
     labs: Vec<(&'static str, Lab)>,
     /// One hot-swappable model slot per lab. `None` until the first
     /// query (or warm-up) resolves it through the registry; swapped
@@ -169,22 +181,20 @@ struct Shared {
 
 impl Shared {
     fn new(cfg: ServeConfig) -> Result<Shared, ColocError> {
+        let default_idx = machine_index(&cfg.default_machine)
+            .map_err(|e| ColocError::InvalidSpec(format!("default machine: {e}")))?;
         let suite = coloc_workloads::standard();
-        let labs = vec![
-            (
-                "e5649",
-                Lab::new(presets::xeon_e5649(), suite.clone(), cfg.seed)?
-                    .with_threads(cfg.engine_threads),
-            ),
-            (
-                "e5_2697v2",
-                Lab::new(presets::xeon_e5_2697v2(), suite, cfg.seed)?
-                    .with_threads(cfg.engine_threads),
-            ),
-        ];
+        let labs = SERVED
+            .iter()
+            .map(|p| {
+                let lab = Lab::new((p.spec)(), suite.clone(), cfg.seed)?;
+                Ok((p.key, lab.with_threads(cfg.engine_threads)))
+            })
+            .collect::<Result<Vec<_>, ColocError>>()?;
         let queue = AdmissionQueue::new(cfg.admission_capacity);
         Ok(Shared {
             models: (0..labs.len()).map(|_| RwLock::new(None)).collect(),
+            default_idx,
             registry: ModelRegistry::new(),
             model_epoch: AtomicU64::new(0),
             labs,
@@ -243,7 +253,7 @@ impl Shared {
     /// returned, never cached — the next call retries from scratch.
     fn resolve_model(&self, idx: usize) -> Result<Arc<ModelArtifact>, ColocError> {
         if let Some(path) = &self.cfg.model_path {
-            if machine_index(&self.cfg.default_machine) == Some(idx) {
+            if idx == self.default_idx {
                 return self.registry.load(path);
             }
         }
@@ -294,8 +304,7 @@ impl Shared {
     /// Digest of the default machine's active artifact (hex), or empty
     /// until its slot is first filled.
     fn active_model_digest(&self) -> String {
-        let idx = machine_index(&self.cfg.default_machine).unwrap_or(0);
-        self.models[idx]
+        self.models[self.default_idx]
             .read()
             .expect("model slot")
             .as_ref()
@@ -704,13 +713,12 @@ fn handle_line(shared: &Shared, line: &str, reply: &SyncSender<String>) {
         Ok(Request::Query(req)) => {
             let id = req.id.clone();
             let lab_idx = match &req.machine {
-                None => machine_index(&shared.cfg.default_machine).unwrap_or(0),
+                None => shared.default_idx,
                 Some(key) => match machine_index(key) {
-                    Some(idx) => idx,
-                    None => {
+                    Ok(idx) => idx,
+                    Err(e) => {
                         Shared::bump(&shared.counters.bad_requests);
-                        let _ = reply
-                            .try_send(proto::bad_request_line(&format!("unknown machine `{key}`")));
+                        let _ = reply.try_send(proto::bad_request_line(&e));
                         return;
                     }
                 },
@@ -834,13 +842,9 @@ impl Server {
     }
 
     fn bind(cfg: ServeConfig) -> Result<(Listener, Arc<Shared>), ColocError> {
-        if machine_index(&cfg.default_machine).is_none() {
-            return Err(ColocError::InvalidSpec(format!(
-                "unknown default machine `{}`",
-                cfg.default_machine
-            )));
-        }
-        let listener = match &cfg.bind {
+        // Refuses an unknown or unserved default machine before binding.
+        let shared = Arc::new(Shared::new(cfg)?);
+        let listener = match &shared.cfg.bind {
             BindAddr::Tcp(addr) => Listener::Tcp(
                 TcpListener::bind(addr)
                     .map_err(|e| ColocError::Machine(format!("bind {addr}: {e}")))?,
@@ -861,13 +865,11 @@ impl Server {
         };
         accept_wait::bound(&listener)
             .map_err(|e| ColocError::Machine(format!("accept wait: {e}")))?;
-        let shared = Arc::new(Shared::new(cfg)?);
         // Warm the default machine before accepting: baselines + the
         // fallback predictor, so the degraded ladder never trains under
         // pressure and first-query latency is honest.
-        let idx = machine_index(&shared.cfg.default_machine).unwrap_or(0);
-        shared.labs[idx].1.baselines();
-        let _ = shared.model(idx);
+        shared.labs[shared.default_idx].1.baselines();
+        let _ = shared.model(shared.default_idx);
         Ok((listener, shared))
     }
 
@@ -1102,6 +1104,36 @@ mod tests {
         );
         handle.shutdown();
         handle.join();
+    }
+
+    #[test]
+    fn machine_keys_resolve_through_the_preset_table() {
+        for p in presets::PRESETS {
+            let served = SERVED.iter().position(|s| s.key == p.key);
+            for key in std::iter::once(p.key).chain(p.aliases.iter().copied()) {
+                for k in [
+                    key.to_string(),
+                    key.to_ascii_uppercase(),
+                    key.replace('_', "-"),
+                ] {
+                    match (machine_index(&k), served) {
+                        (Ok(idx), Some(want)) => assert_eq!(idx, want, "`{k}`"),
+                        (Err(e), None) => assert!(e.contains("not served"), "`{k}`: {e}"),
+                        (got, want) => panic!("`{k}`: {got:?}, want {want:?}"),
+                    }
+                }
+            }
+        }
+        assert!(machine_index("cray")
+            .unwrap_err()
+            .contains("unknown machine"));
+        // The CLI's `--machine 8core` reaches bind and is refused there.
+        let cfg = ServeConfig {
+            default_machine: "8core".into(),
+            ..test_config()
+        };
+        let err = Server::spawn(cfg).err().expect("8core is not served");
+        assert!(err.to_string().contains("not served"), "{err}");
     }
 
     #[test]

@@ -7,7 +7,6 @@
 /// The four memory-intensity classes. Class I is the most memory-bound
 //  (highest LLC misses per instruction); Class IV the most CPU-bound.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MemoryClass {
     /// Most memory intensive (MI ≳ 5·10⁻³).
     I,

@@ -6,7 +6,6 @@ use coloc_machine::{AppPhase, AppProfile};
 
 /// Which benchmark suite an application was drawn from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Suite {
     /// PARSEC (denoted "(P)" in Table III).
     Parsec,

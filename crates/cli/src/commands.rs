@@ -1,7 +1,7 @@
 //! Command implementations.
 
 use crate::args::{ArgMap, Usage};
-use coloc_machine::{presets, FaultPlan, MachineSpec, SegmentTrace, StageId, StageProfile};
+use coloc_machine::{presets, FaultPlan, MachineSpec, SegmentTrace, StageProfile};
 use coloc_model::lab::CheckpointConfig;
 use coloc_model::persist;
 use coloc_model::{
@@ -209,8 +209,8 @@ pub fn collect(argv: &[String]) -> CmdResult {
     };
     let stats = lab.sweep_stats();
     eprintln!("sweep: {stats}");
-    if let Some(stages) = stats.stage_summary() {
-        eprintln!("stage breakdown (engine misses only):\n{stages}");
+    if stats.stages != StageProfile::new() {
+        eprintln!("stage breakdown (engine misses only):\n{}", stats.stages);
     }
     persist::save_samples(&samples, out).map_err(|e| e.to_string())?;
     println!("wrote {} samples to {out}", samples.len());
@@ -626,16 +626,7 @@ pub fn trace(argv: &[String]) -> CmdResult {
     }
 
     if let Some(profile) = profile {
-        println!("stage breakdown:");
-        for id in StageId::ALL {
-            let s = profile.get(id);
-            println!(
-                "  {:<17} {:>9} calls  {:>10.3} ms",
-                id.label(),
-                s.invocations,
-                s.nanos as f64 * 1e-6
-            );
-        }
+        println!("stage breakdown:\n{profile}");
     }
     Ok(())
 }
@@ -870,33 +861,9 @@ pub fn serve(argv: &[String]) -> Result<(), Failure> {
         println!("{}", SERVE_USAGE.help);
         return Ok(());
     }
-    let bind = match (args.get("tcp"), args.get("unix")) {
-        (Some(_), Some(_)) => {
-            return Err(Failure::from(
-                "--tcp and --unix are mutually exclusive".to_string(),
-            ))
-        }
-        (None, Some(path)) => BindAddr::Unix(path.into()),
-        (tcp, None) => BindAddr::Tcp(tcp.unwrap_or("127.0.0.1:7105").to_string()),
-    };
     // The server resolves the key, and refuses one it does not serve,
     // before it binds.
-    let cfg = ServeConfig {
-        bind,
-        seed: args.get_parsed_or("seed", 2015u64)?,
-        default_machine: args.get("machine").unwrap_or("e5649").to_string(),
-        admission_capacity: args.get_parsed_or("capacity", 256usize)?,
-        degrade_watermark: args.get_parsed_or("watermark", 128usize)?,
-        max_batch: args.get_parsed_or("max-batch", 32usize)?,
-        engine_threads: args.get_parsed_or("threads", 0usize)?,
-        default_deadline_ms: args.get_parsed_or("deadline-ms", 2_000u64)?,
-        retry_hint_ms: args.get_parsed_or("retry-hint-ms", 50u64)?,
-        stats_interval: std::time::Duration::from_secs(
-            args.get_parsed_or("stats-interval-s", 10u64)?,
-        ),
-        quiet: args.has_flag("quiet"),
-        model_path: args.get("model").map(Into::into),
-    };
+    let cfg = serve_config(&args)?;
     coloc_serve::signals::install();
     let frame = Server::run(cfg).map_err(service_failure)?;
     eprintln!(
@@ -907,6 +874,44 @@ pub fn serve(argv: &[String]) -> Result<(), Failure> {
         frame.latency_p99_ms
     );
     Ok(())
+}
+
+/// The library's [`ServeConfig::default`], listening on 127.0.0.1:7105
+/// unless `--tcp` or `--unix` says otherwise, with each option given
+/// overriding its field.
+fn serve_config(args: &ArgMap) -> Result<ServeConfig, Failure> {
+    let bind = match (args.get("tcp"), args.get("unix")) {
+        (Some(_), Some(_)) => {
+            return Err(Failure::from(
+                "--tcp and --unix are mutually exclusive".to_string(),
+            ))
+        }
+        (None, Some(path)) => BindAddr::Unix(path.into()),
+        (tcp, None) => BindAddr::Tcp(tcp.unwrap_or("127.0.0.1:7105").to_string()),
+    };
+    let mut cfg = ServeConfig {
+        bind,
+        ..ServeConfig::default()
+    };
+    cfg.seed = args.get_parsed_or("seed", cfg.seed)?;
+    if let Some(key) = args.get("machine") {
+        cfg.default_machine = key.to_string();
+    }
+    cfg.admission_capacity = args.get_parsed_or("capacity", cfg.admission_capacity)?;
+    cfg.degrade_watermark = args.get_parsed_or("watermark", cfg.degrade_watermark)?;
+    cfg.max_batch = args.get_parsed_or("max-batch", cfg.max_batch)?;
+    cfg.engine_threads = args.get_parsed_or("threads", cfg.engine_threads)?;
+    cfg.default_deadline_ms = args.get_parsed_or("deadline-ms", cfg.default_deadline_ms)?;
+    cfg.retry_hint_ms = args.get_parsed_or("retry-hint-ms", cfg.retry_hint_ms)?;
+    if args.get("stats-interval-s").is_some() {
+        cfg.stats_interval =
+            std::time::Duration::from_secs(args.get_parsed_or("stats-interval-s", 0)?);
+    }
+    cfg.quiet |= args.has_flag("quiet");
+    if let Some(path) = args.get("model") {
+        cfg.model_path = Some(path.into());
+    }
+    Ok(cfg)
 }
 
 fn connect_client(args: &ArgMap) -> Result<QueryClient, Failure> {
@@ -1056,6 +1061,31 @@ mod tests {
 
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
+    }
+
+    #[test]
+    fn serve_without_options_takes_the_library_defaults() {
+        let args = ArgMap::parse(&[], &SERVE_USAGE).unwrap();
+        let expect = ServeConfig {
+            bind: BindAddr::Tcp("127.0.0.1:7105".into()),
+            ..ServeConfig::default()
+        };
+        // Every field derives `Debug`, so equal text is equal fields.
+        assert_eq!(
+            format!("{:?}", serve_config(&args).unwrap()),
+            format!("{expect:?}")
+        );
+
+        let args = ArgMap::parse(
+            &argv(&["--seed", "7", "--stats-interval-s", "3", "--quiet"]),
+            &SERVE_USAGE,
+        )
+        .unwrap();
+        let cfg = serve_config(&args).unwrap();
+        assert_eq!(cfg.seed, 7);
+        assert_eq!(cfg.stats_interval, std::time::Duration::from_secs(3));
+        assert!(cfg.quiet);
+        assert_eq!(cfg.max_batch, ServeConfig::default().max_batch);
     }
 
     #[test]

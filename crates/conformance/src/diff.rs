@@ -386,8 +386,8 @@ mod tests {
 
     #[test]
     fn staged_driver_matches_the_reference_bit_for_bit_across_the_corpus() {
-        // The refactored engine is staged (explicit `EpochStage` passes)
-        // and era-compacted for event schedules; the reference still
+        // The refactored engine is staged (five stage functions) and
+        // era-compacted for event schedules; the reference still
         // walks the pre-refactor monolithic loop, naively re-deriving
         // the resident set every segment. Across 220 generated scenarios
         // — faults, noise, budgets, partitioning, event schedules, both

@@ -93,7 +93,7 @@ impl RefEngine {
     /// Run `workload` under per-group event schedules, mirroring
     /// `Machine::run_observed` in deliberately naive form: the next
     /// event is found by a full linear scan over a plain list instead of
-    /// a heap, the resident set and every per-segment table are
+    /// a cursor over a list sorted once, the resident set and every per-segment table are
     /// re-derived from scratch each segment instead of once per era, and
     /// owner lookups stay `position()` scans. Schedule validation and
     /// the core count ([`event::cores_needed`]) are shared verbatim with
@@ -156,10 +156,10 @@ impl RefEngine {
         // carry it too.
         let mut cpi: Vec<f64> = workload.iter().map(|g| g.app.phases[0].cpi_base).collect();
 
-        // Pending events as a flat `(tick, seq, kind)` list in the same
-        // insertion order the optimized queue uses — all departures
-        // before all arrivals, each in group order — with every "pop"
-        // re-scanning the whole list for the minimum `(tick, seq)`.
+        // Pending events as a flat `(tick, seq, kind)` list, numbered
+        // all departures before all arrivals, each in group order, with
+        // every "pop" re-scanning the whole list for the minimum
+        // `(tick, seq)`. The engine sorts its events once instead.
         let mut events: Vec<(f64, u64, EventKind)> = Vec::new();
         let mut resident = vec![true; n_groups];
         if let Some(s) = sched {

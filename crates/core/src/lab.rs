@@ -12,8 +12,8 @@ use crate::sample::Sample;
 use crate::scenario::Scenario;
 use crate::{ColocError, ModelError, Result};
 use coloc_machine::{
-    FaultPlan, GroupRef, GroupSchedule, GroupView, IrWriter, Machine, MachineSpec, RunCache,
-    RunOptions, RunOutcome, RunnerGroup, ScenarioIr, StageId, StageProfile,
+    FaultPlan, GroupRef, IrWriter, Machine, MachineSpec, RunCache, RunOptions, RunOutcome,
+    RunnerGroup, ScenarioIr, StageProfile,
 };
 use coloc_ml::rng::{derive_seed, derive_seed_fmt};
 use coloc_perfmon::{EventSet, FlatProfiler};
@@ -53,37 +53,11 @@ pub struct SweepStats {
     /// Wall time spent inside parallel sweeps ([`Lab::collect`] /
     /// [`Lab::collect_scenarios`]), seconds.
     pub sweep_wall_time_s: f64,
-    /// Per-stage pipeline invocation counts, indexed by
-    /// [`StageId::index`]. All zero unless [`Lab::with_stage_stats`]
-    /// enabled instrumentation (the un-instrumented engine path pays no
-    /// timing cost).
-    pub stage_invocations: [u64; 6],
-    /// Per-stage pipeline wall nanoseconds, indexed like
-    /// [`SweepStats::stage_invocations`].
-    pub stage_nanos: [u64; 6],
-}
-
-impl SweepStats {
-    /// Multi-line per-stage breakdown (one line per [`StageId`]), or
-    /// `None` when no stage instrumentation was collected.
-    pub fn stage_summary(&self) -> Option<String> {
-        if self.stage_invocations.iter().all(|&n| n == 0) {
-            return None;
-        }
-        let lines: Vec<String> = StageId::ALL
-            .iter()
-            .map(|id| {
-                let i = id.index();
-                format!(
-                    "  {:<17} {:>9} calls  {:>10.3} ms",
-                    id.label(),
-                    self.stage_invocations[i],
-                    self.stage_nanos[i] as f64 * 1e-6,
-                )
-            })
-            .collect();
-        Some(lines.join("\n"))
-    }
+    /// Per-stage engine calls and time of the runs that reached the
+    /// engine. Empty unless [`Lab::with_stage_stats`] enabled
+    /// instrumentation (the un-instrumented engine path pays no timing
+    /// cost).
+    pub stages: StageProfile,
 }
 
 impl std::fmt::Display for SweepStats {
@@ -199,9 +173,8 @@ impl Lab {
 
     /// Enable (or disable) per-stage engine instrumentation. When on,
     /// every fresh (cache-missing) run is timed stage by stage and the
-    /// counters surface through [`SweepStats::stage_invocations`] /
-    /// [`SweepStats::stage_nanos`]. Outcomes are bit-identical either
-    /// way; only the timing bookkeeping toggles.
+    /// counters surface through [`SweepStats::stages`]. Outcomes are
+    /// bit-identical either way; only the timing bookkeeping toggles.
     pub fn with_stage_stats(mut self, enabled: bool) -> Lab {
         self.stage_profile = enabled.then(|| Mutex::new(StageProfile::new()));
         self
@@ -327,43 +300,29 @@ impl Lab {
     /// cache; determinism makes the memoized outcome bit-identical to a
     /// fresh simulation.
     pub fn run_scenario(&self, scenario: &Scenario) -> Result<f64> {
+        Ok(self.run_outcome(scenario)?.wall_time_s)
+    }
+
+    /// Execute one scenario like [`Lab::run_scenario`] and return the full
+    /// engine outcome (counters, segments, convergence — not just the wall
+    /// time). The matrix artifact reads per-group counter blocks from
+    /// here; the memoized outcome is bit-identical to a fresh simulation.
+    pub fn run_outcome(&self, scenario: &Scenario) -> Result<Arc<RunOutcome>> {
         let (groups, opts) = self.lower(scenario)?;
-        let outcome = self.run_groups(&groups, None, &opts, self.faults.as_ref())?;
-        Ok(outcome.wall_time_s)
+        self.run_groups(&groups, &opts)
     }
 
-    /// Execute an arbitrary [`ScenarioIr`] — including ones carrying
-    /// event schedules, which [`Scenario`] cannot express — through the
-    /// lab's run cache, with its memoization, fault injection, stage
-    /// profiling and sweep telemetry, and return the full engine outcome
-    /// (counters, segments, convergence — not just the wall time). The
-    /// matrix artifact reads per-group counter blocks from here; the
-    /// memoized outcome is bit-identical to a fresh simulation.
-    pub fn run_ir(&self, ir: &ScenarioIr) -> Result<Arc<RunOutcome>> {
-        self.run_groups(
-            &ir.workload,
-            ir.schedules.as_deref(),
-            &ir.opts,
-            ir.faults.as_ref(),
-        )
-    }
-
-    /// The lab's one call into the run cache, over owned or borrowed
-    /// groups, with the lab's stage profiling and sweep telemetry.
-    fn run_groups<G: GroupView>(
-        &self,
-        workload: &[G],
-        schedules: Option<&[GroupSchedule]>,
-        opts: &RunOptions,
-        faults: Option<&FaultPlan>,
-    ) -> Result<Arc<RunOutcome>> {
+    /// The lab's one call into the run cache, over groups borrowed from
+    /// its suite, with its fault plan, stage profiling and sweep
+    /// telemetry.
+    fn run_groups(&self, groups: &[GroupRef<'_>], opts: &RunOptions) -> Result<Arc<RunOutcome>> {
         let mut profile = self.stage_profile.as_ref().map(|_| StageProfile::new());
         let (outcome, hit) = self.run_cache.run_scheduled_observed(
             &self.machine,
-            workload,
-            schedules,
+            groups,
+            None,
             opts,
-            faults,
+            self.faults.as_ref(),
             profile.as_mut(),
         )?;
         if let (Some(shared), Some(local)) = (&self.stage_profile, &profile) {
@@ -410,8 +369,7 @@ impl Lab {
             .filter_map(|(low, &first)| first.then_some(low))
             .collect();
         let wall_time = |(groups, opts): &(Vec<GroupRef<'_>>, RunOptions)| {
-            self.run_groups(groups, None, opts, self.faults.as_ref())
-                .map(|o| o.wall_time_s)
+            self.run_groups(groups, opts).map(|o| o.wall_time_s)
         };
         let mut firsts = coloc_ml::parallel::run_indexed(distinct.len(), self.threads, |d| {
             wall_time(distinct[d])
@@ -451,11 +409,6 @@ impl Lab {
     /// Snapshot the sweep-runtime telemetry accumulated so far.
     pub fn sweep_stats(&self) -> SweepStats {
         let cache = self.run_cache.stats();
-        let profile = self
-            .stage_profile
-            .as_ref()
-            .map(|m| *m.lock().expect("stage profile lock"))
-            .unwrap_or_default();
         SweepStats {
             scenarios_run: self.scenarios_run.load(Ordering::Relaxed),
             cache_hits: cache.hits,
@@ -465,8 +418,11 @@ impl Lab {
             fp_iterations: self.fp_iterations.load(Ordering::Relaxed),
             faults_injected: self.faults_injected.load(Ordering::Relaxed),
             sweep_wall_time_s: self.sweep_nanos.load(Ordering::Relaxed) as f64 * 1e-9,
-            stage_invocations: profile.invocations(),
-            stage_nanos: profile.nanos(),
+            stages: self
+                .stage_profile
+                .as_ref()
+                .map(|m| *m.lock().expect("stage profile lock"))
+                .unwrap_or_default(),
         }
     }
 
@@ -690,7 +646,7 @@ impl CheckpointConfig {
 mod tests {
     use super::*;
     use crate::features::Feature;
-    use coloc_machine::presets;
+    use coloc_machine::{presets, StageId};
     use coloc_ml::rng::derive_seed_str;
 
     fn small_lab() -> Lab {
@@ -1002,23 +958,13 @@ mod tests {
             fp_iterations: 900,
             faults_injected: 3,
             sweep_wall_time_s: 1.25,
-            stage_invocations: [0; 6],
-            stage_nanos: [0; 6],
+            stages: StageProfile::new(),
         };
         let text = format!("{s}");
         assert!(text.contains("10 scenarios"), "{text}");
         assert!(text.contains("4 cache hits"), "{text}");
         assert!(text.contains("3 faults injected"), "{text}");
         assert!(text.contains("1.25s"), "{text}");
-        assert!(s.stage_summary().is_none(), "no stage data collected");
-        let mut with_stages = s;
-        with_stages.stage_invocations = [10, 10, 40, 40, 10, 0];
-        with_stages.stage_nanos = [1_000, 2_000, 3_000, 4_000, 5_000, 0];
-        let stages = with_stages.stage_summary().expect("stage data present");
-        for label in ["pstate", "phase-sync", "llc-share", "dram-fixed-point"] {
-            assert!(stages.contains(label), "{stages}");
-        }
-        assert!(stages.contains("40 calls"), "{stages}");
     }
 
     #[test]
@@ -1034,34 +980,27 @@ mod tests {
         }
         let off = plain.sweep_stats();
         let on = instrumented.sweep_stats();
-        assert_eq!(off.stage_invocations, [0; 6], "off by default");
-        assert!(off.stage_summary().is_none());
+        assert_eq!(off.stages, StageProfile::new(), "off by default");
         // Driver stages run once per segment; the two solver stages once
         // per fixed-point iteration actually run, which is at most the
         // iterations counted, since a cycling solve skips whole periods.
         // The lab's aggregate counters pin both.
         let seg = on.segments_simulated;
         let fp = on.fp_iterations;
-        let solver = on.stage_invocations[StageId::LlcShare.index()];
-        assert_eq!(on.stage_invocations[StageId::PState.index()], seg);
-        assert_eq!(on.stage_invocations[StageId::PhaseSync.index()], seg);
+        let calls = |id| on.stages.get(id).invocations;
+        let solver = calls(StageId::LlcShare);
+        assert_eq!(calls(StageId::PState), seg);
+        assert_eq!(calls(StageId::PhaseSync), seg);
         assert!(
             0 < solver && solver <= fp,
             "{solver} solver calls, {fp} iterations"
         );
-        assert_eq!(
-            on.stage_invocations[StageId::DramFixedPoint.index()],
-            solver
-        );
-        assert_eq!(on.stage_invocations[StageId::CounterAccrual.index()], seg);
-        assert!(on.stage_summary().is_some());
+        assert_eq!(calls(StageId::DramFixedPoint), solver);
+        assert_eq!(calls(StageId::CounterAccrual), seg);
 
         // Cache hits do no stage work: a warm pass leaves counters flat.
         instrumented.collect(&plan).unwrap();
-        assert_eq!(
-            instrumented.sweep_stats().stage_invocations,
-            on.stage_invocations
-        );
+        assert_eq!(instrumented.sweep_stats().stages, on.stages);
     }
 
     #[test]

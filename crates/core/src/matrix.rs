@@ -143,11 +143,11 @@ impl CrossMatrix {
         // same start state, so their counter blocks must agree bitwise.
         let mut symmetry = Vec::with_capacity(n);
         for a in &apps {
-            let outcome = lab.run_ir(&lab.scenario_ir(&Scenario {
+            let outcome = lab.run_outcome(&Scenario {
                 target: a.clone(),
                 co_located: vec![(a.clone(), 1)],
                 pstate,
-            })?)?;
+            })?;
             let ok = outcome.counters.len() == 2
                 && counter_blocks_symmetric(&outcome.counters[0], &outcome.counters[1]);
             symmetry.push(ok);

@@ -7,7 +7,6 @@
 //! predictors — so deployment needs neither the simulator nor retraining.
 
 use crate::baseline::BaselineDb;
-use crate::predictor::Predictor;
 use crate::sample::Sample;
 use crate::{ColocError, Result};
 use std::path::Path;
@@ -58,18 +57,6 @@ pub fn load_json<T: serde::de::DeserializeOwned>(path: impl AsRef<Path>) -> Resu
     serde_json::from_slice(&bytes).map_err(|e| corrupt_err(path, e))
 }
 
-impl Predictor {
-    /// Save this trained predictor to JSON.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        save_json(self, path)
-    }
-
-    /// Load a predictor saved with [`Predictor::save`].
-    pub fn load(path: impl AsRef<Path>) -> Result<Predictor> {
-        load_json(path)
-    }
-}
-
 impl BaselineDb {
     /// Save the baseline database to JSON.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
@@ -97,7 +84,7 @@ mod tests {
     use super::*;
     use crate::baseline::AppBaseline;
     use crate::features::FeatureSet;
-    use crate::predictor::ModelKind;
+    use crate::predictor::{ModelKind, Predictor};
     use crate::scenario::Scenario;
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -131,8 +118,8 @@ mod tests {
             let s = samples(80);
             let p = Predictor::train(kind, FeatureSet::D, &s, 3).unwrap();
             let path = tmp(&format!("pred_{}.json", kind.label()));
-            p.save(&path).unwrap();
-            let q = Predictor::load(&path).unwrap();
+            save_json(&p, &path).unwrap();
+            let q: Predictor = load_json(&path).unwrap();
             assert_eq!(q.kind(), kind);
             assert_eq!(q.feature_set(), FeatureSet::D);
             for sample in &s[..10] {
@@ -170,7 +157,7 @@ mod tests {
 
     #[test]
     fn load_missing_file_is_io_error_with_path() {
-        match Predictor::load(tmp("nope.json")) {
+        match load_json::<Predictor>(tmp("nope.json")) {
             Err(ColocError::ArtifactIo { path, .. }) => {
                 assert!(path.ends_with("nope.json"), "{path}")
             }
@@ -183,7 +170,7 @@ mod tests {
     fn load_wrong_shape_is_corrupt_artifact_with_path() {
         let path = tmp("garbage.json");
         std::fs::write(&path, b"{\"not\": \"a predictor\"}").unwrap();
-        match Predictor::load(&path) {
+        match load_json::<Predictor>(&path) {
             Err(ColocError::CorruptArtifact { path: p, .. }) => {
                 assert!(p.ends_with("garbage.json"), "{p}")
             }

@@ -175,18 +175,6 @@ impl Predictor {
     }
 }
 
-/// Train the paper's full 2×6 model grid on one sample set. Returns
-/// predictors in `(kind, set)` order: all six linear, then all six NN.
-pub fn train_full_grid(samples: &[Sample], seed: u64) -> Result<Vec<Predictor>> {
-    let mut out = Vec::with_capacity(12);
-    for kind in ModelKind::ALL {
-        for set in FeatureSet::ALL {
-            out.push(Predictor::train(kind, set, samples, seed)?);
-        }
-    }
-    Ok(out)
-}
-
 impl std::fmt::Debug for Predictor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Predictor({} / set {})", self.kind, self.set)
@@ -265,20 +253,6 @@ mod tests {
         let quad_mpe = coloc_ml::metrics::mpe(&quad.predict_samples(&samples), &actual);
         assert!(quad_mpe < lin_mpe, "quad {quad_mpe} vs linear {lin_mpe}");
         assert!(quad.linear_coefficients().is_none());
-    }
-
-    #[test]
-    fn grid_trains_all_twelve() {
-        let samples = synthetic_samples(120);
-        let grid = train_full_grid(&samples, 3).unwrap();
-        assert_eq!(grid.len(), 12);
-        assert_eq!(grid[0].kind(), ModelKind::Linear);
-        assert_eq!(grid[6].kind(), ModelKind::NeuralNet);
-        assert_eq!(grid[5].feature_set(), FeatureSet::F);
-        for p in &grid {
-            let v = p.predict(&samples[0].features);
-            assert!(v.is_finite() && v > 0.0, "{p:?} predicted {v}");
-        }
     }
 
     #[test]

@@ -85,12 +85,6 @@ impl Cholesky {
     pub fn factor(&self) -> &Mat {
         &self.l
     }
-
-    /// log-determinant of `A` (= 2 Σ log `L(i,i)`); handy for model-evidence
-    /// style diagnostics.
-    pub fn log_det(&self) -> f64 {
-        (0..self.l.rows()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -136,18 +130,5 @@ mod tests {
             Cholesky::new(&a),
             Err(LinalgError::ShapeMismatch(_))
         ));
-    }
-
-    #[test]
-    fn log_det_of_identity_is_zero() {
-        let ch = Cholesky::new(&Mat::identity(4)).unwrap();
-        assert!(ch.log_det().abs() < 1e-12);
-    }
-
-    #[test]
-    fn log_det_scales() {
-        let a = Mat::diag(&[2.0, 3.0, 4.0]);
-        let ch = Cholesky::new(&a).unwrap();
-        assert!((ch.log_det() - 24.0f64.ln()).abs() < 1e-12);
     }
 }

@@ -131,12 +131,6 @@ impl Mat {
         &self.data
     }
 
-    /// Mutably borrow the underlying row-major storage.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Borrow row `i` as a slice.
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {

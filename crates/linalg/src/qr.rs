@@ -121,12 +121,6 @@ impl Qr {
         }
         Ok(x)
     }
-
-    /// Absolute values of the diagonal of `R` — useful as a conditioning
-    /// diagnostic (small trailing values ⇒ near-collinear features).
-    pub fn r_diag_abs(&self) -> Vec<f64> {
-        (0..self.qr.cols()).map(|k| self.qr[(k, k)].abs()).collect()
-    }
 }
 
 /// One-shot least squares: returns `x` minimizing `‖A x − b‖₂`.

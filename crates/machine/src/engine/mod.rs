@@ -17,11 +17,11 @@
 //! its miss rate, its miss rate depends on its LLC share, and its LLC share
 //! depends on everyone's access rates.
 //!
-//! Structurally, the per-segment work is a staged pipeline: explicit
-//! [`EpochStage`] implementations for governor/P-state
-//! application, phase sync, LLC share solving, DRAM latency/fixed-point
-//! convergence, and counter accrual, composed by one thin driver. The
-//! driver has three entry points: [`Machine::run`] (lockstep,
+//! Structurally, the per-segment work is a staged pipeline: five stage
+//! functions in `stages.rs` for governor/P-state application, phase
+//! sync, LLC share solving, DRAM latency/fixed-point convergence, and
+//! counter accrual, called in order by one thin driver. The driver has
+//! three entry points: [`Machine::run`] (lockstep,
 //! unobserved), [`Machine::run_solo`] (the borrowed baseline run) and
 //! [`Machine::run_observed`], which adds optional event schedules and
 //! can time each stage into a [`StageProfile`] and record per-segment
@@ -31,14 +31,11 @@
 mod scratch;
 mod stages;
 
-pub use stages::{
-    CounterAccrualStage, DramFixedPointStage, EpochStage, EpochState, LlcShareStage, PStateStage,
-    PhaseSyncStage, SegmentEnv, SegmentRecord, SegmentTrace, StageFlow, StageId, StageProfile,
-    StageStats,
-};
+use stages::{EpochState, SegmentEnv};
+pub use stages::{SegmentRecord, SegmentTrace, StageId, StageProfile, StageStats};
 
 use crate::app::AppProfile;
-use crate::event::{self, Event, EventKind, EventQueue, GroupSchedule};
+use crate::event::{self, Event, EventKind, GroupSchedule};
 use crate::faults::FaultEvent;
 use crate::ir::IrWriter;
 use crate::spec::MachineSpec;
@@ -362,8 +359,8 @@ impl Machine {
     /// interval of the simulated clock with a fixed resident set; within
     /// an era the unmodified segment pipeline runs over the resident
     /// groups, with segment lengths additionally capped by the next
-    /// scheduled event tick. A default (or absent) schedule yields an
-    /// empty event queue and a single full-residency era, which executes
+    /// scheduled event tick. A default (or absent) schedule yields no
+    /// events and a single full-residency era, which executes
     /// the lockstep pipeline's exact arithmetic in its exact order — the
     /// lockstep engine is the degenerate case, bit-for-bit (DESIGN.md
     /// §14). `profile` and `trace` attach observation without perturbing
@@ -436,13 +433,14 @@ impl Machine {
         let mut degraded = false;
         let mut worst_residual = 0.0f64;
 
-        // Residency and the event queue. Initially-resident groups start
-        // at their phase offset with the matching CPI warm start (offset
-        // 0 reproduces the `phases[0].cpi_base` lockstep warm start).
+        // Residency and the events, in firing order; `next_event` is the
+        // first that has not fired. Initially-resident groups start at
+        // their phase offset with the matching CPI warm start (offset 0
+        // reproduces the `phases[0].cpi_base` lockstep warm start).
         let mut resident: Vec<bool> = vec![true; n_groups];
-        let mut queue = EventQueue::new();
+        let events: Vec<Event> = sched.map_or_else(Vec::new, event::scheduled_events);
+        let mut next_event = 0usize;
         if let Some(s) = sched {
-            queue = event::build_queue(s);
             for (g, gs) in s.iter().enumerate() {
                 resident[g] = gs.arrival_tick == 0.0;
                 if resident[g] {
@@ -500,7 +498,7 @@ impl Machine {
             st.worst_residual = worst_residual;
 
             // ---- Era segments ---------------------------------------
-            let mut fired: Vec<Event> = Vec::new();
+            let mut fired: &[Event] = &[];
             let target_done = loop {
                 st.segments += 1;
                 if st.segments > opts.max_segments {
@@ -511,13 +509,13 @@ impl Machine {
                 }
 
                 timed(&mut profile, StageId::PState, || {
-                    PStateStage.run(&env, &mut st)
+                    stages::pstate(&env, &mut st)
                 })?;
                 timed(&mut profile, StageId::PhaseSync, || {
-                    PhaseSyncStage.run(&env, &mut st)
-                })?;
+                    stages::phase_sync(&env, &mut st)
+                });
                 // Distance to the next scheduled event caps this segment.
-                let pending = queue.peek_tick();
+                let pending = events.get(next_event).map(|e| e.tick);
                 st.dt_cap = match pending {
                     Some(t) => t - st.wall,
                     None => f64::INFINITY,
@@ -527,12 +525,11 @@ impl Machine {
                 loop {
                     st.seg_iters += 1;
                     timed(&mut profile, StageId::LlcShare, || {
-                        LlcShareStage.run(&env, &mut st)
-                    })?;
-                    let flow = timed(&mut profile, StageId::DramFixedPoint, || {
-                        DramFixedPointStage.run(&env, &mut st)
-                    })?;
-                    if flow == StageFlow::SolverDone {
+                        stages::llc_share(&env, &mut st)
+                    });
+                    if timed(&mut profile, StageId::DramFixedPoint, || {
+                        stages::dram_fixed_point(&env, &mut st)
+                    }) {
                         break;
                     }
                 }
@@ -542,8 +539,8 @@ impl Machine {
                     st.worst_residual = st.worst_residual.max(st.seg_residual);
                 }
 
-                let flow = timed(&mut profile, StageId::CounterAccrual, || {
-                    CounterAccrualStage.run(&env, &mut st)
+                let finished = timed(&mut profile, StageId::CounterAccrual, || {
+                    stages::counter_accrual(&env, &mut st)
                 })?;
 
                 // Dispatch events once the clock reaches the next tick —
@@ -558,9 +555,14 @@ impl Machine {
                     if st.event_capped {
                         st.wall = pending.expect("capped segment implies a pending event");
                     }
-                    fired = timed(&mut profile, StageId::EventDispatch, || {
-                        queue.pop_through(st.wall)
+                    let due = timed(&mut profile, StageId::EventDispatch, || {
+                        events[next_event..]
+                            .iter()
+                            .take_while(|e| e.tick <= st.wall)
+                            .count()
                     });
+                    fired = &events[next_event..next_event + due];
+                    next_event += due;
                 }
                 if let Some(t) = trace.as_deref_mut() {
                     t.push(SegmentRecord {
@@ -573,7 +575,7 @@ impl Machine {
                         resident_groups: era_wl.len(),
                     });
                 }
-                if flow == StageFlow::TargetDone {
+                if finished {
                     break true;
                 }
                 if fire {
@@ -598,10 +600,10 @@ impl Machine {
             if target_done {
                 break 'run;
             }
-            // Apply residency changes in `(tick, seq)` pop order:
-            // departures freeze a group where it stands; arrivals seed
-            // the group at its phase offset with the matching warm start.
-            for ev in &fired {
+            // Apply residency changes in firing order: departures freeze
+            // a group where it stands; arrivals seed the group at its
+            // phase offset with the matching warm start.
+            for ev in fired {
                 match ev.kind {
                     EventKind::Departure(g) => resident[g] = false,
                     EventKind::Arrival(g) => {
@@ -1234,7 +1236,7 @@ mod tests {
         m.run_observed(&wl, None, &RunOptions::default(), Some(&mut profile), None)
             .unwrap();
         let total_run_nanos = t0.elapsed().as_nanos() as u64;
-        let stage_sum: u64 = profile.nanos().iter().sum();
+        let stage_sum: u64 = profile.iter().map(|(_, s)| s.nanos).sum();
         assert!(stage_sum > 0, "instrumented run recorded no stage time");
         assert!(
             stage_sum <= total_run_nanos,

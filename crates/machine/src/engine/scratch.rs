@@ -37,7 +37,7 @@ pub(crate) struct RunScratch {
     pub(crate) access_rate: Vec<f64>,
     /// Per-group effective frequency for the current segment: the chip's
     /// P-state frequency times the group's clock ratio (per-core DVFS).
-    /// Filled by `PStateStage`; `freq_hz × 1.0` is bit-identical to
+    /// Filled by the `pstate` stage; `freq_hz × 1.0` is bit-identical to
     /// `freq_hz`, so default schedules reproduce the lockstep numerics.
     pub(crate) freq: Vec<f64>,
     /// Bit patterns of each group's `(cpi, occ)` at the solve's last

@@ -1,30 +1,32 @@
 //! The staged segment pipeline.
 //!
 //! The engine driver behind [`super::Machine::run_observed`] advances a
-//! workload through piecewise-constant segments; this module decomposes
-//! the body of that loop into five explicit [`EpochStage`]s composed by
-//! the thin driver in the parent module:
+//! workload through piecewise-constant segments; this module splits the
+//! body of that loop into five stage functions, called in order by the
+//! thin driver in the parent module:
 //!
 //! ```text
-//!   ┌────────────── per segment ───────────────────────────────────┐
-//!   │ PState ─► PhaseSync ─► ┌─ fixed-point loop ─────────┐        │
-//!   │ (governor:              │  LlcShare ─► DramFixedPoint │ ─►    │
-//!   │  frequency,             │  (occupancy,  (latency,     │  Counter
-//!   │  iteration budget)      │   miss rates)  damped CPI)  │  Accrual
-//!   │                         └── until converged/capped ──┘        │
-//!   └──────────────────────────────────────────────────────────────┘
+//!   per segment:
+//!     pstate ─► phase_sync ─► ┌─ fixed-point loop ────────────┐ ─► counter_accrual
+//!     (governor: frequency,   │ llc_share ─► dram_fixed_point │    (segment length,
+//!      iteration budget)      │ (occupancy,  (latency,        │     counters, restarts,
+//!                             │  miss rates)  damped CPI)     │     completion)
+//!                             └─── until converged/capped ────┘
 //! ```
 //!
-//! The decomposition is pure code motion from the former monolithic
+//! The split is pure code motion from the former monolithic
 //! `Machine::run`: the arithmetic, its ordering, and every early-exit
 //! condition are unchanged, so the staged driver is bit-identical to the
 //! pre-split engine (the conformance differential suite holds it to
 //! that). The one later addition, the fixed-point loop's cycle skip, runs
 //! fewer iterations of a solve that repeats its state exactly but ends in
-//! the same state, so it keeps every bit too. What the split buys is a
-//! seam: each stage is independently testable, and the driver can time
-//! every stage invocation into a [`StageProfile`] or record per-segment
-//! history into a [`SegmentTrace`] without touching the physics.
+//! the same state, so it keeps every bit too. Each function returns only
+//! what the driver acts on: whether the solve is done
+//! ([`dram_fixed_point`]), whether the target is ([`counter_accrual`]),
+//! and the two errors a segment can raise. What the split buys is a seam:
+//! each stage is testable on its own, and the driver can time every
+//! stage call into a [`StageProfile`] or record per-segment history into
+//! a [`SegmentTrace`] without touching the physics.
 
 use super::scratch::RunScratch;
 use super::{
@@ -56,8 +58,8 @@ pub enum StageId {
     /// Segment close-out: segment length, counter accrual, boundary
     /// snapping, completion/restart handling.
     CounterAccrual,
-    /// Discrete-event dispatch: popping due arrivals/departures off the
-    /// event queue and rebuilding the resident set for the next era.
+    /// Discrete-event dispatch: advancing the event cursor past the due
+    /// arrivals/departures, whose residency changes start the next era.
     /// Zero invocations for lockstep (default-schedule) runs.
     EventDispatch,
 }
@@ -91,22 +93,10 @@ impl StageId {
     }
 }
 
-/// What the driver should do after a stage returns.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StageFlow {
-    /// Proceed to the next stage (or next solver iteration).
-    Continue,
-    /// The fixed-point solve for this segment is finished (converged or
-    /// hit its iteration cap); leave the solver loop.
-    SolverDone,
-    /// The target application completed; the run is over.
-    TargetDone,
-}
-
 /// Read-only per-run context shared by every stage: the machine being
 /// simulated, the workload, the run options, and the pre-computed
 /// per-group, per-phase miss-rate curves.
-pub struct SegmentEnv<'a> {
+pub(crate) struct SegmentEnv<'a> {
     pub(crate) spec: &'a MachineSpec,
     pub(crate) mem: &'a MemorySystem,
     pub(crate) workload: &'a [GroupRef<'a>],
@@ -114,29 +104,12 @@ pub struct SegmentEnv<'a> {
     pub(crate) mrcs: &'a [Vec<std::sync::Arc<MissRateCurve>>],
 }
 
-impl<'a> SegmentEnv<'a> {
-    /// The machine spec being simulated.
-    pub fn spec(&self) -> &MachineSpec {
-        self.spec
-    }
-
-    /// The workload (group 0 = target), as borrowed group views.
-    pub fn workload(&self) -> &[GroupRef<'a>] {
-        self.workload
-    }
-
-    /// The run options.
-    pub fn opts(&self) -> &RunOptions {
-        self.opts
-    }
-}
-
 /// The mutable state a run threads through the pipeline: progress,
 /// counters, time accumulators, the CPI warm start, and the per-segment
 /// solver scratch. Stages communicate exclusively through this value;
 /// fields are crate-private so the contention physics stays sealed behind
 /// the stage seam.
-pub struct EpochState {
+pub(crate) struct EpochState {
     pub(crate) scratch: RunScratch,
     pub(crate) progress: Vec<f64>,
     pub(crate) counters: Vec<CounterBlock>,
@@ -149,9 +122,9 @@ pub struct EpochState {
     pub(crate) worst_residual: f64,
     /// CPI warm start carried across segments for fast convergence.
     pub(crate) cpi: Vec<f64>,
-    /// Operating frequency for the current segment (set by [`PStateStage`]).
+    /// Operating frequency for the current segment (set by [`pstate`]).
     pub(crate) freq_hz: f64,
-    /// Per-segment fixed-point iteration cap (set by [`PStateStage`]).
+    /// Per-segment fixed-point iteration cap (set by [`pstate`]).
     pub(crate) iter_cap: u64,
     /// Iterations the current segment's solve has reached so far,
     /// including whole cycle periods skipped by the solver.
@@ -166,7 +139,6 @@ pub struct EpochState {
     pub(crate) latency_ns: f64,
     /// Length of the segment just closed, seconds.
     pub(crate) dt: f64,
-    pub(crate) target_done: bool,
     /// Per-group clock ratios for the groups in this (era's) workload.
     /// All 1.0 for lockstep runs — `freq_hz × 1.0` is exact, so the
     /// generalization costs no bits on the default path.
@@ -203,7 +175,6 @@ impl EpochState {
             seg_residual: 0.0,
             latency_ns: 0.0,
             dt: 0.0,
-            target_done: false,
             clock: vec![1.0; n_groups],
             dt_cap: f64::INFINITY,
             event_capped: false,
@@ -214,7 +185,7 @@ impl EpochState {
     /// the equal split (same numerics as a fresh allocation), forget each
     /// group's memoized MRC probe (the segment may have moved the group
     /// to another phase's curve) and the last cycle-skip snapshot, and
-    /// start latency from idle. Driver glue between [`PhaseSyncStage`]
+    /// start latency from idle. Driver glue between [`phase_sync`]
     /// and the solver loop.
     pub(crate) fn begin_solve(&mut self, env: &SegmentEnv<'_>) {
         let cap = env.spec.llc_bytes;
@@ -266,33 +237,6 @@ impl EpochState {
             self.snapshot_iter = k;
         }
     }
-
-    /// Segments simulated so far (including the one in flight).
-    pub fn segments(&self) -> usize {
-        self.segments
-    }
-
-    /// Fixed-point iterations of *closed* segments so far, skipped cycle
-    /// periods included.
-    pub fn fp_iterations(&self) -> u64 {
-        self.fp_iterations
-    }
-
-    /// Simulated wall time accumulated so far, seconds.
-    pub fn wall(&self) -> f64 {
-        self.wall
-    }
-}
-
-/// One stage of the segment pipeline. Stages are stateless; everything a
-/// stage reads or writes lives in [`SegmentEnv`] / [`EpochState`], which
-/// is what makes per-stage instrumentation and isolated testing possible.
-pub trait EpochStage {
-    /// Which stage this is (indexes [`StageProfile`] slots).
-    fn id(&self) -> StageId;
-
-    /// Execute the stage once against the current state.
-    fn run(&self, env: &SegmentEnv<'_>, st: &mut EpochState) -> Result<StageFlow>;
 }
 
 /// Governor seam: applies the segment's operating frequency from the
@@ -300,53 +244,37 @@ pub trait EpochStage {
 /// [`RunOptions::fp_budget`], segments past the budget get a short
 /// truncated solve instead of spinning; the run still terminates, marked
 /// degraded by the driver if any truncated segment missed tolerance.
-pub struct PStateStage;
-
-impl EpochStage for PStateStage {
-    fn id(&self) -> StageId {
-        StageId::PState
+/// Fails only on a P-state outside the machine's table.
+pub(crate) fn pstate(env: &SegmentEnv<'_>, st: &mut EpochState) -> Result<()> {
+    st.freq_hz = env
+        .spec
+        .freq_hz(env.opts.pstate)
+        .ok_or(MachineError::BadPState {
+            index: env.opts.pstate,
+            available: env.spec.num_pstates(),
+        })?;
+    st.iter_cap = if env.opts.fp_budget == 0 {
+        MAX_FP_ITERS
+    } else {
+        let remaining = env.opts.fp_budget.saturating_sub(st.fp_iterations);
+        remaining.clamp(DEGRADED_FP_ITERS, MAX_FP_ITERS)
+    };
+    // Per-group effective frequency: chip clock × clock ratio. A
+    // ratio of exactly 1.0 multiplies out to the chip frequency
+    // bit-for-bit, so lockstep runs see the lockstep numerics.
+    for gi in 0..env.workload.len() {
+        st.scratch.freq[gi] = st.freq_hz * st.clock[gi];
     }
-
-    fn run(&self, env: &SegmentEnv<'_>, st: &mut EpochState) -> Result<StageFlow> {
-        st.freq_hz = env
-            .spec
-            .freq_hz(env.opts.pstate)
-            .ok_or(MachineError::BadPState {
-                index: env.opts.pstate,
-                available: env.spec.num_pstates(),
-            })?;
-        st.iter_cap = if env.opts.fp_budget == 0 {
-            MAX_FP_ITERS
-        } else {
-            let remaining = env.opts.fp_budget.saturating_sub(st.fp_iterations);
-            remaining.clamp(DEGRADED_FP_ITERS, MAX_FP_ITERS)
-        };
-        // Per-group effective frequency: chip clock × clock ratio. A
-        // ratio of exactly 1.0 multiplies out to the chip frequency
-        // bit-for-bit, so lockstep runs see the lockstep numerics.
-        for gi in 0..env.workload.len() {
-            st.scratch.freq[gi] = st.freq_hz * st.clock[gi];
-        }
-        Ok(StageFlow::Continue)
-    }
+    Ok(())
 }
 
 /// Phase bookkeeping: locates each group's current phase and its end
 /// boundary. The phase index is all downstream stages need — they read
 /// miss-rate curves straight from the pre-computed `SegmentEnv` MRC
 /// table, so a phase change costs an index update, never a curve clone.
-pub struct PhaseSyncStage;
-
-impl EpochStage for PhaseSyncStage {
-    fn id(&self) -> StageId {
-        StageId::PhaseSync
-    }
-
-    fn run(&self, env: &SegmentEnv<'_>, st: &mut EpochState) -> Result<StageFlow> {
-        for (gi, (g, &p)) in env.workload.iter().zip(&st.progress).enumerate() {
-            st.scratch.phase_info[gi] = g.app.phase_at(p);
-        }
-        Ok(StageFlow::Continue)
+pub(crate) fn phase_sync(env: &SegmentEnv<'_>, st: &mut EpochState) {
+    for (gi, (g, &p)) in env.workload.iter().zip(&st.progress).enumerate() {
+        st.scratch.phase_info[gi] = g.app.phase_at(p);
     }
 }
 
@@ -362,189 +290,160 @@ impl EpochStage for PhaseSyncStage {
 /// closing probe). The next iteration opens at the share this one closed
 /// at, so the group's cursor answers that probe from its memo: an
 /// iteration evaluates each curve at most once.
-pub struct LlcShareStage;
-
-impl EpochStage for LlcShareStage {
-    fn id(&self) -> StageId {
-        StageId::LlcShare
+#[allow(clippy::needless_range_loop)]
+pub(crate) fn llc_share(env: &SegmentEnv<'_>, st: &mut EpochState) {
+    let n_groups = env.workload.len();
+    let s = &mut st.scratch;
+    // Rates from current CPI.
+    for gi in 0..n_groups {
+        let ph = &env.workload[gi].app.phases[s.phase_info[gi].0];
+        s.access_rate[gi] = s.freq[gi] / st.cpi[gi] * ph.accesses_per_instr;
     }
 
-    #[allow(clippy::needless_range_loop)]
-    fn run(&self, env: &SegmentEnv<'_>, st: &mut EpochState) -> Result<StageFlow> {
-        let n_groups = env.workload.len();
-        let s = &mut st.scratch;
-        // Rates from current CPI.
+    if !env.opts.llc_partitioned {
+        // Insertion rates: access rate × miss rate at the current
+        // share, with the same floors as [`coloc_cachesim::
+        // occupancy_step`].
         for gi in 0..n_groups {
-            let ph = &env.workload[gi].app.phases[s.phase_info[gi].0];
-            s.access_rate[gi] = s.freq[gi] / st.cpi[gi] * ph.accesses_per_instr;
+            let mrc = &env.mrcs[gi][s.phase_info[gi].0];
+            let rate = s.access_rate[gi].max(0.0);
+            let miss = mrc
+                .miss_rate_hinted(s.occ[gi] as u64, &mut s.cursor[gi])
+                .max(1e-9);
+            s.ins[gi] = rate * miss;
         }
-
-        if !env.opts.llc_partitioned {
-            // Insertion rates: access rate × miss rate at the current
-            // share, with the same floors as [`coloc_cachesim::
-            // occupancy_step`].
-            for gi in 0..n_groups {
-                let mrc = &env.mrcs[gi][s.phase_info[gi].0];
-                let rate = s.access_rate[gi].max(0.0);
-                let miss = mrc
-                    .miss_rate_hinted(s.occ[gi] as u64, &mut s.cursor[gi])
-                    .max(1e-9);
-                s.ins[gi] = rate * miss;
-            }
-            occupancy_step_rates(env.spec.llc_bytes, &s.count, &s.ins, &mut s.occ);
-        }
-        for gi in 0..n_groups {
-            s.miss_rate[gi] = env.mrcs[gi][s.phase_info[gi].0]
-                .miss_rate_hinted(s.occ[gi] as u64, &mut s.cursor[gi]);
-        }
-        Ok(StageFlow::Continue)
+        occupancy_step_rates(env.spec.llc_bytes, &s.count, &s.ins, &mut s.occ);
+    }
+    for gi in 0..n_groups {
+        s.miss_rate[gi] =
+            env.mrcs[gi][s.phase_info[gi].0].miss_rate_hinted(s.occ[gi] as u64, &mut s.cursor[gi]);
     }
 }
 
 /// One DRAM/CPI iteration of the segment fixed point: latency at the
 /// aggregate miss bandwidth, damped CPI update, and the convergence
-/// decision — [`StageFlow::SolverDone`] when the relative CPI residual
-/// drops below [`FP_TOLERANCE`] or the iteration cap is reached. An
-/// iteration that continues may skip the solve ahead by whole periods of
-/// an exact cycle ([`EpochState`]'s cycle skip), so the stage can run
-/// fewer times than the solve's iteration count.
-pub struct DramFixedPointStage;
+/// decision. Returns true when the solve is done: the relative CPI
+/// residual dropped below [`FP_TOLERANCE`] or the iteration cap is
+/// reached. An iteration that continues may skip the solve ahead by whole
+/// periods of an exact cycle ([`EpochState`]'s cycle skip), so the stage
+/// can run fewer times than the solve's iteration count.
+#[allow(clippy::needless_range_loop)]
+pub(crate) fn dram_fixed_point(env: &SegmentEnv<'_>, st: &mut EpochState) -> bool {
+    let n_groups = env.workload.len();
 
-impl EpochStage for DramFixedPointStage {
-    fn id(&self) -> StageId {
-        StageId::DramFixedPoint
+    // DRAM latency at the aggregate miss bandwidth.
+    let mut bw = 0.0;
+    let mut streams = 0usize;
+    for gi in 0..n_groups {
+        let miss_per_sec = st.scratch.access_rate[gi] * st.scratch.miss_rate[gi];
+        bw += env.workload[gi].count as f64 * miss_per_sec * MISS_BYTES;
+        if miss_per_sec > 1e5 {
+            streams += env.workload[gi].count;
+        }
     }
+    st.latency_ns = env.mem.access_latency_ns(bw, streams);
 
-    #[allow(clippy::needless_range_loop)]
-    fn run(&self, env: &SegmentEnv<'_>, st: &mut EpochState) -> Result<StageFlow> {
-        let n_groups = env.workload.len();
-
-        // DRAM latency at the aggregate miss bandwidth.
-        let mut bw = 0.0;
-        let mut streams = 0usize;
-        for gi in 0..n_groups {
-            let miss_per_sec = st.scratch.access_rate[gi] * st.scratch.miss_rate[gi];
-            bw += env.workload[gi].count as f64 * miss_per_sec * MISS_BYTES;
-            if miss_per_sec > 1e5 {
-                streams += env.workload[gi].count;
-            }
-        }
-        st.latency_ns = env.mem.access_latency_ns(bw, streams);
-
-        // CPI update with damping.
-        let mut max_rel = 0.0f64;
-        for gi in 0..n_groups {
-            let ph = &env.workload[gi].app.phases[st.scratch.phase_info[gi].0];
-            let stall_cycles_per_instr = ph.accesses_per_instr
-                * st.scratch.miss_rate[gi]
-                * (st.latency_ns * 1e-9 * st.scratch.freq[gi])
-                / ph.mlp;
-            let target = ph.cpi_base + stall_cycles_per_instr;
-            let next = 0.5 * st.cpi[gi] + 0.5 * target;
-            max_rel = max_rel.max(((next - st.cpi[gi]) / st.cpi[gi]).abs());
-            st.cpi[gi] = next;
-        }
-        st.seg_residual = max_rel;
-        if max_rel < FP_TOLERANCE {
-            st.seg_residual = 0.0;
-            return Ok(StageFlow::SolverDone);
-        }
-        if st.seg_iters >= st.iter_cap {
-            return Ok(StageFlow::SolverDone);
-        }
-        st.skip_cycle();
-        Ok(StageFlow::Continue)
+    // CPI update with damping.
+    let mut max_rel = 0.0f64;
+    for gi in 0..n_groups {
+        let ph = &env.workload[gi].app.phases[st.scratch.phase_info[gi].0];
+        let stall_cycles_per_instr = ph.accesses_per_instr
+            * st.scratch.miss_rate[gi]
+            * (st.latency_ns * 1e-9 * st.scratch.freq[gi])
+            / ph.mlp;
+        let target = ph.cpi_base + stall_cycles_per_instr;
+        let next = 0.5 * st.cpi[gi] + 0.5 * target;
+        max_rel = max_rel.max(((next - st.cpi[gi]) / st.cpi[gi]).abs());
+        st.cpi[gi] = next;
     }
+    st.seg_residual = max_rel;
+    if max_rel < FP_TOLERANCE {
+        st.seg_residual = 0.0;
+        return true;
+    }
+    if st.seg_iters >= st.iter_cap {
+        return true;
+    }
+    st.skip_cycle();
+    false
 }
 
 /// Segment close-out: converts the converged CPIs into instruction rates,
 /// sizes the segment (time until the nearest phase boundary), accrues
 /// hardware counters and time-weighted telemetry, snaps boundary
 /// crossings, and handles completions — co-runners restart to keep
-/// contention pressure constant; target completion ends the run with
-/// [`StageFlow::TargetDone`].
-pub struct CounterAccrualStage;
+/// contention pressure constant. Returns true when the target completed,
+/// which ends the run; fails on a segment of non-finite or non-positive
+/// length.
+#[allow(clippy::needless_range_loop)]
+pub(crate) fn counter_accrual(env: &SegmentEnv<'_>, st: &mut EpochState) -> Result<bool> {
+    let n_groups = env.workload.len();
 
-impl EpochStage for CounterAccrualStage {
-    fn id(&self) -> StageId {
-        StageId::CounterAccrual
+    // Converged per-group rates for this segment.
+    for gi in 0..n_groups {
+        st.scratch.ips[gi] = st.scratch.freq[gi] / st.cpi[gi];
     }
 
-    #[allow(clippy::needless_range_loop)]
-    fn run(&self, env: &SegmentEnv<'_>, st: &mut EpochState) -> Result<StageFlow> {
-        let n_groups = env.workload.len();
+    // Time until each group hits its next boundary.
+    let mut dt = f64::INFINITY;
+    for (gi, p) in st.progress.iter().enumerate() {
+        let remaining = st.scratch.phase_info[gi].1 - p;
+        let t = remaining / st.scratch.ips[gi];
+        if t < dt {
+            dt = t;
+        }
+    }
+    // The next scheduled event caps the segment: strictly-less, so
+    // a boundary landing exactly on the event tick takes the
+    // boundary path (same arithmetic), and the lockstep cap of
+    // `INFINITY` never binds — that comparison is the *only* thing
+    // the event generalization adds to a default-schedule segment.
+    st.event_capped = st.dt_cap < dt;
+    if st.event_capped {
+        dt = st.dt_cap;
+    }
+    if !(dt.is_finite() && dt > 0.0) {
+        return Err(MachineError::Numeric(format!(
+            "degenerate segment dt = {dt} at segment {}",
+            st.segments
+        )));
+    }
+    st.dt = dt;
 
-        // Converged per-group rates for this segment.
-        for gi in 0..n_groups {
-            st.scratch.ips[gi] = st.scratch.freq[gi] / st.cpi[gi];
-        }
+    // Advance everyone by dt.
+    for gi in 0..n_groups {
+        let instr = st.scratch.ips[gi] * dt;
+        st.progress[gi] += instr;
+        let acc =
+            instr * env.workload[gi].app.phases[st.scratch.phase_info[gi].0].accesses_per_instr;
+        st.counters[gi].instructions += instr;
+        st.counters[gi].cycles += st.scratch.freq[gi] * dt;
+        st.counters[gi].llc_accesses += acc;
+        st.counters[gi].llc_misses += acc * st.scratch.miss_rate[gi];
+        st.share_time_acc[gi] += st.scratch.occ[gi] * dt;
+    }
+    st.latency_time_acc += st.latency_ns * dt;
+    st.wall += dt;
 
-        // Time until each group hits its next boundary.
-        let mut dt = f64::INFINITY;
-        for (gi, p) in st.progress.iter().enumerate() {
-            let remaining = st.scratch.phase_info[gi].1 - p;
-            let t = remaining / st.scratch.ips[gi];
-            if t < dt {
-                dt = t;
-            }
-        }
-        // The next scheduled event caps the segment: strictly-less, so
-        // a boundary landing exactly on the event tick takes the
-        // boundary path (same arithmetic), and the lockstep cap of
-        // `INFINITY` never binds — that comparison is the *only* thing
-        // the event generalization adds to a default-schedule segment.
-        st.event_capped = st.dt_cap < dt;
-        if st.event_capped {
-            dt = st.dt_cap;
-        }
-        if !(dt.is_finite() && dt > 0.0) {
-            return Err(MachineError::Numeric(format!(
-                "degenerate segment dt = {dt} at segment {}",
-                st.segments
-            )));
-        }
-        st.dt = dt;
-
-        // Advance everyone by dt.
-        for gi in 0..n_groups {
-            let instr = st.scratch.ips[gi] * dt;
-            st.progress[gi] += instr;
-            let acc =
-                instr * env.workload[gi].app.phases[st.scratch.phase_info[gi].0].accesses_per_instr;
-            st.counters[gi].instructions += instr;
-            st.counters[gi].cycles += st.scratch.freq[gi] * dt;
-            st.counters[gi].llc_accesses += acc;
-            st.counters[gi].llc_misses += acc * st.scratch.miss_rate[gi];
-            st.share_time_acc[gi] += st.scratch.occ[gi] * dt;
-        }
-        st.latency_time_acc += st.latency_ns * dt;
-        st.wall += dt;
-
-        // Snap boundary crossings and handle completions.
-        let mut target_done = false;
-        for gi in 0..n_groups {
-            let boundary = st.scratch.phase_info[gi].1;
-            if st.progress[gi] >= boundary - 1e-6 * env.workload[gi].app.instructions.max(1.0) {
-                st.progress[gi] = boundary;
-                if (boundary - env.workload[gi].app.instructions).abs()
-                    < 1e-9 * env.workload[gi].app.instructions
-                {
-                    st.counters[gi].completed_runs += 1;
-                    if gi == 0 {
-                        target_done = true;
-                    } else {
-                        st.progress[gi] = 0.0; // co-runner restarts
-                    }
+    // Snap boundary crossings and handle completions.
+    let mut target_done = false;
+    for gi in 0..n_groups {
+        let boundary = st.scratch.phase_info[gi].1;
+        if st.progress[gi] >= boundary - 1e-6 * env.workload[gi].app.instructions.max(1.0) {
+            st.progress[gi] = boundary;
+            if (boundary - env.workload[gi].app.instructions).abs()
+                < 1e-9 * env.workload[gi].app.instructions
+            {
+                st.counters[gi].completed_runs += 1;
+                if gi == 0 {
+                    target_done = true;
+                } else {
+                    st.progress[gi] = 0.0; // co-runner restarts
                 }
             }
         }
-        st.target_done = target_done;
-        Ok(if target_done {
-            StageFlow::TargetDone
-        } else {
-            StageFlow::Continue
-        })
     }
+    Ok(target_done)
 }
 
 /// Accumulated cost of one pipeline stage across a run (or a whole
@@ -595,23 +494,26 @@ impl StageProfile {
     pub fn iter(&self) -> impl Iterator<Item = (StageId, StageStats)> + '_ {
         StageId::ALL.iter().map(|&id| (id, self.get(id)))
     }
+}
 
-    /// Per-stage invocation counts, indexed by [`StageId::index`].
-    pub fn invocations(&self) -> [u64; 6] {
-        let mut out = [0u64; 6];
-        for id in StageId::ALL {
-            out[id.index()] = self.stats[id.index()].invocations;
+/// The stage breakdown `--stage-stats` prints: one line per stage, in
+/// driver order, with its calls and milliseconds, and no trailing
+/// newline.
+impl std::fmt::Display for StageProfile {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (i, (id, s)) in self.iter().enumerate() {
+            if i > 0 {
+                writeln!(f)?;
+            }
+            write!(
+                f,
+                "  {:<17} {:>9} calls  {:>10.3} ms",
+                id.label(),
+                s.invocations,
+                s.nanos as f64 * 1e-6
+            )?;
         }
-        out
-    }
-
-    /// Per-stage nanoseconds, indexed by [`StageId::index`].
-    pub fn nanos(&self) -> [u64; 6] {
-        let mut out = [0u64; 6];
-        for id in StageId::ALL {
-            out[id.index()] = self.stats[id.index()].nanos;
-        }
-        out
+        Ok(())
     }
 }
 
@@ -790,7 +692,7 @@ mod tests {
         }
 
         fn state(&self) -> EpochState {
-            // 0.0 for an out-of-range pstate: PStateStage re-derives (and
+            // 0.0 for an out-of-range pstate: `pstate` re-derives (and
             // rejects) it anyway.
             let freq = self.machine.spec().freq_hz(self.opts.pstate).unwrap_or(0.0);
             EpochState::new(&self.groups, freq)
@@ -802,10 +704,7 @@ mod tests {
         let fx = Fixture::new(RunOptions::default());
         let mut st = fx.state();
         st.freq_hz = 0.0;
-        assert_eq!(
-            PStateStage.run(&fx.env(), &mut st).unwrap(),
-            StageFlow::Continue
-        );
+        pstate(&fx.env(), &mut st).unwrap();
         assert_eq!(st.freq_hz, 2.53e9);
         assert_eq!(st.iter_cap, 250, "unbudgeted runs get the full cap");
 
@@ -817,10 +716,10 @@ mod tests {
         });
         let mut st = fx.state();
         st.fp_iterations = 90;
-        PStateStage.run(&fx.env(), &mut st).unwrap();
+        pstate(&fx.env(), &mut st).unwrap();
         assert_eq!(st.iter_cap, 10);
         st.fp_iterations = 100_000;
-        PStateStage.run(&fx.env(), &mut st).unwrap();
+        pstate(&fx.env(), &mut st).unwrap();
         assert_eq!(
             st.iter_cap, 4,
             "exhausted budget floors at the degraded cap"
@@ -835,7 +734,7 @@ mod tests {
         });
         let mut st = fx.state();
         assert!(matches!(
-            PStateStage.run(&fx.env(), &mut st),
+            pstate(&fx.env(), &mut st),
             Err(MachineError::BadPState {
                 index: 99,
                 available: 6
@@ -847,7 +746,7 @@ mod tests {
     fn phase_sync_stage_tracks_phase_boundaries() {
         let fx = Fixture::new(RunOptions::default());
         let mut st = fx.state();
-        PhaseSyncStage.run(&fx.env(), &mut st).unwrap();
+        phase_sync(&fx.env(), &mut st);
         assert_eq!(st.scratch.phase_info[0], (0, 50e9), "phase 0 ends halfway");
         assert_eq!(st.scratch.phase_info[1], (0, 60e9));
 
@@ -856,7 +755,7 @@ mod tests {
         // compute-phase curve in the env table.
         let miss_before = fx.mrcs[0][st.scratch.phase_info[0].0].miss_rate(1 << 20);
         st.progress[0] = 60e9;
-        PhaseSyncStage.run(&fx.env(), &mut st).unwrap();
+        phase_sync(&fx.env(), &mut st);
         assert_eq!(st.scratch.phase_info[0], (1, 100e9));
         let miss_after = fx.mrcs[0][st.scratch.phase_info[0].0].miss_rate(1 << 20);
         assert!(
@@ -869,14 +768,11 @@ mod tests {
     fn llc_share_stage_computes_rates_shares_and_misses() {
         let fx = Fixture::new(RunOptions::default());
         let mut st = fx.state();
-        PStateStage.run(&fx.env(), &mut st).unwrap();
-        PhaseSyncStage.run(&fx.env(), &mut st).unwrap();
+        pstate(&fx.env(), &mut st).unwrap();
+        phase_sync(&fx.env(), &mut st);
         st.begin_solve(&fx.env());
         st.seg_iters = 1;
-        assert_eq!(
-            LlcShareStage.run(&fx.env(), &mut st).unwrap(),
-            StageFlow::Continue
-        );
+        llc_share(&fx.env(), &mut st);
 
         // Access rates follow directly from frequency, CPI, and the phase.
         let expect = st.freq_hz / st.cpi[0] * 0.03;
@@ -905,10 +801,10 @@ mod tests {
             ..Default::default()
         });
         let mut stp = fx_part.state();
-        PStateStage.run(&fx_part.env(), &mut stp).unwrap();
-        PhaseSyncStage.run(&fx_part.env(), &mut stp).unwrap();
+        pstate(&fx_part.env(), &mut stp).unwrap();
+        phase_sync(&fx_part.env(), &mut stp);
         stp.begin_solve(&fx_part.env());
-        LlcShareStage.run(&fx_part.env(), &mut stp).unwrap();
+        llc_share(&fx_part.env(), &mut stp);
         let slice = cap / 3.0;
         for &o in &stp.scratch.occ {
             assert_eq!(o, slice);
@@ -919,8 +815,8 @@ mod tests {
     fn dram_stage_converges_the_damped_fixed_point() {
         let fx = Fixture::new(RunOptions::default());
         let mut st = fx.state();
-        PStateStage.run(&fx.env(), &mut st).unwrap();
-        PhaseSyncStage.run(&fx.env(), &mut st).unwrap();
+        pstate(&fx.env(), &mut st).unwrap();
+        phase_sync(&fx.env(), &mut st);
         st.begin_solve(&fx.env());
 
         let idle = fx.machine.mem().spec().idle_latency_ns;
@@ -928,11 +824,11 @@ mod tests {
         loop {
             st.seg_iters += 1;
             iters += 1;
-            LlcShareStage.run(&fx.env(), &mut st).unwrap();
-            match DramFixedPointStage.run(&fx.env(), &mut st).unwrap() {
-                StageFlow::SolverDone => break,
-                _ => assert!(iters < 250, "solver failed to converge"),
+            llc_share(&fx.env(), &mut st);
+            if dram_fixed_point(&fx.env(), &mut st) {
+                break;
             }
+            assert!(iters < 250, "solver failed to converge");
         }
         assert_eq!(
             st.seg_residual, 0.0,
@@ -947,15 +843,14 @@ mod tests {
     fn dram_stage_respects_the_iteration_cap() {
         let fx = Fixture::new(RunOptions::default());
         let mut st = fx.state();
-        PStateStage.run(&fx.env(), &mut st).unwrap();
-        PhaseSyncStage.run(&fx.env(), &mut st).unwrap();
+        pstate(&fx.env(), &mut st).unwrap();
+        phase_sync(&fx.env(), &mut st);
         st.begin_solve(&fx.env());
         st.iter_cap = 1;
         st.seg_iters = 1;
-        LlcShareStage.run(&fx.env(), &mut st).unwrap();
-        assert_eq!(
-            DramFixedPointStage.run(&fx.env(), &mut st).unwrap(),
-            StageFlow::SolverDone,
+        llc_share(&fx.env(), &mut st);
+        assert!(
+            dram_fixed_point(&fx.env(), &mut st),
             "cap of 1 ends the solve after one iteration"
         );
         assert!(
@@ -968,21 +863,19 @@ mod tests {
     fn counter_accrual_stage_advances_and_completes() {
         let fx = Fixture::new(RunOptions::default());
         let mut st = fx.state();
-        PStateStage.run(&fx.env(), &mut st).unwrap();
+        pstate(&fx.env(), &mut st).unwrap();
         st.segments = 1;
-        PhaseSyncStage.run(&fx.env(), &mut st).unwrap();
+        phase_sync(&fx.env(), &mut st);
         st.begin_solve(&fx.env());
         loop {
             st.seg_iters += 1;
-            LlcShareStage.run(&fx.env(), &mut st).unwrap();
-            if DramFixedPointStage.run(&fx.env(), &mut st).unwrap() == StageFlow::SolverDone {
+            llc_share(&fx.env(), &mut st);
+            if dram_fixed_point(&fx.env(), &mut st) {
                 break;
             }
         }
-        let flow = CounterAccrualStage.run(&fx.env(), &mut st).unwrap();
-        assert_eq!(
-            flow,
-            StageFlow::Continue,
+        assert!(
+            !counter_accrual(&fx.env(), &mut st).unwrap(),
             "first segment cannot finish the run"
         );
         assert!(st.dt > 0.0 && st.wall == st.dt);
@@ -994,23 +887,20 @@ mod tests {
         // Drop the target at the brink of completion: the stage must snap
         // the boundary, count the completion, and end the run.
         let mut st2 = fx.state();
-        PStateStage.run(&fx.env(), &mut st2).unwrap();
+        pstate(&fx.env(), &mut st2).unwrap();
         st2.segments = 1;
         st2.progress[0] = 100e9 - 1.0;
         st2.progress[1] = 1.0;
-        PhaseSyncStage.run(&fx.env(), &mut st2).unwrap();
+        phase_sync(&fx.env(), &mut st2);
         st2.begin_solve(&fx.env());
         loop {
             st2.seg_iters += 1;
-            LlcShareStage.run(&fx.env(), &mut st2).unwrap();
-            if DramFixedPointStage.run(&fx.env(), &mut st2).unwrap() == StageFlow::SolverDone {
+            llc_share(&fx.env(), &mut st2);
+            if dram_fixed_point(&fx.env(), &mut st2) {
                 break;
             }
         }
-        assert_eq!(
-            CounterAccrualStage.run(&fx.env(), &mut st2).unwrap(),
-            StageFlow::TargetDone
-        );
+        assert!(counter_accrual(&fx.env(), &mut st2).unwrap());
         assert_eq!(st2.counters[0].completed_runs, 1);
         assert_eq!(st2.progress[0], 100e9);
     }
@@ -1019,14 +909,14 @@ mod tests {
     fn counter_accrual_rejects_degenerate_segments() {
         let fx = Fixture::new(RunOptions::default());
         let mut st = fx.state();
-        PStateStage.run(&fx.env(), &mut st).unwrap();
+        pstate(&fx.env(), &mut st).unwrap();
         st.segments = 7;
-        PhaseSyncStage.run(&fx.env(), &mut st).unwrap();
+        phase_sync(&fx.env(), &mut st);
         // A non-finite rate forces dt = inf/NaN, which must surface as a
         // typed numeric error naming the segment.
         st.scratch.ips = vec![0.0, 0.0];
         st.scratch.phase_info[0].1 = st.progress[0]; // remaining = 0
-        match CounterAccrualStage.run(&fx.env(), &mut st) {
+        match counter_accrual(&fx.env(), &mut st) {
             Err(MachineError::Numeric(msg)) => {
                 assert!(msg.contains("segment 7"), "unexpected message: {msg}")
             }
@@ -1052,9 +942,31 @@ mod tests {
         );
         assert_eq!(a.get(StageId::PState).invocations, 1);
         assert_eq!(a.get(StageId::CounterAccrual), StageStats::default());
-        assert_eq!(a.invocations(), [1, 0, 3, 0, 0, 0]);
-        assert_eq!(a.nanos(), [5, 0, 175, 0, 0, 0]);
         assert_eq!(a.iter().count(), 6);
+    }
+
+    #[test]
+    fn stage_profile_displays_one_line_per_stage() {
+        let mut p = StageProfile::new();
+        for _ in 0..40 {
+            p.record(StageId::LlcShare, Duration::from_nanos(75));
+        }
+        p.record(StageId::PState, Duration::from_nanos(1_500_000));
+        let text = p.to_string();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 6, "{text}");
+        assert!(!text.ends_with('\n'));
+        assert_eq!(
+            lines[0],
+            "  pstate                    1 calls       1.500 ms"
+        );
+        assert_eq!(
+            lines[2],
+            "  llc-share                40 calls       0.003 ms"
+        );
+        for (line, id) in lines.iter().zip(StageId::ALL) {
+            assert!(line.starts_with(&format!("  {}", id.label())), "{line}");
+        }
     }
 
     #[test]

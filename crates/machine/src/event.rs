@@ -1,8 +1,8 @@
 //! Deterministic discrete-event scheduling for the co-execution engine.
 //!
-//! The epoch pipeline of PR 4 advances every group in lockstep: all
-//! groups share one clock, start together, and run until the target
-//! completes. This module generalizes the driver into a discrete-event
+//! Without schedules the epoch pipeline advances every group in
+//! lockstep: all groups share one clock, start together, and run until
+//! the target completes. This module generalizes the driver into a discrete-event
 //! simulation without giving up bit-reproducibility:
 //!
 //! * [`GroupSchedule`] — per-group event-mode fields: a starting
@@ -12,20 +12,20 @@
 //!   and a workload whose schedules are all default runs through the
 //!   *same arithmetic, in the same order* as the lockstep pipeline —
 //!   the degenerate case is bit-identical, not merely close.
-//! * [`EventQueue`] — a binary min-heap of [`Event`]s ordered by
-//!   `(tick, seq)`. `seq` is the queue's own monotone insertion counter,
-//!   so the pop order is *total* (no two events compare equal) and
-//!   *stable* (same-tick events pop in insertion order). Event order —
-//!   and therefore the whole simulation — is a pure function of the
-//!   scenario, independent of thread count or heap internals.
+//! * [`scheduled_events`] — every [`Event`] of a schedule set is known
+//!   before the run starts, so they are sorted once, stably by tick:
+//!   departures before arrivals at equal ticks, each in group order. Event
+//!   order — and therefore the whole simulation — is a pure function of
+//!   the scenario, independent of thread count.
 //!
-//! The driver in [`crate::engine`] consumes the queue era by era: an
-//! *era* is a maximal interval of the simulated clock with a fixed
-//! resident set. Within an era the unmodified stage passes run over the
-//! resident groups; segment lengths are additionally capped by the next
-//! event tick (`dt_cap`), and when the clock reaches that tick the
-//! resident set is rebuilt and the next era begins. See DESIGN.md §14
-//! for the tie-break rule and the lockstep-equivalence argument.
+//! The driver in [`crate::engine`] reads the sorted events through a
+//! cursor, era by era: an *era* is a maximal interval of the simulated
+//! clock with a fixed resident set. Within an era the unmodified stage
+//! passes run over the resident groups; segment lengths are additionally
+//! capped by the next event tick (`dt_cap`), and when the clock reaches
+//! that tick the resident set is rebuilt and the next era begins. See
+//! DESIGN.md §14 for the tie-break rule and the lockstep-equivalence
+//! argument.
 
 use crate::{GroupRef, MachineError, Result};
 
@@ -92,145 +92,47 @@ pub enum EventKind {
     Arrival(usize),
 }
 
-/// One scheduled residency change, ordered by `(tick, seq)`.
+/// One scheduled residency change.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Event {
     /// Simulated time at which the event fires, seconds.
     pub tick: f64,
-    /// Queue-assigned insertion sequence number: the total-order
-    /// tie-break for same-tick events.
-    pub seq: u64,
     /// What fires.
     pub kind: EventKind,
 }
 
-/// A deterministic binary min-heap of [`Event`]s. Pop order is strictly
-/// increasing in `(tick, seq)`: `seq` is assigned by [`EventQueue::push`]
-/// in call order, so equal-tick events pop in insertion order and the
-/// order is a pure function of the push sequence.
-#[derive(Clone, Debug, Default)]
-pub struct EventQueue {
-    heap: std::collections::BinaryHeap<HeapEntry>,
-    next_seq: u64,
-    /// Largest tick popped so far — lets callers (and the property
-    /// suite) assert that the schedule never moves backwards.
-    last_tick: Option<f64>,
-}
-
-/// Max-heap entry with reversed ordering: the smallest `(tick, seq)`
-/// surfaces first.
-#[derive(Clone, Copy, Debug)]
-struct HeapEntry(Event);
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &HeapEntry) -> bool {
-        self.0.tick.total_cmp(&other.0.tick).is_eq() && self.0.seq == other.0.seq
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &HeapEntry) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &HeapEntry) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want min-(tick, seq).
-        other
-            .0
-            .tick
-            .total_cmp(&self.0.tick)
-            .then(other.0.seq.cmp(&self.0.seq))
-    }
-}
-
-impl EventQueue {
-    /// An empty queue.
-    pub fn new() -> EventQueue {
-        EventQueue::default()
-    }
-
-    /// Schedule `kind` at `tick`, assigning the next sequence number.
-    /// Ticks must be finite (the engine validates schedules before
-    /// building the queue; debug builds assert it).
-    pub fn push(&mut self, tick: f64, kind: EventKind) {
-        debug_assert!(tick.is_finite(), "event tick must be finite");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(HeapEntry(Event { tick, seq, kind }));
-    }
-
-    /// The tick of the next event, if any.
-    pub fn peek_tick(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.0.tick)
-    }
-
-    /// Pop the next event in `(tick, seq)` order. Panics in debug
-    /// builds if the schedule would move backwards — the heap invariant
-    /// the property suite pins.
-    pub fn pop(&mut self) -> Option<Event> {
-        let ev = self.heap.pop()?.0;
-        if let Some(last) = self.last_tick {
-            debug_assert!(
-                ev.tick >= last,
-                "event clock moved backwards: {} after {}",
-                ev.tick,
-                last
-            );
-        }
-        self.last_tick = Some(ev.tick);
-        Some(ev)
-    }
-
-    /// Pop every event with `tick <= horizon`, in `(tick, seq)` order.
-    pub fn pop_through(&mut self, horizon: f64) -> Vec<Event> {
-        let mut fired = Vec::new();
-        while let Some(t) = self.peek_tick() {
-            if t > horizon {
-                break;
-            }
-            fired.push(self.pop().expect("peeked event must pop"));
-        }
-        fired
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-/// Build the event queue for a validated schedule set: one departure
-/// and/or arrival per non-default group. All departures are pushed
-/// before all arrivals (each in group order), so at equal ticks a
-/// departing group frees its cores before an arriving group claims
+/// The events of a validated schedule set, in firing order: one departure
+/// and/or arrival per non-default group, listed departures first and then
+/// arrivals (each in group order), then stably sorted by tick. So at equal
+/// ticks a departing group frees its cores before an arriving group claims
 /// capacity — the same order [`cores_needed`] uses for its peak
-/// concurrency count.
-pub fn build_queue(schedules: &[GroupSchedule]) -> EventQueue {
-    let mut q = EventQueue::new();
-    for (g, s) in schedules.iter().enumerate() {
-        if let Some(t) = s.departure_tick {
-            q.push(t, EventKind::Departure(g));
-        }
-    }
-    for (g, s) in schedules.iter().enumerate() {
-        if s.arrival_tick > 0.0 {
-            q.push(s.arrival_tick, EventKind::Arrival(g));
-        }
-    }
-    q
+/// concurrency count. A stable sort keeps equal ticks in list order, which
+/// is the order a min-heap keyed on `(tick, list index)` pops them in.
+pub fn scheduled_events(schedules: &[GroupSchedule]) -> Vec<Event> {
+    let departures = schedules.iter().enumerate().filter_map(|(g, s)| {
+        s.departure_tick.map(|tick| Event {
+            tick,
+            kind: EventKind::Departure(g),
+        })
+    });
+    let arrivals = schedules
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.arrival_tick > 0.0)
+        .map(|(g, s)| Event {
+            tick: s.arrival_tick,
+            kind: EventKind::Arrival(g),
+        });
+    let mut events: Vec<Event> = departures.chain(arrivals).collect();
+    events.sort_by(|a, b| a.tick.total_cmp(&b.tick));
+    events
 }
 
 /// Cores a run needs: the sum of the group counts for a lockstep run
 /// (`schedules` absent), the peak number of cores simultaneously
 /// resident under `schedules` otherwise — disjoint arrival/departure
 /// windows may oversubscribe the static sum. Departures free capacity
-/// before same-tick arrivals claim it, matching the queue's pop order.
+/// before same-tick arrivals claim it, matching [`scheduled_events`].
 /// The count saturates at `usize::MAX` instead of wrapping, so an
 /// overflowing workload is refused like any other oversubscription.
 /// Shared by the optimized engine and the conformance [`RefEngine`].
@@ -361,32 +263,29 @@ mod tests {
     }
 
     #[test]
-    fn queue_orders_by_tick_then_insertion_seq() {
-        let mut q = EventQueue::new();
-        q.push(2.0, EventKind::Arrival(0));
-        q.push(1.0, EventKind::Departure(1));
-        q.push(1.0, EventKind::Arrival(2));
-        q.push(0.5, EventKind::Arrival(3));
-        let order: Vec<(f64, u64)> = std::iter::from_fn(|| q.pop())
-            .map(|e| (e.tick, e.seq))
-            .collect();
-        assert_eq!(order, vec![(0.5, 3), (1.0, 1), (1.0, 2), (2.0, 0)]);
-    }
-
-    #[test]
-    fn build_queue_fires_departures_before_same_tick_arrivals() {
+    fn events_fire_by_tick_with_departures_first_at_equal_ticks() {
         let schedules = [
             GroupSchedule::default(),
             sched(0.0, Some(1.0)),
             sched(1.0, None),
+            sched(0.5, Some(2.0)),
+            sched(0.0, Some(1.0)),
         ];
-        let mut q = build_queue(&schedules);
-        let fired = q.pop_through(1.0);
+        let order: Vec<(f64, EventKind)> = scheduled_events(&schedules)
+            .iter()
+            .map(|e| (e.tick, e.kind))
+            .collect();
         assert_eq!(
-            fired.iter().map(|e| e.kind).collect::<Vec<_>>(),
-            vec![EventKind::Departure(1), EventKind::Arrival(2)]
+            order,
+            vec![
+                (0.5, EventKind::Arrival(3)),
+                (1.0, EventKind::Departure(1)),
+                (1.0, EventKind::Departure(4)),
+                (1.0, EventKind::Arrival(2)),
+                (2.0, EventKind::Departure(3)),
+            ]
         );
-        assert!(q.is_empty());
+        assert!(scheduled_events(&[GroupSchedule::default(); 3]).is_empty());
     }
 
     #[test]

@@ -38,10 +38,10 @@ pub mod spec;
 pub use app::{AppPhase, AppProfile};
 pub use cache::{CacheStats, RunCache, DEFAULT_RUN_CACHE_CAPACITY, DEFAULT_RUN_CACHE_SHARDS};
 pub use engine::{
-    Convergence, CounterBlock, EpochStage, GroupRef, GroupView, Machine, RunOptions, RunOutcome,
-    RunnerGroup, SegmentRecord, SegmentTrace, StageFlow, StageId, StageProfile, StageStats,
+    Convergence, CounterBlock, GroupRef, GroupView, Machine, RunOptions, RunOutcome, RunnerGroup,
+    SegmentRecord, SegmentTrace, StageId, StageProfile, StageStats,
 };
-pub use event::{Event, EventKind, EventQueue, GroupSchedule};
+pub use event::{Event, EventKind, GroupSchedule};
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use ir::{IrWriter, ScenarioIr};
 pub use spec::MachineSpec;

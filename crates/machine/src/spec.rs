@@ -53,11 +53,6 @@ impl MachineSpec {
     pub fn num_pstates(&self) -> usize {
         self.pstates_ghz.len()
     }
-
-    /// Maximum co-located applications alongside one target (`cores − 1`).
-    pub fn max_co_located(&self) -> usize {
-        self.cores - 1
-    }
 }
 
 #[cfg(test)]
@@ -92,7 +87,6 @@ mod tests {
         let m = presets::xeon_e5649();
         assert_eq!(m.freq_hz(0), Some(2.53e9));
         assert_eq!(m.freq_hz(99), None);
-        assert_eq!(m.max_co_located(), 5);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Property-based tests for the co-execution engine's invariants.
 
 use coloc_cachesim::StackDistanceDist;
+use coloc_machine::event::scheduled_events;
 use coloc_machine::{
-    presets, AppPhase, AppProfile, EventKind, EventQueue, GroupSchedule, Machine, RunOptions,
-    RunnerGroup,
+    presets, AppPhase, AppProfile, EventKind, GroupSchedule, Machine, RunOptions, RunnerGroup,
 };
 use proptest::prelude::*;
 
@@ -116,73 +116,46 @@ proptest! {
         prop_assert!((parts.avg_llc_share_bytes[0] - slice).abs() < 1.0);
     }
 
-    /// The event queue's pop order is a *total* order on `(tick, seq)`:
-    /// ticks never move backwards, and events at equal ticks pop in push
-    /// (sequence) order — the stable tie-break that makes the scheduler
-    /// deterministic.
+    /// The events come out in `(tick, seq)` order, where `seq` numbers
+    /// them departures first, then arrivals, each in group order: ticks
+    /// never move backwards, and equal ticks keep that numbering — the
+    /// stable tie-break that makes the scheduler deterministic.
     #[test]
-    fn event_queue_pop_order_is_total_and_stable(
-        ticks in prop::collection::vec(0u32..16, 1..64),
+    fn scheduled_events_fire_in_tick_then_list_order(
+        windows in prop::collection::vec((0u32..16, 0u32..16), 1..32),
     ) {
         // Draw from a small integer palette so equal ticks are common —
-        // the tie-break is the property under test.
-        let mut queue = EventQueue::new();
-        for (i, &t) in ticks.iter().enumerate() {
-            // Alternate kinds; the order must not depend on the payload.
-            let kind = if i % 2 == 0 {
-                EventKind::Arrival(i)
-            } else {
-                EventKind::Departure(i)
-            };
-            queue.push(f64::from(t) * 0.125, kind);
-        }
-        prop_assert_eq!(queue.len(), ticks.len());
-
-        let mut popped = Vec::new();
-        while let Some(next) = queue.peek_tick() {
-            let ev = queue.pop().unwrap();
-            // `peek_tick` previews exactly the event `pop` returns.
-            prop_assert_eq!(next.to_bits(), ev.tick.to_bits());
-            popped.push(ev);
-        }
-        prop_assert_eq!(popped.len(), ticks.len());
-        for pair in popped.windows(2) {
-            // Ticks are non-decreasing…
-            prop_assert!(pair[1].tick >= pair[0].tick, "tick moved backwards");
-            // …and ties break by sequence number, i.e. push order.
-            if pair[0].tick == pair[1].tick {
-                prop_assert!(pair[0].seq < pair[1].seq, "tie-break not stable");
+        // the tie-break is the property under test. A stay of 0 never
+        // departs.
+        let schedules: Vec<GroupSchedule> = windows
+            .iter()
+            .map(|&(arrive, stay)| GroupSchedule {
+                arrival_tick: f64::from(arrive) * 0.125,
+                departure_tick: (stay > 0).then(|| f64::from(arrive + stay) * 0.125),
+                ..GroupSchedule::default()
+            })
+            .collect();
+        let mut numbered: Vec<(f64, usize, EventKind)> = Vec::new();
+        for (g, s) in schedules.iter().enumerate() {
+            if let Some(t) = s.departure_tick {
+                numbered.push((t, numbered.len(), EventKind::Departure(g)));
             }
         }
-    }
+        for (g, s) in schedules.iter().enumerate() {
+            if s.arrival_tick > 0.0 {
+                numbered.push((s.arrival_tick, numbered.len(), EventKind::Arrival(g)));
+            }
+        }
+        numbered.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
-    /// `pop_through` drains exactly the prefix at or before the horizon,
-    /// in the same total order `pop` would produce.
-    #[test]
-    fn event_queue_pop_through_respects_the_horizon(
-        ticks in prop::collection::vec(0u32..16, 1..48),
-        horizon in 0u32..16,
-    ) {
-        let horizon = f64::from(horizon) * 0.125;
-        let mut queue = EventQueue::new();
-        let mut mirror = EventQueue::new();
-        for (i, &t) in ticks.iter().enumerate() {
-            queue.push(f64::from(t) * 0.125, EventKind::Arrival(i));
-            mirror.push(f64::from(t) * 0.125, EventKind::Arrival(i));
+        let events = scheduled_events(&schedules);
+        prop_assert_eq!(events.len(), numbered.len());
+        for (ev, (tick, _, kind)) in events.iter().zip(&numbered) {
+            prop_assert_eq!(ev.tick.to_bits(), tick.to_bits());
+            prop_assert_eq!(ev.kind, *kind);
         }
-        let fired = queue.pop_through(horizon);
-        // Everything fired is within the horizon; everything left is past it.
-        for ev in &fired {
-            prop_assert!(ev.tick <= horizon);
-        }
-        if let Some(next) = queue.peek_tick() {
-            prop_assert!(next > horizon);
-        }
-        // The fired prefix matches a pop-by-pop drain exactly.
-        for ev in &fired {
-            let expect = mirror.pop().unwrap();
-            prop_assert_eq!(expect.tick.to_bits(), ev.tick.to_bits());
-            prop_assert_eq!(expect.seq, ev.seq);
+        for pair in events.windows(2) {
+            prop_assert!(pair[1].tick >= pair[0].tick, "tick moved backwards");
         }
     }
 

@@ -108,12 +108,6 @@ impl MemorySystem {
         // Saturating exponential: ≈ linear at first, flat beyond ~2×banks.
         self.spec.bank_penalty_ns * self.spec.banks as f64 * 0.5 * (1.0 - (-2.0 * x).exp())
     }
-
-    /// Effective per-stream service bandwidth (bytes/sec) when the channel
-    /// is saturated — demand above peak is shared proportionally.
-    pub fn granted_bandwidth(&self, demand_bytes_per_sec: f64) -> f64 {
-        demand_bytes_per_sec.min(self.spec.peak_bw_bytes_per_sec)
-    }
 }
 
 #[cfg(test)]
@@ -192,14 +186,6 @@ mod tests {
         let big = DramSpec::ddr3_1866_quad_channel();
         assert!(big.peak_bw_bytes_per_sec > small.peak_bw_bytes_per_sec);
         assert!(big.banks > small.banks);
-    }
-
-    #[test]
-    fn granted_bandwidth_caps_at_peak() {
-        let m = sys();
-        let peak = m.spec().peak_bw_bytes_per_sec;
-        assert_eq!(m.granted_bandwidth(peak * 2.0), peak);
-        assert_eq!(m.granted_bandwidth(peak * 0.3), peak * 0.3);
     }
 
     #[test]

@@ -80,15 +80,6 @@ impl Dataset {
         }
     }
 
-    /// Restrict to a subset of feature columns, in the given order.
-    pub fn select_features(&self, cols: &[usize]) -> Dataset {
-        let x = Mat::from_fn(self.x.rows(), cols.len(), |i, j| self.x[(i, cols[j])]);
-        Dataset {
-            x,
-            y: self.y.clone(),
-        }
-    }
-
     /// Split into `(train, test)` with `test_fraction` of samples withheld,
     /// shuffled deterministically by `(seed, partition)`.
     ///
@@ -177,13 +168,5 @@ mod tests {
         let (tr, te) = ds.split(0.01, 1, 0);
         assert!(!tr.is_empty());
         assert!(!te.is_empty());
-    }
-
-    #[test]
-    fn select_features_reorders() {
-        let ds = toy(3, 3);
-        let sub = ds.select_features(&[2, 0]);
-        assert_eq!(sub.num_features(), 2);
-        assert_eq!(sub.x().row(1), &[5.0, 3.0]);
     }
 }

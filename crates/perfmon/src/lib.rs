@@ -29,7 +29,7 @@ pub mod profiler;
 pub use events::EventSet;
 pub use metrics::DerivedMetrics;
 pub use preset::Preset;
-pub use profiler::{CounterBackend, FaultyBackend, FlatProfile, FlatProfiler};
+pub use profiler::{CounterBackend, FlatProfile, FlatProfiler};
 
 /// Errors from the counter layer.
 #[derive(Debug, Clone, PartialEq)]

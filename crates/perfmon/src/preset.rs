@@ -37,45 +37,10 @@ impl Preset {
             Preset::LlcTcm => "PAPI_LLC_TCM",
         }
     }
-
-    /// Parse a PAPI-style name.
-    pub fn from_papi_name(name: &str) -> Option<Preset> {
-        match name {
-            "PAPI_TOT_INS" => Some(Preset::TotIns),
-            "PAPI_TOT_CYC" => Some(Preset::TotCyc),
-            "PAPI_LLC_TCA" | "PAPI_L3_TCA" | "PAPI_L2_TCA" => Some(Preset::LlcTca),
-            "PAPI_LLC_TCM" | "PAPI_L3_TCM" | "PAPI_L2_TCM" => Some(Preset::LlcTcm),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for Preset {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.papi_name())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn names_roundtrip() {
-        for p in Preset::METHODOLOGY_SET {
-            assert_eq!(Preset::from_papi_name(p.papi_name()), Some(p));
-        }
-    }
-
-    #[test]
-    fn architecture_specific_aliases_resolve() {
-        assert_eq!(Preset::from_papi_name("PAPI_L3_TCM"), Some(Preset::LlcTcm));
-        assert_eq!(Preset::from_papi_name("PAPI_L2_TCM"), Some(Preset::LlcTcm));
-        assert_eq!(Preset::from_papi_name("PAPI_L3_TCA"), Some(Preset::LlcTca));
-    }
-
-    #[test]
-    fn unknown_name_is_none() {
-        assert_eq!(Preset::from_papi_name("PAPI_FP_OPS"), None);
     }
 }

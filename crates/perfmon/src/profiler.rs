@@ -11,7 +11,7 @@ use crate::events::EventSet;
 use crate::metrics::DerivedMetrics;
 use crate::preset::Preset;
 use crate::{PerfmonError, Result};
-use coloc_machine::{CounterBlock, FaultPlan, Machine, RunOptions, RunnerGroup};
+use coloc_machine::{CounterBlock, Machine, RunOptions, RunnerGroup};
 use std::collections::BTreeMap;
 
 /// Anything that can execute a workload and report raw counter values for
@@ -53,42 +53,6 @@ impl CounterBackend for Machine {
         let outcome = self
             .run(workload, opts)
             .map_err(|e| PerfmonError::Machine(e.to_string()))?;
-        Ok((
-            read_presets(&outcome.counters[0], events),
-            outcome.wall_time_s,
-        ))
-    }
-}
-
-/// A [`CounterBackend`] that injects a [`FaultPlan`]'s measurement faults
-/// into every sample before the profiler sees it — the same flaky PMU the
-/// chaos sweeps model, exposed at the profiler layer so baseline-quality
-/// code paths can be exercised under fault too. Injection is streamed by
-/// `opts.seed`, so a given (plan, scenario) always faults identically.
-pub struct FaultyBackend<'m> {
-    machine: &'m Machine,
-    plan: FaultPlan,
-}
-
-impl<'m> FaultyBackend<'m> {
-    /// Wrap `machine` so every measurement passes through `plan`.
-    pub fn new(machine: &'m Machine, plan: FaultPlan) -> FaultyBackend<'m> {
-        FaultyBackend { machine, plan }
-    }
-}
-
-impl CounterBackend for FaultyBackend<'_> {
-    fn measure(
-        &self,
-        workload: &[RunnerGroup],
-        events: &EventSet,
-        opts: &RunOptions,
-    ) -> Result<(BTreeMap<Preset, f64>, f64)> {
-        let mut outcome = self
-            .machine
-            .run(workload, opts)
-            .map_err(|e| PerfmonError::Machine(e.to_string()))?;
-        self.plan.apply(opts.seed, &mut outcome);
         Ok((
             read_presets(&outcome.counters[0], events),
             outcome.wall_time_s,
@@ -240,34 +204,6 @@ mod tests {
         assert!(
             (shared.value(Preset::TotIns).unwrap() - solo.value(Preset::TotIns).unwrap()).abs()
                 < 1.0
-        );
-    }
-
-    #[test]
-    fn faulty_backend_injects_deterministically() {
-        let machine = Machine::new(presets::xeon_e5649()).expect("valid preset");
-        let plan = FaultPlan {
-            seed: 3,
-            nan_reading_rate: 1.0,
-            ..Default::default()
-        };
-        let faulty = FaultyBackend::new(&machine, plan);
-        let profiler = FlatProfiler::new(&faulty, EventSet::methodology());
-        let opts = RunOptions {
-            seed: 17,
-            ..Default::default()
-        };
-        let a = profiler.profile_solo(&test_app("t"), &opts).unwrap();
-        let b = profiler.profile_solo(&test_app("t"), &opts).unwrap();
-        assert!(a.wall_time_s.is_nan(), "nan fault at rate 1.0 must fire");
-        assert_eq!(a.wall_time_s.to_bits(), b.wall_time_s.to_bits());
-        // Counters themselves are untouched by the wall-time fault.
-        let clean = FlatProfiler::new(&machine, EventSet::methodology())
-            .profile_solo(&test_app("t"), &opts)
-            .unwrap();
-        assert_eq!(
-            a.value(Preset::TotIns).unwrap().to_bits(),
-            clean.value(Preset::TotIns).unwrap().to_bits()
         );
     }
 

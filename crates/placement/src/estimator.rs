@@ -168,11 +168,6 @@ impl SpecEstimator {
     pub fn distinct_evaluations(&self) -> usize {
         self.sd_memo.len()
     }
-
-    /// The P-state this estimator was trained at.
-    pub fn trained_pstate(&self) -> usize {
-        self.pstate
-    }
 }
 
 #[cfg(test)]

@@ -54,7 +54,7 @@ use std::io::{self, ErrorKind, Read, Write};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{mpsc, Arc, RwLock};
 use std::time::{Duration, Instant};
 
 /// Where the server listens.
@@ -878,7 +878,7 @@ impl Server {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || shared.dispatch_loop())
         };
-        let conn_threads: Mutex<Vec<std::thread::JoinHandle<()>>> = Mutex::new(Vec::new());
+        let mut conn_threads: Vec<std::thread::JoinHandle<()>> = Vec::new();
         let mut last_frame = Instant::now();
         loop {
             if shared.should_drain() {
@@ -901,11 +901,10 @@ impl Server {
                 Ok((read_half, write_half)) => {
                     let (tx, rx) = mpsc::sync_channel::<String>(REPLY_CHANNEL_BOUND);
                     let reader_shared = Arc::clone(&shared);
-                    let mut handles = conn_threads.lock().expect("conn threads");
-                    handles.push(std::thread::spawn(move || {
+                    conn_threads.push(std::thread::spawn(move || {
                         reader_loop(&reader_shared, read_half, tx)
                     }));
-                    handles.push(std::thread::spawn(move || writer_loop(write_half, rx)));
+                    conn_threads.push(std::thread::spawn(move || writer_loop(write_half, rx)));
                 }
                 // No client within the wait (or, unbounded, right now).
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
@@ -926,7 +925,7 @@ impl Server {
         // was admitted, then give every connection thread its exit.
         shared.request_drain();
         dispatcher.join().expect("dispatcher panicked");
-        for h in conn_threads.into_inner().expect("conn threads") {
+        for h in conn_threads {
             let _ = h.join();
         }
         let frame = shared.frame();

@@ -20,14 +20,9 @@
 //! its *measured* solo behaviour on the simulated Xeon E5649 falls in the
 //! right class band (verified by this crate's tests — the numbers are
 //! calibrated against the simulator, not asserted into it).
-//!
-//! [`builder::WorkloadBuilder`] constructs custom applications for users
-//! bringing their own workloads to the methodology.
 
-pub mod builder;
 pub mod classes;
 pub mod suite;
 
-pub use builder::WorkloadBuilder;
 pub use classes::MemoryClass;
 pub use suite::{by_name, standard, training_co_runners, Benchmark, Suite};

@@ -9,8 +9,9 @@
 //!
 //! * [`set_assoc::SetAssocCache`] — an exact set-associative LRU cache with
 //!   per-owner statistics, usable both private and shared.
-//! * [`stream`] — deterministic synthetic address-stream generators with
-//!   controllable temporal locality (the LRU-stack access model).
+//! * [`stream`] — the reuse-distance distribution the workload suite's
+//!   locality tables are, and a deterministic address-stream generator
+//!   for it (the LRU-stack access model).
 //! * [`stack::StackAnalyzer`] — Mattson's stack algorithm: one pass over a
 //!   trace yields the stack-distance histogram and hence the miss rate at
 //!   *every* cache capacity simultaneously.
@@ -23,19 +24,17 @@
 //! The machine simulator (`coloc-machine`) uses the analytic path
 //! (distribution → MRC → occupancy model) for speed; the exact simulators
 //! here exist to *validate* that path (see the crate's integration tests)
-//! and for standalone cache studies.
+//! and for standalone cache studies. The generator and the analyzer share
+//! one LRU stack, a Fenwick tree over access times, so each costs
+//! O(log n) per access in the number of accesses, at any span.
 
-pub mod fenwick;
 pub mod mrc;
-pub mod plru;
 pub mod set_assoc;
 pub mod share;
 pub mod stack;
 pub mod stream;
 
-pub use fenwick::FastStackAnalyzer;
 pub use mrc::{MissRateCurve, MrcCursor};
-pub use plru::PlruCache;
 pub use set_assoc::{AccessOutcome, CacheConfig, OwnerStats, SetAssocCache};
 pub use share::{
     occupancy_step, occupancy_step_rates, shared_occupancy, SharedApp, SharedCacheSolution,

@@ -1,27 +1,125 @@
-//! Mattson stack-distance analysis.
+//! Mattson stack-distance analysis, and the LRU stack the crate's
+//! simulators share.
 //!
 //! For an LRU cache, the *stack distance* of an access is the number of
 //! distinct lines touched since the previous access to the same line. An
 //! access hits in a fully-associative LRU cache of `C` lines iff its stack
 //! distance is `< C`. Mattson's classic result is that one pass over a
-//! trace therefore yields the miss rate at **every** capacity at once —
-//! which is how the workload layer derives miss-rate curves for the
-//! machine simulator without re-simulating per cache size.
+//! trace therefore yields the miss rate at **every** capacity at once.
+//! The suite's reuse tables are analytic
+//! ([`crate::StackDistanceDist`]); this analyzer measures generated and
+//! hand-written traces to check them.
 
 use crate::mrc::MissRateCurve;
 use crate::Line;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-/// Online stack-distance analyzer.
+/// An LRU stack kept as access times (the Bennett–Kruskal formulation).
 ///
-/// Maintains the LRU stack as a vector (most recent at the back). Updates
-/// are O(stack depth); fine for the multi-million-access traces used in
-/// tests and workload calibration.
+/// Every push takes the next time. A line's place on the stack is the
+/// time of its last push, marked in a Fenwick (binary-indexed) tree over
+/// all times: a line's depth is the count of marked times after its own,
+/// and the line at a given depth is the marked time of that rank. Both
+/// are O(log n) in the number of pushes. Times only grow, so the tree
+/// only appends, and its memory grows with the number of pushes.
+pub(crate) struct LruStack {
+    /// One-based Fenwick tree: `tree[i - 1]` counts the marked times in
+    /// `(i - lowbit(i), i]`, time `t` being position `t + 1`.
+    tree: Vec<u32>,
+    /// The line pushed at each time.
+    lines: Vec<Line>,
+    /// Marked times, which is the number of lines on the stack.
+    len: usize,
+}
+
+impl LruStack {
+    pub(crate) fn new() -> LruStack {
+        LruStack {
+            tree: Vec::new(),
+            lines: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// Lines on the stack.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The line pushed at `time`.
+    pub(crate) fn line(&self, time: usize) -> Line {
+        self.lines[time]
+    }
+
+    /// Put `line` on top at the next time, and return that time. `line`
+    /// must not be on the stack already.
+    pub(crate) fn push(&mut self, line: Line) -> usize {
+        let time = self.tree.len();
+        // Node `i` is its own mark plus its children `i - 1`, `i - 2`,
+        // `i - 4`, … below `lowbit(i)`, all already in the tree.
+        let i = time + 1;
+        let lowbit = i & i.wrapping_neg();
+        let mut count = 1;
+        let mut step = 1;
+        while step < lowbit {
+            count += self.tree[i - step - 1];
+            step <<= 1;
+        }
+        self.tree.push(count);
+        self.lines.push(line);
+        self.len += 1;
+        time
+    }
+
+    /// Move the line pushed at `time` to the top, and return its new time.
+    pub(crate) fn raise(&mut self, time: usize) -> usize {
+        let mut i = time + 1;
+        while i <= self.tree.len() {
+            self.tree[i - 1] -= 1;
+            i += i & i.wrapping_neg();
+        }
+        self.len -= 1;
+        self.push(self.lines[time])
+    }
+
+    /// The depth of the line pushed at `time`: the number of lines on the
+    /// stack pushed after it (0 = top).
+    pub(crate) fn depth_of(&self, time: usize) -> usize {
+        let mut i = time + 1;
+        let mut through = 0;
+        while i > 0 {
+            through += self.tree[i - 1] as usize;
+            i -= i & i.wrapping_neg();
+        }
+        self.len - through
+    }
+
+    /// The time of the line at `depth` (0 = top); `depth < len()`.
+    pub(crate) fn time_at(&self, depth: usize) -> usize {
+        // The `len - depth`-th marked time, counting from the oldest: walk
+        // down from the largest power of two to the last position whose
+        // prefix count is still short of that rank.
+        let mut rank = (self.len - depth) as u32;
+        let mut pos = 0;
+        let mut step = 1 << self.tree.len().ilog2();
+        while step > 0 {
+            if pos + step <= self.tree.len() && self.tree[pos + step - 1] < rank {
+                pos += step;
+                rank -= self.tree[pos - 1];
+            }
+            step >>= 1;
+        }
+        pos
+    }
+}
+
+/// Online stack-distance analyzer: O(log n) per access in the number of
+/// accesses.
 pub struct StackAnalyzer {
-    /// position of each line in `stack`, for O(1) lookup.
-    position: HashMap<Line, usize>,
-    /// LRU stack; index 0 is the *oldest*.
-    stack: Vec<Line>,
+    /// Each line's last access time on `stack`.
+    last_access: HashMap<Line, usize>,
+    stack: LruStack,
     /// histogram[d] = number of accesses with stack distance exactly d.
     histogram: Vec<u64>,
     /// First-touch (compulsory) misses: infinite stack distance.
@@ -39,8 +137,8 @@ impl StackAnalyzer {
     /// A fresh analyzer.
     pub fn new() -> StackAnalyzer {
         StackAnalyzer {
-            position: HashMap::new(),
-            stack: Vec::new(),
+            last_access: HashMap::new(),
+            stack: LruStack::new(),
             histogram: Vec::new(),
             cold: 0,
             total: 0,
@@ -50,27 +148,20 @@ impl StackAnalyzer {
     /// Record one access and return its stack distance (`None` = cold).
     pub fn access(&mut self, line: Line) -> Option<usize> {
         self.total += 1;
-        match self.position.get(&line).copied() {
-            None => {
-                self.position.insert(line, self.stack.len());
-                self.stack.push(line);
+        match self.last_access.entry(line) {
+            Entry::Vacant(slot) => {
+                slot.insert(self.stack.push(line));
                 self.cold += 1;
                 None
             }
-            Some(pos) => {
-                // Distance = number of distinct lines above `pos`.
-                let dist = self.stack.len() - 1 - pos;
+            Entry::Occupied(mut slot) => {
+                let time = slot.get_mut();
+                let dist = self.stack.depth_of(*time);
+                *time = self.stack.raise(*time);
                 if self.histogram.len() <= dist {
                     self.histogram.resize(dist + 1, 0);
                 }
                 self.histogram[dist] += 1;
-                // Move to MRU: shift everything above down one slot.
-                self.stack.remove(pos);
-                for (i, l) in self.stack.iter().enumerate().skip(pos) {
-                    self.position.insert(*l, i);
-                }
-                self.position.insert(line, self.stack.len());
-                self.stack.push(line);
                 Some(dist)
             }
         }
@@ -153,8 +244,23 @@ mod tests {
         assert_eq!(an.access(2), None);
         assert_eq!(an.access(0), Some(2));
         assert_eq!(an.access(0), Some(0));
+        assert_eq!(an.access(1), Some(2));
         assert_eq!(an.cold_misses(), 3);
         assert_eq!(an.footprint_lines(), 3);
+    }
+
+    #[test]
+    fn cyclic_reuse_has_constant_distance() {
+        let mut an = StackAnalyzer::new();
+        for _ in 0..10 {
+            for l in 0..8u64 {
+                an.access(l);
+            }
+        }
+        // After warmup every access has distance 7.
+        assert_eq!(an.histogram()[7], 72);
+        assert_eq!(an.misses_at(8), 8);
+        assert_eq!(an.misses_at(7), 80);
     }
 
     #[test]
@@ -206,8 +312,8 @@ mod tests {
     #[test]
     fn sequential_scan_has_no_reuse() {
         let mut an = StackAnalyzer::new();
-        an.access_all(0..1000u64);
-        assert_eq!(an.cold_misses(), 1000);
+        an.access_all(0..5000u64);
+        assert_eq!(an.cold_misses(), 5000);
         assert!(an.histogram().iter().all(|&h| h == 0));
         assert_eq!(an.miss_rate_at(1_000_000), 1.0);
     }

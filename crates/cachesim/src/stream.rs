@@ -22,6 +22,7 @@
 //! regardless of span.
 
 use crate::mrc::MissRateCurve;
+use crate::stack::LruStack;
 use crate::Line;
 use rand::Rng;
 use rand::SeedableRng;
@@ -39,22 +40,21 @@ const LOG_REPS: usize = 192;
 /// where `P(d) ∝ (d + 1)^{-alpha}`. Larger `alpha` = tighter locality;
 /// larger `reuse_span` = bigger working set.
 ///
-/// The quantized tables live in one immutable block that clones share by
-/// reference, so cloning a distribution (and the application profile
-/// around it) bumps a refcount instead of copying hundreds of entries.
-/// The block also keeps what is derived from the tables alone: the
-/// analytic miss-rate curve ([`StackDistanceDist::shared_curve`]) and the
-/// digest slots ([`StackDistanceDist::digest_slots`]). Each constructor
-/// call builds a fresh block, so independently built distributions share
-/// nothing, even with equal parameters.
+/// The parameters are fixed at construction, and the quantized tables
+/// are built from them once. The tables live in one immutable block that
+/// clones share by reference, so cloning a distribution (and the
+/// application profile around it) bumps a refcount instead of copying
+/// hundreds of entries. The block also keeps what is derived from the
+/// tables alone: the analytic miss-rate curve
+/// ([`StackDistanceDist::shared_curve`]) and the digest slots
+/// ([`StackDistanceDist::digest_slots`]). Each constructor call builds a
+/// fresh block, so independently built distributions share nothing, even
+/// with equal parameters.
 #[derive(Clone, Debug)]
 pub struct StackDistanceDist {
-    /// Probability of touching a fresh line.
-    pub p_new: f64,
-    /// Maximum reuse distance (in distinct lines).
-    pub reuse_span: usize,
-    /// Power-law exponent of the reuse-distance pdf.
-    pub alpha: f64,
+    p_new: f64,
+    reuse_span: usize,
+    alpha: f64,
     tables: Arc<Tables>,
 }
 
@@ -65,11 +65,7 @@ struct Tables {
     reps: Vec<usize>,
     /// CDF over `reps`, conditioned on the access being a reuse.
     cdf: Vec<f64>,
-    /// `(p_new, alpha, reuse_span)` as built, floats by bit pattern. The
-    /// scalars are public fields a caller may rewrite after construction;
-    /// `curve` is only ever the curve of these.
-    built_from: (u64, u64, usize),
-    /// The miss-rate curve of the tables at `built_from`.
+    /// The distribution's miss-rate curve, built on first use.
     curve: OnceLock<Arc<MissRateCurve>>,
     digest: DigestSlots,
 }
@@ -173,7 +169,6 @@ impl StackDistanceDist {
             tables: Arc::new(Tables {
                 reps,
                 cdf,
-                built_from: (p_new.to_bits(), alpha.to_bits(), reuse_span),
                 curve: OnceLock::new(),
                 digest: DigestSlots {
                     pow: OnceLock::new(),
@@ -186,6 +181,21 @@ impl StackDistanceDist {
     /// Uniform reuse over the span (alpha = 0).
     pub fn uniform(reuse_span: usize, p_new: f64) -> StackDistanceDist {
         StackDistanceDist::power_law(reuse_span, 0.0, p_new)
+    }
+
+    /// Probability of touching a fresh line.
+    pub fn p_new(&self) -> f64 {
+        self.p_new
+    }
+
+    /// Maximum reuse distance (in distinct lines).
+    pub fn reuse_span(&self) -> usize {
+        self.reuse_span
+    }
+
+    /// Power-law exponent of the reuse-distance pdf.
+    pub fn alpha(&self) -> f64 {
+        self.alpha
     }
 
     /// The quantized support (representative distances).
@@ -242,17 +252,10 @@ impl StackDistanceDist {
     }
 
     /// [`StackDistanceDist::miss_rate_curve`], built once per table block
-    /// and shared by its clones. A distribution whose scalars were
-    /// rewritten after construction gets a freshly built curve on every
-    /// call instead: the memo only ever holds the curve of the scalars the
-    /// block was built from.
+    /// and shared by its clones.
     pub fn shared_curve(&self) -> Arc<MissRateCurve> {
-        let tables = &*self.tables;
-        if (self.p_new.to_bits(), self.alpha.to_bits(), self.reuse_span) != tables.built_from {
-            return Arc::new(self.miss_rate_curve());
-        }
         Arc::clone(
-            tables
+            self.tables
                 .curve
                 .get_or_init(|| Arc::new(self.miss_rate_curve())),
         )
@@ -272,14 +275,15 @@ impl StackDistanceDist {
 /// A deterministic address-stream generator implementing the LRU-stack
 /// model for a given [`StackDistanceDist`].
 ///
-/// Intended for validation and cache studies at moderate spans: the stack
-/// is materialized (`reuse_span` entries) and updates are O(depth). The
-/// machine simulator never generates streams — it uses the analytic MRC.
+/// For validation and cache studies at any span the suite uses: the stack
+/// starts `reuse_span` lines deep and lives in the crate's Fenwick-tree
+/// LRU stack, so an access costs O(log n) in the accesses so far, and
+/// memory grows by about 12 bytes per access. The machine simulator never
+/// generates streams — it uses the analytic MRC.
 pub struct StreamGen {
     dist: StackDistanceDist,
     rng: rand::rngs::StdRng,
-    /// LRU stack, most recent at the back.
-    stack: Vec<Line>,
+    stack: LruStack,
     next_line: Line,
 }
 
@@ -292,30 +296,32 @@ impl StreamGen {
     /// low-`p_new` streams would spend a long warm-up period with
     /// artificially tight locality.
     pub fn new(dist: StackDistanceDist, seed: u64, base_line: Line) -> StreamGen {
-        let span = dist.reuse_span as Line;
+        let next_line = base_line + dist.reuse_span as Line;
+        let mut stack = LruStack::new();
+        for line in base_line..next_line {
+            stack.push(line);
+        }
         StreamGen {
             dist,
             rng: rand::rngs::StdRng::seed_from_u64(seed),
-            stack: (base_line..base_line + span).collect(),
-            next_line: base_line + span,
+            stack,
+            next_line,
         }
     }
 
     /// Generate the next line address.
     pub fn next_access(&mut self) -> Line {
-        let fresh = self.stack.is_empty() || self.rng.gen::<f64>() < self.dist.p_new;
-        if fresh {
+        if self.rng.gen::<f64>() < self.dist.p_new {
             let line = self.next_line;
             self.next_line += 1;
             self.stack.push(line);
             line
         } else {
-            let u = self.rng.gen::<f64>();
-            let d = self.dist.sample_distance(u).min(self.stack.len() - 1);
-            let pos = self.stack.len() - 1 - d;
-            let line = self.stack.remove(pos);
-            self.stack.push(line);
-            line
+            // Sampled distances stay below `reuse_span`, the stack's
+            // starting depth, so each names a line on the stack.
+            let d = self.dist.sample_distance(self.rng.gen::<f64>());
+            let time = self.stack.raise(self.stack.time_at(d));
+            self.stack.line(time)
         }
     }
 

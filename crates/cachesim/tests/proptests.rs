@@ -1,10 +1,95 @@
 //! Property-based tests for cache-simulation invariants.
 
 use coloc_cachesim::{
-    occupancy_step_rates, shared_occupancy, CacheConfig, FastStackAnalyzer, MissRateCurve,
-    MrcCursor, PlruCache, SetAssocCache, SharedApp, StackAnalyzer, StackDistanceDist,
+    occupancy_step_rates, shared_occupancy, CacheConfig, Line, MissRateCurve, MrcCursor,
+    SetAssocCache, SharedApp, StackAnalyzer, StackDistanceDist, StreamGen,
 };
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+
+/// The generator over a `Vec` LRU stack that moves each reused line with
+/// `Vec::remove`, O(depth) per access: the reference [`StreamGen`] must
+/// match line for line.
+struct VecStream {
+    dist: StackDistanceDist,
+    rng: rand::rngs::StdRng,
+    /// LRU stack, most recent at the back.
+    stack: Vec<Line>,
+    next_line: Line,
+}
+
+impl VecStream {
+    fn new(dist: StackDistanceDist, seed: u64, base_line: Line) -> VecStream {
+        let span = dist.reuse_span() as Line;
+        VecStream {
+            dist,
+            rng: rand::rngs::StdRng::seed_from_u64(seed),
+            stack: (base_line..base_line + span).collect(),
+            next_line: base_line + span,
+        }
+    }
+
+    fn next_access(&mut self) -> Line {
+        let fresh = self.stack.is_empty() || self.rng.gen::<f64>() < self.dist.p_new();
+        if fresh {
+            let line = self.next_line;
+            self.next_line += 1;
+            self.stack.push(line);
+            line
+        } else {
+            // Inverse-CDF sample over the quantized support.
+            let u = self.rng.gen::<f64>();
+            let (cdf, reps) = (self.dist.cdf(), self.dist.representatives());
+            let d = reps[cdf.partition_point(|&c| c < u).min(reps.len() - 1)];
+            let d = d.min(self.stack.len() - 1);
+            let pos = self.stack.len() - 1 - d;
+            let line = self.stack.remove(pos);
+            self.stack.push(line);
+            line
+        }
+    }
+}
+
+/// Run both generators `n` accesses from one seed; `Err` names the first
+/// access where they part.
+fn compare_with_vec_stack(
+    dist: StackDistanceDist,
+    seed: u64,
+    n: usize,
+) -> Result<(), TestCaseError> {
+    let base_line = seed << 40;
+    let mut fenwick = StreamGen::new(dist.clone(), seed, base_line);
+    let mut reference = VecStream::new(dist, seed, base_line);
+    for i in 0..n {
+        prop_assert_eq!((i, fenwick.next_access()), (i, reference.next_access()));
+    }
+    prop_assert_eq!(fenwick.footprint_lines(), reference.stack.len());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Spans on both sides of the distribution's 256-line exact prefix,
+    /// `p_new` exactly 0 in a quarter of the cases.
+    #[test]
+    fn stream_matches_the_vec_stack_reference(
+        span in (0u8..2, 1usize..257, 257usize..3_001)
+            .prop_map(|(small, a, b)| if small == 0 { a } else { b }),
+        alpha in 0.0f64..1.5,
+        p_new in (0u8..4, 0.0f64..0.3).prop_map(|(zero, p)| if zero == 0 { 0.0 } else { p }),
+        seed in prop::sample::select(vec![0u64, 1, 7, 2015]),
+        n in 1usize..4_000,
+    ) {
+        compare_with_vec_stack(StackDistanceDist::power_law(span, alpha, p_new), seed, n)?;
+    }
+}
+
+#[test]
+fn long_stream_matches_the_vec_stack_reference() {
+    let dist = StackDistanceDist::power_law(5_000, 0.6, 0.01);
+    compare_with_vec_stack(dist, 11, 100_000).expect("same lines");
+}
 
 proptest! {
     /// Conservation: hits + misses == accesses, per owner, for any trace.
@@ -105,46 +190,6 @@ proptest! {
         for &m in &sol.miss_rates {
             prop_assert!((0.0..=1.0).contains(&m));
         }
-    }
-
-    /// The O(log n) Fenwick analyzer agrees with the naive LRU-stack
-    /// analyzer distance-for-distance on arbitrary traces.
-    #[test]
-    fn fast_analyzer_equals_naive(trace in prop::collection::vec(0u64..80, 1..600)) {
-        let mut fast = FastStackAnalyzer::new();
-        let mut naive = StackAnalyzer::new();
-        for &l in &trace {
-            prop_assert_eq!(fast.access(l), naive.access(l));
-        }
-        prop_assert_eq!(fast.histogram(), naive.histogram());
-        prop_assert_eq!(fast.cold_misses(), naive.cold_misses());
-        prop_assert_eq!(fast.footprint_lines(), naive.footprint_lines());
-    }
-
-    /// PLRU conserves accesses and never exceeds capacity, for any trace
-    /// and any (valid) geometry.
-    #[test]
-    fn plru_conservation(
-        trace in prop::collection::vec((0usize..2, 0u64..200), 1..400),
-        ways_pow in 0u32..4,
-    ) {
-        let ways = 1usize << ways_pow;
-        let lines = 64usize;
-        let mut c = PlruCache::new(
-            CacheConfig { capacity_bytes: lines as u64 * 64, line_bytes: 64, ways },
-            2,
-        );
-        for &(owner, line) in &trace {
-            c.access(owner, line);
-        }
-        let mut total = 0;
-        for o in 0..2 {
-            let s = c.stats(o);
-            prop_assert_eq!(s.hits + s.misses, s.accesses);
-            total += s.accesses;
-        }
-        prop_assert_eq!(total as usize, trace.len());
-        prop_assert!(c.occupancy_lines(0) + c.occupancy_lines(1) <= lines as u64);
     }
 
     /// The cursor-probed MRC lookup is bit-identical to the plain lookup

@@ -1,7 +1,9 @@
 //! Command implementations.
 
 use crate::args::{ArgMap, Usage};
-use coloc_machine::{presets, FaultPlan, MachineSpec, SegmentTrace, StageProfile};
+use coloc_machine::{
+    presets, FaultPlan, MachineSpec, RunOutcome, ScenarioIr, SegmentTrace, StageProfile,
+};
 use coloc_model::lab::CheckpointConfig;
 use coloc_model::persist;
 use coloc_model::{
@@ -588,18 +590,9 @@ pub fn trace(argv: &[String]) -> CmdResult {
     };
     let last = args.get_parsed_or("last", 32usize)?;
     let ir = lab.scenario_ir(&scenario).map_err(|e| e.to_string())?;
-    let machine = ir.machine().map_err(|e| e.to_string())?;
     let mut trace = SegmentTrace::new(last);
     let mut profile = args.has_flag("stage-stats").then(StageProfile::new);
-    let outcome = machine
-        .run_observed(
-            &ir.workload,
-            ir.schedules.as_deref(),
-            &ir.opts,
-            profile.as_mut(),
-            Some(&mut trace),
-        )
-        .map_err(|e| e.to_string())?;
+    let outcome = traced_run(&lab, &ir, &mut trace, profile.as_mut())?;
 
     println!("scenario: {scenario}");
     println!("ir digest: {:#034x}", ir.digest());
@@ -629,6 +622,32 @@ pub fn trace(argv: &[String]) -> CmdResult {
         println!("stage breakdown:\n{profile}");
     }
     Ok(())
+}
+
+/// Run `ir` on the lab's machine with the segment trace ring (and a
+/// stage profile, if given) attached, then apply the IR's fault plan as
+/// the run cache does on a miss: the outcome is the one
+/// [`Lab::run_outcome`] returns for the same scenario.
+fn traced_run(
+    lab: &Lab,
+    ir: &ScenarioIr,
+    trace: &mut SegmentTrace,
+    profile: Option<&mut StageProfile>,
+) -> Result<RunOutcome, String> {
+    let mut outcome = lab
+        .machine()
+        .run_observed(
+            &ir.workload,
+            ir.schedules.as_deref(),
+            &ir.opts,
+            profile,
+            Some(trace),
+        )
+        .map_err(|e| e.to_string())?;
+    if let Some(plan) = &ir.faults {
+        plan.apply(ir.opts.seed, &mut outcome);
+    }
+    Ok(outcome)
 }
 
 const PLACE_USAGE: Usage = Usage {
@@ -1306,6 +1325,27 @@ mod tests {
         ]))
         .unwrap();
         assert!(trace(&argv(&["--machine", "e5649", "--target", "doom"])).is_err());
+    }
+
+    #[test]
+    fn trace_runs_the_labs_outcome_with_and_without_faults() {
+        let scenario = Scenario {
+            target: "mg".into(),
+            co_located: vec![("cg".into(), 3)],
+            pstate: 0,
+        };
+        let mut walls = Vec::new();
+        for faults in [&[][..], &["--faults", "heavy"][..]] {
+            let mut opts = vec!["--machine", "e5649"];
+            opts.extend_from_slice(faults);
+            let lab = lab_from(&ArgMap::parse(&argv(&opts), &TRACE_USAGE).unwrap()).unwrap();
+            let ir = lab.scenario_ir(&scenario).unwrap();
+            let traced = traced_run(&lab, &ir, &mut SegmentTrace::new(4), None).unwrap();
+            let wall = lab.run_outcome(&scenario).unwrap().wall_time_s;
+            assert_eq!(traced.wall_time_s.to_bits(), wall.to_bits(), "{faults:?}");
+            walls.push(wall);
+        }
+        assert_ne!(walls[0], walls[1], "the heavy plan fires on this scenario");
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::baseline::BaselineDb;
 use crate::features::Feature;
 use crate::lab::Lab;
 use crate::scenario::Scenario;
-use crate::{ModelError, Result};
+use crate::{ColocError, Result};
 use coloc_workloads::MemoryClass;
 use std::collections::BTreeMap;
 
@@ -93,9 +93,9 @@ impl ClassAverager {
     fn avg_for_app(&self, app: &str) -> Result<ClassAverages> {
         let class = self
             .class_of(app)
-            .ok_or_else(|| ModelError::UnknownApp(app.to_string()))?;
+            .ok_or_else(|| ColocError::UnknownApp(app.to_string()))?;
         self.averages(class)
-            .ok_or_else(|| ModelError::InsufficientData(format!("no measured apps in {class}")))
+            .ok_or_else(|| ColocError::InsufficientData(format!("no measured apps in {class}")))
     }
 
     /// Featurize a scenario with class-average cache behaviour: the

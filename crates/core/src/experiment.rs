@@ -77,7 +77,7 @@ pub fn evaluate_grid(samples: &[Sample], cfg: &ValidationConfig) -> Result<Vec<M
 /// descending.
 pub fn rank_features(samples: &[Sample]) -> Result<Vec<(Feature, f64)>> {
     if samples.len() < 2 {
-        return Err(crate::ModelError::InsufficientData(
+        return Err(crate::ColocError::InsufficientData(
             "PCA ranking needs >= 2 samples".into(),
         ));
     }

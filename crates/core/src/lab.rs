@@ -10,7 +10,7 @@ use crate::mix::MixFeatures;
 use crate::plan::TrainingPlan;
 use crate::sample::Sample;
 use crate::scenario::Scenario;
-use crate::{ColocError, ModelError, Result};
+use crate::{ColocError, Result};
 use coloc_machine::{
     FaultPlan, GroupRef, IrWriter, Machine, MachineSpec, RunCache, RunOptions, RunOutcome,
     RunnerGroup, ScenarioIr, StageProfile,
@@ -200,7 +200,7 @@ impl Lab {
         self.suite
             .iter()
             .find(|b| b.name == name)
-            .ok_or_else(|| ModelError::UnknownApp(name.to_string()))
+            .ok_or_else(|| ColocError::UnknownApp(name.to_string()))
     }
 
     /// Run options at P-state 0, seeded from the bytes `label` displays
@@ -700,12 +700,12 @@ mod tests {
         let lab = small_lab();
         assert!(matches!(
             lab.featurize(&Scenario::solo("doom", 0)),
-            Err(ModelError::UnknownApp(_))
+            Err(ColocError::UnknownApp(_))
         ));
         assert!(lab.featurize(&Scenario::solo("cg", 17)).is_err());
         assert!(matches!(
             lab.run_scenario(&Scenario::homogeneous("cg", "doom", 1, 0)),
-            Err(ModelError::UnknownApp(_))
+            Err(ColocError::UnknownApp(_))
         ));
     }
 
@@ -875,7 +875,7 @@ mod tests {
         // Unknown apps surface as typed errors, not panics.
         assert!(matches!(
             small_lab().run_scenarios_batch(&[Scenario::solo("doom", 0)]),
-            Err(ModelError::UnknownApp(_))
+            Err(ColocError::UnknownApp(_))
         ));
     }
 
@@ -925,7 +925,7 @@ mod tests {
         assert_eq!(probed.to_bits(), t.to_bits());
         assert!(matches!(
             lab.cached_run(&Scenario::solo("doom", 0)),
-            Err(ModelError::UnknownApp(_))
+            Err(ColocError::UnknownApp(_))
         ));
     }
 
@@ -1188,7 +1188,7 @@ mod tests {
             ..FaultPlan::default()
         };
         match small_lab().with_faults(plan) {
-            Err(ModelError::InvalidSpec(msg)) => assert!(msg.contains("nan"), "{msg}"),
+            Err(ColocError::InvalidSpec(msg)) => assert!(msg.contains("nan"), "{msg}"),
             other => panic!("expected InvalidSpec, got {:?}", other.err()),
         }
     }
@@ -1204,7 +1204,7 @@ mod tests {
         let mut cfg = CheckpointConfig::new(&path, 4);
         cfg.crash_after = Some(7);
         match small_lab().collect_resumable(&scenarios, &cfg) {
-            Err(ModelError::Interrupted { completed }) => assert_eq!(completed, 7),
+            Err(ColocError::Interrupted { completed }) => assert_eq!(completed, 7),
             other => panic!("expected Interrupted, got {:?}", other.err()),
         }
         // A fresh lab (simulating a restarted process) finishes the sweep.
@@ -1232,7 +1232,7 @@ mod tests {
         let other = Lab::new(presets::xeon_e5649(), coloc_workloads::standard(), 43).unwrap();
         assert!(matches!(
             other.collect_resumable(&scenarios, &cfg),
-            Err(ModelError::CheckpointMismatch { .. })
+            Err(ColocError::CheckpointMismatch { .. })
         ));
         let _ = std::fs::remove_file(&path);
     }
@@ -1246,7 +1246,7 @@ mod tests {
         let cfg = CheckpointConfig::new(&path, 4);
         assert!(matches!(
             small_lab().collect_resumable(&scenarios, &cfg),
-            Err(ModelError::CorruptArtifact { .. })
+            Err(ColocError::CorruptArtifact { .. })
         ));
         let _ = std::fs::remove_file(&path);
     }

@@ -107,9 +107,6 @@ pub enum ColocError {
     ShuttingDown,
 }
 
-/// Historical name of [`ColocError`]; the taxonomy grew, the alias stays.
-pub type ModelError = ColocError;
-
 impl std::fmt::Display for ColocError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -25,7 +25,7 @@
 use crate::baseline::BaselineDb;
 use crate::features::Feature;
 use crate::scenario::Scenario;
-use crate::{ModelError, Result};
+use crate::{ColocError, Result};
 use coloc_machine::IrWriter;
 
 /// Baseline-derived feature vector of one co-runner group: the three
@@ -76,7 +76,7 @@ impl MixFeatures {
     /// only — the same inputs (and the same failure modes, in the same
     /// order) as the historical `Lab::featurize`, plus one up front: a
     /// scenario whose core count (target plus co-runners) overflows
-    /// `usize` is [`ModelError::InvalidSpec`], never a wrapped sum.
+    /// `usize` is [`ColocError::InvalidSpec`], never a wrapped sum.
     pub fn from_baselines(db: &BaselineDb, scenario: &Scenario) -> Result<MixFeatures> {
         if scenario
             .co_located
@@ -84,17 +84,17 @@ impl MixFeatures {
             .try_fold(1usize, |n, &(_, c)| n.checked_add(c))
             .is_none()
         {
-            return Err(ModelError::InvalidSpec(format!(
+            return Err(ColocError::InvalidSpec(format!(
                 "{}: co-runner counts overflow the core count",
                 scenario.target
             )));
         }
         let target = db
             .get(&scenario.target)
-            .ok_or_else(|| ModelError::UnknownApp(scenario.target.clone()))?;
+            .ok_or_else(|| ColocError::UnknownApp(scenario.target.clone()))?;
         let base_time_s = target
             .time_at(scenario.pstate)
-            .ok_or(ModelError::Machine(format!(
+            .ok_or(ColocError::Machine(format!(
                 "no baseline at P-state {}",
                 scenario.pstate
             )))?;
@@ -102,7 +102,7 @@ impl MixFeatures {
         for (name, count) in scenario.co_groups() {
             let b = db
                 .get(name)
-                .ok_or_else(|| ModelError::UnknownApp(name.to_string()))?;
+                .ok_or_else(|| ColocError::UnknownApp(name.to_string()))?;
             co.push(CoVector {
                 app: name.to_string(),
                 count,
@@ -285,11 +285,11 @@ mod tests {
     fn unknown_apps_fail_in_featurize_order() {
         let db = db();
         match MixFeatures::from_baselines(&db, &Scenario::solo("nope", 0)) {
-            Err(ModelError::UnknownApp(n)) => assert_eq!(n, "nope"),
+            Err(ColocError::UnknownApp(n)) => assert_eq!(n, "nope"),
             other => panic!("expected UnknownApp, got {other:?}"),
         }
         match MixFeatures::from_baselines(&db, &Scenario::homogeneous("t", "ghost", 2, 0)) {
-            Err(ModelError::UnknownApp(n)) => assert_eq!(n, "ghost"),
+            Err(ColocError::UnknownApp(n)) => assert_eq!(n, "ghost"),
             other => panic!("expected UnknownApp, got {other:?}"),
         }
     }
@@ -340,7 +340,7 @@ mod tests {
             };
             assert!(matches!(
                 MixFeatures::from_baselines(&db(), &sc),
-                Err(ModelError::InvalidSpec(_))
+                Err(ColocError::InvalidSpec(_))
             ));
         }
         // The largest count that still fits is encoded as given.

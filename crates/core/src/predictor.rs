@@ -7,7 +7,7 @@
 
 use crate::features::FeatureSet;
 use crate::sample::{samples_to_dataset, Sample};
-use crate::{ModelError, Result};
+use crate::Result;
 use coloc_ml::{LinearRegression, Mlp, MlpConfig, QuadraticRegression};
 
 /// Which learning technique to use.
@@ -180,9 +180,6 @@ impl std::fmt::Debug for Predictor {
         write!(f, "Predictor({} / set {})", self.kind, self.set)
     }
 }
-
-// Keep the unused-import lint honest: ModelError is used in Result alias.
-const _: fn() -> ModelError = || ModelError::InsufficientData(String::new());
 
 #[cfg(test)]
 mod tests {

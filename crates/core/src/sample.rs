@@ -2,7 +2,7 @@
 
 use crate::features::FeatureSet;
 use crate::scenario::Scenario;
-use crate::{ModelError, Result};
+use crate::{ColocError, Result};
 use coloc_ml::Dataset;
 
 /// One measured co-location run, featurized.
@@ -20,7 +20,7 @@ pub struct Sample {
 /// Assemble an [`coloc_ml::Dataset`] from samples for one feature set.
 pub fn samples_to_dataset(samples: &[Sample], set: FeatureSet) -> Result<Dataset> {
     if samples.is_empty() {
-        return Err(ModelError::InsufficientData("no samples".into()));
+        return Err(ColocError::InsufficientData("no samples".into()));
     }
     let rows: Vec<(Vec<f64>, f64)> = samples
         .iter()
@@ -61,7 +61,7 @@ mod tests {
     fn empty_samples_is_error() {
         assert!(matches!(
             samples_to_dataset(&[], FeatureSet::A),
-            Err(ModelError::InsufficientData(_))
+            Err(ColocError::InsufficientData(_))
         ));
     }
 }

@@ -179,9 +179,9 @@ fn encode_app(d: &mut IrWriter, app: &AppProfile) {
         // The locality model: scalar parameters plus the actual
         // distribution tables, so two dists with equal parameters but
         // different construction (power-law vs uniform) key apart.
-        d.f64(ph.dist.p_new);
-        d.usize(ph.dist.reuse_span);
-        d.f64(ph.dist.alpha);
+        d.f64(ph.dist.p_new());
+        d.usize(ph.dist.reuse_span());
+        d.f64(ph.dist.alpha());
         absorb_dist(d, &ph.dist);
     }
 }

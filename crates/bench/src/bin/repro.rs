@@ -8,98 +8,78 @@
 //! cached as JSON under `repro-out/`; delete that directory to force a full
 //! regeneration.
 
-use coloc_bench::{cache, figures, tables};
+use coloc_bench::{ablations, cache, figures, tables};
+
+/// Every artifact, with the group that also prints it (`all` or
+/// `ablations`), in print order.
+const ARTIFACTS: &[(&str, &str, fn())] = &[
+    ("table1", "all", table1),
+    ("table2", "all", table2),
+    ("table3", "all", table3),
+    ("table4", "all", table4),
+    ("table5", "all", table5),
+    ("table6", "all", table6),
+    ("fig1", "all", || {
+        fig_mpe("e5649", "Figure 1: MPE, 6-core Xeon E5649")
+    }),
+    ("fig2", "all", || {
+        fig_mpe("e5_2697v2", "Figure 2: MPE, 12-core Xeon E5-2697v2")
+    }),
+    ("fig3", "all", || {
+        fig_nrmse("e5649", "Figure 3: NRMSE, 6-core Xeon E5649")
+    }),
+    ("fig4", "all", || {
+        fig_nrmse("e5_2697v2", "Figure 4: NRMSE, 12-core Xeon E5-2697v2")
+    }),
+    ("fig5a", "all", fig5a),
+    ("fig5b", "all", fig5b),
+    ("pca", "all", pca),
+    ("ablation-size", "ablations", || {
+        ablation("Training-set size", ablations::train_size())
+    }),
+    ("ablation-noise", "ablations", || {
+        ablation("Measurement noise", ablations::noise())
+    }),
+    ("ablation-hidden", "ablations", || {
+        ablation("Hidden-layer width", ablations::hidden_width())
+    }),
+    ("ablation-hetero", "ablations", || {
+        ablation("Heterogeneous co-location", ablations::heterogeneous())
+    }),
+    ("ablation-classavg", "ablations", || {
+        ablation("Class-average features", ablations::class_average())
+    }),
+    ("ablation-quad", "ablations", || {
+        ablation("Quadratic feature expansion", ablations::quadratic())
+    }),
+    ("ablation-partition", "ablations", || {
+        ablation(
+            "LLC partitioning (values are slowdowns: shared | partitioned)",
+            ablations::partitioning(),
+        )
+    }),
+    ("ablation-phases", "ablations", || {
+        ablation("Phase detail (paper SI claim)", ablations::phases())
+    }),
+    ("importance", "ablations", importance),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let what = args.first().map(String::as_str).unwrap_or("all");
-    match what {
-        "table1" => table1(),
-        "table2" => table2(),
-        "table3" => table3(),
-        "table4" => table4(),
-        "table5" => table5(),
-        "table6" => table6(),
-        "fig1" => fig_mpe("e5649", "Figure 1: MPE, 6-core Xeon E5649"),
-        "fig2" => fig_mpe("e5_2697v2", "Figure 2: MPE, 12-core Xeon E5-2697v2"),
-        "fig3" => fig_nrmse("e5649", "Figure 3: NRMSE, 6-core Xeon E5649"),
-        "fig4" => fig_nrmse("e5_2697v2", "Figure 4: NRMSE, 12-core Xeon E5-2697v2"),
-        "fig5a" => fig5a(),
-        "fig5b" => fig5b(),
-        "pca" => pca(),
-        "ablation-size" => ablation("Training-set size", coloc_bench::ablations::train_size()),
-        "ablation-noise" => ablation("Measurement noise", coloc_bench::ablations::noise()),
-        "ablation-hidden" => ablation("Hidden-layer width", coloc_bench::ablations::hidden_width()),
-        "ablation-hetero" => ablation(
-            "Heterogeneous co-location",
-            coloc_bench::ablations::heterogeneous(),
-        ),
-        "ablation-classavg" => ablation(
-            "Class-average features",
-            coloc_bench::ablations::class_average(),
-        ),
-        "ablation-quad" => ablation(
-            "Quadratic feature expansion",
-            coloc_bench::ablations::quadratic(),
-        ),
-        "ablation-partition" => ablation(
-            "LLC partitioning (values are slowdowns: shared | partitioned)",
-            coloc_bench::ablations::partitioning(),
-        ),
-        "ablation-phases" => ablation(
-            "Phase detail (paper SI claim)",
-            coloc_bench::ablations::phases(),
-        ),
-        "importance" => importance(),
-        "ablations" => {
-            ablation("Training-set size", coloc_bench::ablations::train_size());
-            ablation("Measurement noise", coloc_bench::ablations::noise());
-            ablation("Hidden-layer width", coloc_bench::ablations::hidden_width());
-            ablation(
-                "Heterogeneous co-location",
-                coloc_bench::ablations::heterogeneous(),
-            );
-            ablation(
-                "Class-average features",
-                coloc_bench::ablations::class_average(),
-            );
-            ablation(
-                "Quadratic feature expansion",
-                coloc_bench::ablations::quadratic(),
-            );
-            ablation(
-                "LLC partitioning (values are slowdowns: shared | partitioned)",
-                coloc_bench::ablations::partitioning(),
-            );
-            ablation(
-                "Phase detail (paper SI claim)",
-                coloc_bench::ablations::phases(),
-            );
-            importance();
-        }
-        "all" => {
-            table1();
-            table2();
-            table3();
-            table4();
-            table5();
-            table6();
-            fig_mpe("e5649", "Figure 1: MPE, 6-core Xeon E5649");
-            fig_mpe("e5_2697v2", "Figure 2: MPE, 12-core Xeon E5-2697v2");
-            fig_nrmse("e5649", "Figure 3: NRMSE, 6-core Xeon E5649");
-            fig_nrmse("e5_2697v2", "Figure 4: NRMSE, 12-core Xeon E5-2697v2");
-            fig5a();
-            fig5b();
-            pca();
-        }
-        other => {
-            eprintln!("unknown artifact `{other}`");
-            eprintln!(
-                "expected: table1..table6, fig1..fig5b, pca, importance, all, \
-                 ablations, ablation-{{size,noise,hidden,hetero,classavg,quad,partition,phases}}"
-            );
-            std::process::exit(2);
-        }
+    let selected: Vec<fn()> = ARTIFACTS
+        .iter()
+        .filter(|(name, group, _)| *name == what || *group == what)
+        .map(|&(_, _, print)| print)
+        .collect();
+    if selected.is_empty() {
+        let names: Vec<&str> = ARTIFACTS.iter().map(|(name, _, _)| *name).collect();
+        eprintln!("unknown artifact `{what}`");
+        eprintln!("expected: all, ablations, {}", names.join(", "));
+        std::process::exit(2);
+    }
+    for print in selected {
+        print();
     }
 }
 
@@ -238,7 +218,7 @@ fn fig5b() {
     }
 }
 
-fn ablation(title: &str, rows: Vec<coloc_bench::ablations::AblationRow>) {
+fn ablation(title: &str, rows: Vec<ablations::AblationRow>) {
     hr(&format!("Ablation: {title}"));
     println!("{:<34} {:>14} {:>12}", "", "linear MPE (%)", "NN MPE (%)");
     println!("{}", "-".repeat(62));

@@ -760,17 +760,18 @@ pub fn place(argv: &[String]) -> CmdResult {
 const VERIFY_USAGE: Usage = Usage {
     help: "coloc verify [--corpus <dir>] [--spot N] [--seed N] [--threads N]\n\n\
           Replays the checked-in conformance corpus (differential cases\n\
-          through the naive reference engine, law-tagged cases through\n\
-          their metamorphic law), then differential-spot-checks N freshly\n\
-          generated scenarios. Cases fan out across --threads workers\n\
-          (0 = one per core); the report is identical at any setting.\n\
-          Exits non-zero on any divergence.",
+          through the naive reference engine; law-tagged cases, and the\n\
+          placement cases in <dir>/placement, through their law), then\n\
+          differential-spot-checks N freshly generated scenarios. Cases fan\n\
+          out across --threads workers (0 = one per core); the report is\n\
+          identical at any setting. Exits non-zero on any divergence.",
     options: &[&["corpus", "spot", "seed", "threads"]],
     flags: &[],
 };
 
 /// `coloc verify [--corpus <dir>] [--spot N] [--seed N] [--threads N]`
 pub fn verify(argv: &[String]) -> CmdResult {
+    use coloc_conformance::Case as _;
     let args = ArgMap::parse(argv, &VERIFY_USAGE)?;
     if args.has_flag("help") {
         println!("{}", VERIFY_USAGE.help);
@@ -784,32 +785,22 @@ pub fn verify(argv: &[String]) -> CmdResult {
     let seed = args.get_parsed_or("seed", 0xC0_10Cu64)?;
     let threads = args.get_parsed_or("threads", 0usize)?;
 
-    let report = coloc_conformance::verify_dir_threaded(&dir, threads)?;
+    let report = coloc_conformance::verify_dir(&dir, threads)?;
     println!(
-        "corpus {} — {} cases replayed ({} differential, {} law)",
+        "corpus {} — {} cases replayed ({} differential, {} law, {} placement)",
         dir.display(),
         report.total(),
         report.differential,
-        report.law_checks
+        report.law_checks,
+        report.placement
     );
     for failure in &report.failures {
         println!("  FAIL {failure}");
     }
 
-    let placement_dir = coloc_conformance::placement_corpus_dir(&dir);
-    let placement = coloc_conformance::verify_placement_dir(&placement_dir)?;
-    println!(
-        "placement corpus {} — {} cases replayed through their laws",
-        placement_dir.display(),
-        placement.law_checks
-    );
-    for failure in &placement.failures {
-        println!("  FAIL {failure}");
-    }
-
     let mut spot_failures = 0usize;
     if spot > 0 {
-        match coloc_conformance::differential_sweep_threaded(seed, spot, threads) {
+        match coloc_conformance::differential_sweep(seed, spot, threads) {
             Ok(summary) => println!(
                 "spot-check — {} generated scenarios agree (max slowdown gap {:.2e})",
                 summary.cases, summary.max_slowdown_gap
@@ -825,14 +816,13 @@ pub fn verify(argv: &[String]) -> CmdResult {
         }
     }
 
-    if report.is_clean() && placement.is_clean() && spot_failures == 0 {
+    if report.is_clean() && spot_failures == 0 {
         println!("verify: OK");
         Ok(())
     } else {
         Err(format!(
-            "{} corpus failure(s), {} placement failure(s), {} spot-check failure(s)",
+            "{} corpus failure(s), {} spot-check failure(s)",
             report.failures.len(),
-            placement.failures.len(),
             spot_failures
         ))
     }

@@ -4,14 +4,15 @@
 //! A [`CorpusCase`] names everything a differential or metamorphic check
 //! needs — machine, target, co-runner groups, P-state, run options, fault
 //! preset — in terms of the standard workload suite, so a case is a small
-//! JSON document rather than a dump of profile tables. Cases materialize
-//! into engine inputs via [`CorpusCase::build`].
+//! JSON document rather than a dump of profile tables. A case lowers to
+//! the engine's canonical [`ScenarioIr`] via [`CorpusCase::to_ir`].
 //!
 //! Apps are scaled by a shared `instr_scale` so a case simulates in
 //! milliseconds; one scale for every app in the case preserves the
 //! duration *ratios* that determine segment structure, so scaled cases
 //! exercise the same code paths as paper-sized runs.
 
+use crate::corpus::Case;
 use coloc_machine::{
     presets, FaultPlan, GroupSchedule, MachineSpec, RunOptions, RunnerGroup, ScenarioIr,
 };
@@ -143,28 +144,6 @@ pub struct CorpusCase {
     pub law: Option<String>,
 }
 
-/// Engine-ready inputs materialized from a case.
-///
-/// The fields are views into [`BuiltCase::ir`], the canonical
-/// [`ScenarioIr`] the case lowers to — kept as owned copies so existing
-/// call sites (the differential oracle, law checks) stay untouched.
-#[derive(Clone, Debug)]
-pub struct BuiltCase {
-    /// The machine spec.
-    pub spec: MachineSpec,
-    /// Group 0 = target, then the co groups.
-    pub workload: Vec<RunnerGroup>,
-    /// Run options.
-    pub opts: RunOptions,
-    /// Fault plan, if any.
-    pub plan: Option<FaultPlan>,
-    /// Event schedules (one per group), if any group deviates from
-    /// lockstep.
-    pub schedules: Option<Vec<GroupSchedule>>,
-    /// The canonical scenario IR the fields above were derived from.
-    pub ir: ScenarioIr,
-}
-
 /// Resolve a machine key to its preset spec through
 /// [`presets::lookup`], as the CLI and the service do.
 pub fn machine_spec(key: &str) -> Result<MachineSpec, String> {
@@ -224,60 +203,9 @@ impl CorpusCase {
         Ok(ir)
     }
 
-    /// Materialize the case into engine inputs, via [`CorpusCase::to_ir`].
-    pub fn build(&self) -> Result<BuiltCase, String> {
-        let ir = self.to_ir()?;
-        Ok(BuiltCase {
-            spec: ir.machine.clone(),
-            workload: ir.workload.clone(),
-            opts: ir.opts,
-            plan: ir.faults,
-            schedules: ir.schedules.clone(),
-            ir,
-        })
-    }
-
     /// Total co-runner instances.
     pub fn co_instances(&self) -> usize {
         self.co.iter().map(|g| g.count).sum()
-    }
-
-    /// One-line human description.
-    pub fn describe(&self) -> String {
-        let co = if self.co.is_empty() {
-            "solo".to_string()
-        } else {
-            self.co
-                .iter()
-                .map(|g| format!("{}x{}", g.count, g.app))
-                .collect::<Vec<_>>()
-                .join("+")
-        };
-        let mut extras = Vec::new();
-        if self.noise_sigma > 0.0 {
-            extras.push("noise".to_string());
-        }
-        if self.llc_partitioned {
-            extras.push("partitioned".to_string());
-        }
-        if self.fp_budget > 0 {
-            extras.push(format!("budget={}", self.fp_budget));
-        }
-        if let Some(f) = &self.faults {
-            extras.push(format!("{f:?}").to_lowercase());
-        }
-        if self.co.iter().any(CoGroup::has_schedule) {
-            extras.push("events".to_string());
-        }
-        let extras = if extras.is_empty() {
-            String::new()
-        } else {
-            format!(" [{}]", extras.join(", "))
-        };
-        format!(
-            "{}: {} vs {} @P{} on {}{}",
-            self.name, self.target, co, self.pstate, self.machine, extras
-        )
     }
 }
 
@@ -457,101 +385,120 @@ pub fn gen_cases(base_seed: u64, n: usize) -> Vec<CorpusCase> {
         .collect()
 }
 
-/// Deterministically shrink a failing case: repeatedly apply the first
-/// simplifying transform under which `still_fails` holds, until none
-/// applies. Transform order prefers structural deletions (drop a co
-/// group) over parameter simplifications (noise off, faults off, P0), so
-/// the minimum is small in the ways that matter for debugging.
-pub fn shrink<F: Fn(&CorpusCase) -> bool>(case: &CorpusCase, still_fails: F) -> CorpusCase {
-    let mut current = case.clone();
-    loop {
-        let mut candidates: Vec<CorpusCase> = Vec::new();
-        for i in 0..current.co.len() {
-            let mut c = current.clone();
-            c.co.remove(i);
-            candidates.push(c);
+impl Case for CorpusCase {
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn law(&self) -> Option<&str> {
+        self.law.as_deref()
+    }
+
+    fn set_law(&mut self, law: Option<&str>) {
+        self.law = law.map(str::to_string);
+    }
+
+    fn describe(&self) -> String {
+        let co = if self.co.is_empty() {
+            "solo".to_string()
+        } else {
+            self.co
+                .iter()
+                .map(|g| format!("{}x{}", g.count, g.app))
+                .collect::<Vec<_>>()
+                .join("+")
+        };
+        let mut extras = Vec::new();
+        if self.noise_sigma > 0.0 {
+            extras.push("noise".to_string());
         }
-        for i in 0..current.co.len() {
-            if current.co[i].count >= 2 {
-                let mut c = current.clone();
-                c.co[i].count /= 2;
-                candidates.push(c);
-                let mut c = current.clone();
-                c.co[i].count = 1;
-                candidates.push(c);
+        if self.llc_partitioned {
+            extras.push("partitioned".to_string());
+        }
+        if self.fp_budget > 0 {
+            extras.push(format!("budget={}", self.fp_budget));
+        }
+        if let Some(f) = &self.faults {
+            extras.push(format!("{f:?}").to_lowercase());
+        }
+        if self.co.iter().any(CoGroup::has_schedule) {
+            extras.push("events".to_string());
+        }
+        let extras = if extras.is_empty() {
+            String::new()
+        } else {
+            format!(" [{}]", extras.join(", "))
+        };
+        format!(
+            "{}: {} vs {} @P{} on {}{}",
+            self.name, self.target, co, self.pstate, self.machine, extras
+        )
+    }
+
+    /// Structural deletions (drop a co group, shrink a count) come before
+    /// parameter simplifications (events, faults, noise, budget,
+    /// partitioning, P0), so the minimum is small in the ways that matter
+    /// for debugging.
+    fn simplifications(&self) -> Vec<CorpusCase> {
+        let mut candidates = Vec::new();
+        let mut push = |edit: &dyn Fn(&mut CorpusCase)| {
+            let mut c = self.clone();
+            edit(&mut c);
+            candidates.push(c);
+        };
+        for i in 0..self.co.len() {
+            push(&|c| {
+                c.co.remove(i);
+            });
+        }
+        for i in 0..self.co.len() {
+            if self.co[i].count >= 2 {
+                push(&|c| c.co[i].count /= 2);
+                push(&|c| c.co[i].count = 1);
             }
         }
         // Event-schedule simplifications: first a whole group back to
         // lockstep, then one field at a time.
-        for i in 0..current.co.len() {
-            if current.co[i].has_schedule() {
-                let mut c = current.clone();
-                c.co[i].phase_offset = None;
-                c.co[i].arrival = None;
-                c.co[i].departure = None;
-                c.co[i].clock_ratio = None;
-                candidates.push(c);
+        for (i, g) in self.co.iter().enumerate() {
+            if g.has_schedule() {
+                push(&|c| c.co[i] = CoGroup::plain(g.app.clone(), g.count));
             }
-            if current.co[i].departure.is_some() {
-                let mut c = current.clone();
-                c.co[i].departure = None;
-                candidates.push(c);
+            if g.departure.is_some() {
+                push(&|c| c.co[i].departure = None);
             }
-            if current.co[i].arrival.is_some() {
-                let mut c = current.clone();
-                c.co[i].arrival = None;
-                candidates.push(c);
+            if g.arrival.is_some() {
+                push(&|c| c.co[i].arrival = None);
             }
-            if current.co[i].phase_offset.is_some() {
-                let mut c = current.clone();
-                c.co[i].phase_offset = None;
-                candidates.push(c);
+            if g.phase_offset.is_some() {
+                push(&|c| c.co[i].phase_offset = None);
             }
-            if current.co[i].clock_ratio.is_some() {
-                let mut c = current.clone();
-                c.co[i].clock_ratio = None;
-                candidates.push(c);
+            if g.clock_ratio.is_some() {
+                push(&|c| c.co[i].clock_ratio = None);
             }
         }
-        if current.faults.is_some() {
-            let mut c = current.clone();
-            c.faults = None;
-            candidates.push(c);
+        if self.faults.is_some() {
+            push(&|c| c.faults = None);
         }
-        if current.noise_sigma > 0.0 {
-            let mut c = current.clone();
-            c.noise_sigma = 0.0;
-            candidates.push(c);
+        if self.noise_sigma > 0.0 {
+            push(&|c| c.noise_sigma = 0.0);
         }
-        if current.fp_budget > 0 {
-            let mut c = current.clone();
-            c.fp_budget = 0;
-            candidates.push(c);
+        if self.fp_budget > 0 {
+            push(&|c| c.fp_budget = 0);
         }
-        if current.llc_partitioned {
-            let mut c = current.clone();
-            c.llc_partitioned = false;
-            candidates.push(c);
+        if self.llc_partitioned {
+            push(&|c| c.llc_partitioned = false);
         }
-        if current.pstate != 0 {
-            let mut c = current.clone();
-            c.pstate = 0;
-            candidates.push(c);
+        if self.pstate != 0 {
+            push(&|c| c.pstate = 0);
         }
-
-        let next = candidates.into_iter().find(|c| still_fails(c));
-        match next {
-            Some(c) => current = c,
-            None => break,
-        }
+        candidates
     }
-    current.name = format!("shrunk-{}", current.name);
-    current
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::shrink;
 
     #[test]
     fn every_preset_key_and_alias_resolves_to_its_spec() {
@@ -575,10 +522,10 @@ mod tests {
         let b = gen_cases(42, 50);
         assert_eq!(a, b);
         for case in &a {
-            let built = case.build().expect("generated cases build");
-            let total: usize = built.workload.iter().map(|g| g.count).sum();
-            assert!(total <= built.spec.cores, "{}", case.describe());
-            assert!(built.opts.pstate < built.spec.num_pstates());
+            let ir = case.to_ir().expect("generated cases lower");
+            let total: usize = ir.workload.iter().map(|g| g.count).sum();
+            assert!(total <= ir.machine.cores, "{}", case.describe());
+            assert!(ir.opts.pstate < ir.machine.num_pstates());
         }
     }
 
@@ -641,19 +588,6 @@ mod tests {
     }
 
     #[test]
-    fn build_is_a_view_of_the_ir() {
-        for case in gen_cases(11, 30) {
-            let built = case.build().expect("generated cases build");
-            let ir = case.to_ir().expect("generated cases lower");
-            assert_eq!(built.ir.digest(), ir.digest(), "{}", case.describe());
-            // The convenience fields mirror the IR exactly.
-            assert_eq!(built.workload.len(), built.ir.workload.len());
-            assert_eq!(built.spec.name, built.ir.machine.name);
-            assert_eq!(built.plan.is_some(), built.ir.faults.is_some());
-        }
-    }
-
-    #[test]
     fn json_round_trip() {
         for case in gen_cases(5, 20) {
             let json = serde_json::to_string_pretty(&case).unwrap();
@@ -666,9 +600,9 @@ mod tests {
     fn unknown_names_fail_cleanly() {
         let mut case = gen_case(1, &GenConstraints::default());
         case.machine = "cray-1".into();
-        assert!(case.build().is_err());
+        assert!(case.to_ir().is_err());
         let mut case = gen_case(1, &GenConstraints::default());
         case.target = "doom".into();
-        assert!(case.build().is_err());
+        assert!(case.to_ir().is_err());
     }
 }

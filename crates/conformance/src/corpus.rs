@@ -1,16 +1,61 @@
-//! The replayable scenario corpus.
+//! The replayable corpus, and the harness every case type shares.
 //!
-//! `crates/conformance/corpus/` holds checked-in JSON cases: a seed set
-//! covering every engine feature axis, plus any shrunk counterexample a
-//! failing suite run persisted. Replay is cheap — `coloc verify` and the
-//! root package's `differential` suite both walk the directory, re-running
-//! the differential oracle on plain cases and the named law on law-tagged
-//! cases — so every future change re-litigates old failures for free.
+//! `crates/conformance/corpus/` holds checked-in JSON cases: engine
+//! [`CorpusCase`]s at the top, placement [`PlacementCase`]s under
+//! `placement/`. The files are the only copy of each case;
+//! `corpus/README.md` says which axis each seed file pins and how to add
+//! one. A failing suite run persists its shrunk counterexample beside
+//! them. Replay is cheap — `coloc verify` and the root package's
+//! `differential` suite both call [`verify_dir`] — so every future change
+//! re-litigates old failures for free.
+//!
+//! A case type implements [`Case`]: its seed, its law tag, a description
+//! and its one-step simplifications. One [`shrink`], one loader and
+//! writer, one [`crate::laws::check_law`] and one [`verify_dir`] then
+//! serve every case type, so a new check is one more
+//! [`Law`] over an existing case type.
 
 use crate::case::CorpusCase;
 use crate::diff;
-use crate::laws;
+use crate::laws::{all_laws, law_by_name, Law};
+use crate::placement_laws::{placement_laws, PlacementCase};
+use serde::de::DeserializeOwned;
+use serde::Serialize;
 use std::path::{Path, PathBuf};
+
+/// What the harness needs of a case type.
+pub trait Case: Clone + Serialize + DeserializeOwned + Sync {
+    /// The seed that names the case's counterexample file.
+    fn seed(&self) -> u64;
+
+    /// The law this case replays through; `None` for an engine case that
+    /// replays through the differential oracle.
+    fn law(&self) -> Option<&str>;
+
+    /// Tag the case with a law, or clear its tag.
+    fn set_law(&mut self, law: Option<&str>);
+
+    /// One-line human description.
+    fn describe(&self) -> String;
+
+    /// Every case one simplifying step away, the preferred simplification
+    /// first: [`shrink`] takes the first that still fails.
+    fn simplifications(&self) -> Vec<Self>;
+}
+
+/// Deterministically shrink a failing case: repeatedly take the first
+/// simplification under which `still_fails` holds, until none does.
+pub fn shrink<C: Case>(case: &C, still_fails: impl Fn(&C) -> bool) -> C {
+    let mut current = case.clone();
+    while let Some(next) = current
+        .simplifications()
+        .into_iter()
+        .find(|c| still_fails(c))
+    {
+        current = next;
+    }
+    current
+}
 
 /// The checked-in corpus directory (compile-time anchored to this crate,
 /// so replay works from any working directory).
@@ -18,8 +63,13 @@ pub fn default_corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus")
 }
 
+/// The placement corpus subdirectory under a corpus root.
+pub fn placement_corpus_dir(root: &Path) -> PathBuf {
+    root.join("placement")
+}
+
 /// Save a case as pretty JSON (trailing newline, diff-friendly).
-pub fn save_case(path: &Path, case: &CorpusCase) -> Result<(), String> {
+pub fn save_case<C: Case>(path: &Path, case: &C) -> Result<(), String> {
     let mut bytes = serde_json::to_vec_pretty(case).map_err(|e| e.to_string())?;
     bytes.push(b'\n');
     if let Some(parent) = path.parent() {
@@ -29,14 +79,15 @@ pub fn save_case(path: &Path, case: &CorpusCase) -> Result<(), String> {
 }
 
 /// Load one case.
-pub fn load_case(path: &Path) -> Result<CorpusCase, String> {
+pub fn load_case<C: Case>(path: &Path) -> Result<C, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
     serde_json::from_slice(&bytes).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Load every `.json` case in a directory, sorted by file name for a
-/// stable replay order. A missing directory is an empty corpus.
-pub fn load_dir(dir: &Path) -> Result<Vec<(PathBuf, CorpusCase)>, String> {
+/// Load every `.json` case in a directory (not its subdirectories),
+/// sorted by file name for a stable replay order. A missing directory is
+/// an empty corpus.
+pub fn load_dir<C: Case>(dir: &Path) -> Result<Vec<(PathBuf, C)>, String> {
     let mut paths: Vec<PathBuf> = match std::fs::read_dir(dir) {
         Ok(entries) => entries
             .filter_map(|e| e.ok())
@@ -56,15 +107,15 @@ pub fn load_dir(dir: &Path) -> Result<Vec<(PathBuf, CorpusCase)>, String> {
 /// Persist a shrunk counterexample; returns the path written. The file
 /// name embeds the law (or `differential`) and the case seed, so repeat
 /// failures overwrite rather than accumulate.
-pub fn write_counterexample(
+pub fn write_counterexample<C: Case>(
     dir: &Path,
     law: Option<&str>,
-    case: &CorpusCase,
+    case: &C,
 ) -> Result<PathBuf, String> {
     let mut case = case.clone();
-    case.law = law.map(str::to_string);
+    case.set_law(law);
     let tag = law.unwrap_or("differential");
-    let path = dir.join(format!("counterexample-{tag}-{:016x}.json", case.seed));
+    let path = dir.join(format!("counterexample-{tag}-{:016x}.json", case.seed()));
     save_case(&path, &case)?;
     Ok(path)
 }
@@ -72,11 +123,13 @@ pub fn write_counterexample(
 /// Result of replaying a corpus directory.
 #[derive(Clone, Debug, Default)]
 pub struct VerifyReport {
-    /// Cases replayed through the differential oracle.
+    /// Engine cases replayed through the differential oracle.
     pub differential: usize,
-    /// Cases replayed through their named law.
+    /// Engine cases replayed through their named law.
     pub law_checks: usize,
-    /// Failures, as `path: detail` strings.
+    /// Placement cases replayed through their named law.
+    pub placement: usize,
+    /// Failures, as `path: detail` strings, in replay order.
     pub failures: Vec<String>,
 }
 
@@ -88,373 +141,62 @@ impl VerifyReport {
 
     /// Total cases replayed.
     pub fn total(&self) -> usize {
-        self.differential + self.law_checks
+        self.differential + self.law_checks + self.placement
     }
 }
 
-/// Replay every case in `dir` on one thread: law-tagged cases re-check
-/// their law, everything else goes through the differential oracle.
-/// Equivalent to [`verify_dir_threaded`] with `threads = 1`.
-pub fn verify_dir(dir: &Path) -> Result<VerifyReport, String> {
-    verify_dir_threaded(dir, 1)
+/// Replay one case: through its tagged law when it has one, else through
+/// `untagged`. An unknown tag is a failure, so a typo cannot turn a
+/// counterexample into a no-op.
+fn replay<C: Case>(
+    case: &C,
+    laws: &[Box<dyn Law<C>>],
+    untagged: impl Fn(&C) -> Result<(), String>,
+) -> Result<(), String> {
+    match case.law() {
+        Some(name) => match law_by_name(laws, name) {
+            Some(law) => law.check_case(case),
+            None => Err(format!("unknown law {name:?}")),
+        },
+        None => untagged(case),
+    }
 }
 
-/// Replay every case in `dir` across `threads` workers (0 = one per
-/// core, capped at the case count). Cases are independent, so replay
-/// fans out over the work-stealing pool; results aggregate in the
-/// sorted-by-file-name order, making the report identical to a
-/// sequential replay.
-pub fn verify_dir_threaded(dir: &Path, threads: usize) -> Result<VerifyReport, String> {
-    let cases = load_dir(dir)?;
-    // (counted-as-law, counted-as-differential, failure) per case; an
-    // unknown law counts as neither, matching the sequential replay.
-    let outcomes = coloc_ml::parallel::run_indexed(cases.len(), threads, |i| {
-        let (path, case) = &cases[i];
-        match &case.law {
-            Some(name) => match laws::law_by_name(name) {
-                Some(law) => match law.check_case(case) {
-                    Ok(()) => (true, false, None),
-                    Err(detail) => (true, false, Some(format!("{}: {detail}", path.display()))),
-                },
-                None => (
-                    false,
-                    false,
-                    Some(format!("{}: unknown law {name:?}", path.display())),
-                ),
-            },
-            None => match diff::check_case(case) {
-                Ok(_) => (false, true, None),
-                Err(detail) => (false, true, Some(format!("{}: {detail}", path.display()))),
-            },
-        }
+/// Replay the engine corpus in `dir` and the placement corpus in its
+/// `placement/` subdirectory across `threads` workers (0 = one per core,
+/// capped at the case count). Law-tagged cases re-check their law; an
+/// untagged engine case goes through the differential oracle, and an
+/// untagged placement case is a failure (a placement case means nothing
+/// without its law). Results aggregate in file-name order, engine cases
+/// first, so the report is the same at any thread count.
+pub fn verify_dir(dir: &Path, threads: usize) -> Result<VerifyReport, String> {
+    let engine: Vec<(PathBuf, CorpusCase)> = load_dir(dir)?;
+    let placement: Vec<(PathBuf, PlacementCase)> = load_dir(&placement_corpus_dir(dir))?;
+    let (engine_laws, placement_laws) = (all_laws(), placement_laws());
+    let n = engine.len() + placement.len();
+    let failures = coloc_ml::parallel::run_indexed(n, threads, |i| {
+        let (path, result) = match engine.get(i) {
+            Some((path, case)) => (
+                path,
+                replay(case, &engine_laws, |c| diff::check_case(c).map(drop)),
+            ),
+            None => {
+                let (path, case) = &placement[i - engine.len()];
+                let untagged = |_: &PlacementCase| Err("untagged placement case".to_string());
+                (path, replay(case, &placement_laws, untagged))
+            }
+        };
+        result
+            .err()
+            .map(|detail| format!("{}: {detail}", path.display()))
     });
-
-    let mut report = VerifyReport::default();
-    for (is_law, is_diff, failure) in outcomes {
-        if is_law {
-            report.law_checks += 1;
-        }
-        if is_diff {
-            report.differential += 1;
-        }
-        if let Some(detail) = failure {
-            report.failures.push(detail);
-        }
-    }
-    Ok(report)
-}
-
-/// The canonical seed corpus: hand-picked cases pinning every feature
-/// axis of the engine (both machines, multi-phase apps, partitioning,
-/// degraded fixed points, every fault preset, solo and crowded mixes).
-/// Checked into `corpus/` and replayed by CI; regenerate the files with
-/// `COLOC_REGEN_CORPUS=1 cargo test --test differential seed_corpus`.
-pub fn seed_corpus() -> Vec<CorpusCase> {
-    use crate::case::{CoGroup, FaultSpec};
-    let mk = |name: &str,
-              machine: &str,
-              target: &str,
-              co: &[(&str, usize)],
-              pstate: usize,
-              seed: u64,
-              noise: f64|
-     -> CorpusCase {
-        CorpusCase {
-            name: name.into(),
-            machine: machine.into(),
-            target: target.into(),
-            co: co
-                .iter()
-                .map(|&(app, count)| CoGroup::plain(app, count))
-                .collect(),
-            pstate,
-            seed,
-            noise_sigma: noise,
-            instr_scale: 0.02,
-            llc_partitioned: false,
-            fp_budget: 0,
-            faults: None,
-            law: None,
-        }
-    };
-
-    let mut cases = vec![
-        // The plainest possible case: solo, noiseless, fastest P-state.
-        mk("seed-solo-clean", "e5649", "canneal", &[], 0, 1, 0.0),
-        // A paper-style contended mix with measurement noise.
-        mk(
-            "seed-contended-noisy",
-            "e5649",
-            "canneal",
-            &[("cg", 3)],
-            2,
-            2,
-            0.008,
-        ),
-        // Multi-phase target (ft) against a multi-phase co-runner
-        // (bodytrack): exercises phase-boundary segmentation.
-        mk(
-            "seed-multiphase",
-            "e5649",
-            "ft",
-            &[("bodytrack", 2)],
-            1,
-            3,
-            0.008,
-        ),
-        // The 12-core machine at full occupancy, slowest P-state.
-        mk(
-            "seed-12core-full",
-            "e5_2697v2",
-            "streamcluster",
-            &[("cg", 6), ("ep", 5)],
-            5,
-            4,
-            0.0,
-        ),
-    ];
-
-    // Partitioned LLC: cache contention off, DRAM contention on.
-    let mut partitioned = mk("seed-partitioned", "e5649", "mg", &[("sp", 4)], 3, 5, 0.008);
-    partitioned.llc_partitioned = true;
-    cases.push(partitioned);
-
-    // A budgeted fixed point that must degrade identically in both
-    // engines (truncated solves, warm-started CPI).
-    let mut budgeted = mk("seed-fp-budget", "e5649", "cg", &[("mg", 4)], 0, 6, 0.0);
-    budgeted.fp_budget = 32;
-    cases.push(budgeted);
-
-    // Fault presets: a plan that cannot fire, and both chaos presets.
-    let mut noop = mk("seed-fault-noop", "e5649", "ua", &[("cg", 2)], 1, 7, 0.008);
-    noop.faults = Some(FaultSpec::Noop { seed: 70 });
-    cases.push(noop);
-    let mut light = mk(
-        "seed-fault-light",
-        "e5_2697v2",
-        "canneal",
-        &[("cg", 5)],
-        2,
-        8,
-        0.008,
-    );
-    light.faults = Some(FaultSpec::Light { seed: 80 });
-    cases.push(light);
-    let mut heavy = mk(
-        "seed-fault-heavy",
-        "e5_2697v2",
-        "ft",
-        &[("streamcluster", 7)],
-        4,
-        9,
-        0.008,
-    );
-    heavy.faults = Some(FaultSpec::Heavy { seed: 90 });
-    cases.push(heavy);
-
-    // A compute-bound target barely disturbed by a crowd — the regime
-    // where slowdown sits just above 1 and relative tolerances are
-    // tightest.
-    cases.push(mk(
-        "seed-compute-bound",
-        "e5649",
-        "ep",
-        &[("blackscholes", 5)],
-        0,
-        10,
-        0.0,
-    ));
-
-    // ---- Event-schedule families ------------------------------------
-    // Every value is an exact binary fraction, so the JSON files replay
-    // bit-identically. Ticks are in simulated seconds; at the corpus
-    // `instr_scale` runs last a few hundredths of a second, so the
-    // palette values land mid-run.
-
-    // Staggered starts: co-runners begin mid-app, no arrivals.
-    let mut stagger = mk(
-        "seed-event-stagger",
-        "e5649",
-        "canneal",
-        &[("cg", 2), ("mg", 1)],
-        1,
-        11,
-        0.0,
-    );
-    stagger.co[0].phase_offset = Some(0.25);
-    stagger.co[1].phase_offset = Some(0.5);
-    cases.push(stagger);
-
-    // A co-runner that arrives mid-run.
-    let mut arrival = mk(
-        "seed-event-arrival",
-        "e5649",
-        "ft",
-        &[("bodytrack", 2)],
-        2,
-        12,
-        0.0,
-    );
-    arrival.co[0].arrival = Some(0.015625);
-    cases.push(arrival);
-
-    // A co-runner that departs mid-run, under measurement noise.
-    let mut departure = mk(
-        "seed-event-departure",
-        "e5649",
-        "ua",
-        &[("cg", 3)],
-        0,
-        13,
-        0.008,
-    );
-    departure.co[0].departure = Some(0.0625);
-    cases.push(departure);
-
-    // A bounded residency window: arrive, contend, leave.
-    let mut window = mk(
-        "seed-event-window",
-        "e5_2697v2",
-        "streamcluster",
-        &[("sp", 4)],
-        3,
-        14,
-        0.0,
-    );
-    window.co[0].arrival = Some(0.015625);
-    window.co[0].departure = Some(0.078125);
-    cases.push(window);
-
-    // Per-core clock ratios: one slow group, one fast.
-    let mut clocks = mk(
-        "seed-event-clocks",
-        "e5649",
-        "mg",
-        &[("cg", 2), ("ep", 2)],
-        1,
-        15,
-        0.0,
-    );
-    clocks.co[0].clock_ratio = Some(0.5);
-    clocks.co[1].clock_ratio = Some(1.5);
-    cases.push(clocks);
-
-    // Mixed intensity classes with mixed event kinds: a class-I streamer
-    // arriving mid-run next to a staggered, overclocked class-IV group.
-    let mut mixed = mk(
-        "seed-event-mixed-class",
-        "e5_2697v2",
-        "canneal",
-        &[("cg", 4), ("ep", 4)],
-        2,
-        16,
-        0.008,
-    );
-    mixed.co[0].arrival = Some(0.03125);
-    mixed.co[1].phase_offset = Some(0.375);
-    mixed.co[1].clock_ratio = Some(1.25);
-    cases.push(mixed);
-
-    // Disjoint residency windows: 10 co instances on a 6-core machine,
-    // legal because the first wave departs before the second arrives —
-    // the capacity check is over *peak* concurrency, not the static sum.
-    let mut disjoint = mk(
-        "seed-event-disjoint-windows",
-        "e5649",
-        "canneal",
-        &[("cg", 5), ("mg", 5)],
-        0,
-        17,
-        0.0,
-    );
-    disjoint.co[0].departure = Some(0.03125);
-    disjoint.co[1].arrival = Some(0.03125);
-    cases.push(disjoint);
-
-    // Every schedule field at once on a single group.
-    let mut full = mk(
-        "seed-event-all-fields",
-        "e5649",
-        "fluidanimate",
-        &[("streamcluster", 2)],
-        4,
-        18,
-        0.0,
-    );
-    full.co[0].phase_offset = Some(0.125);
-    full.co[0].arrival = Some(0.0078125);
-    full.co[0].departure = Some(0.1328125);
-    full.co[0].clock_ratio = Some(0.75);
-    cases.push(full);
-
-    // Events composed with a partitioned LLC.
-    let mut part = mk(
-        "seed-event-partitioned",
-        "e5649",
-        "sp",
-        &[("canneal", 3)],
-        2,
-        19,
-        0.0,
-    );
-    part.llc_partitioned = true;
-    part.co[0].arrival = Some(0.015625);
-    part.co[0].departure = Some(0.140625);
-    cases.push(part);
-
-    // Events composed with fault injection and a fixed-point budget: the
-    // full degraded-path stack on top of a scheduled workload.
-    let mut chaotic = mk(
-        "seed-event-faulted-budget",
-        "e5_2697v2",
-        "ft",
-        &[("cg", 6), ("bodytrack", 3)],
-        5,
-        20,
-        0.008,
-    );
-    chaotic.faults = Some(FaultSpec::Light { seed: 200 });
-    chaotic.fp_budget = 200;
-    chaotic.co[0].phase_offset = Some(0.25);
-    chaotic.co[1].arrival = Some(0.015625);
-    chaotic.co[1].clock_ratio = Some(1.25);
-    cases.push(chaotic);
-
-    // ---- Law-tagged cases -------------------------------------------
-    // Replayed through their named law instead of the differential
-    // oracle, so `coloc verify` re-litigates the exact invariants the
-    // registry pipeline leans on.
-
-    // A cross-interference matrix diagonal cell: canneal against one
-    // instance of itself, with measurement noise — the identical-pair
-    // counter symmetry must hold bit-for-bit anyway.
-    let mut diagonal = mk(
-        "seed-law-identical-pair",
-        "e5649",
-        "canneal",
-        &[("canneal", 1)],
-        1,
-        21,
-        0.008,
-    );
-    diagonal.law = Some("matrix-identical-pair-symmetry".into());
-    cases.push(diagonal);
-
-    // A heterogeneous mixed pair: the per-co-runner encoding must lower
-    // to the same bits whichever way the pair is listed.
-    let mut mixed_pair = mk(
-        "seed-law-mixed-pair",
-        "e5649",
-        "ft",
-        &[("cg", 1), ("ep", 1)],
-        0,
-        22,
-        0.0,
-    );
-    mixed_pair.law = Some("mixed-pair-order-invariance".into());
-    cases.push(mixed_pair);
-
-    cases
+    let laws = engine.iter().filter(|(_, c)| c.law.is_some()).count();
+    Ok(VerifyReport {
+        differential: engine.len() - laws,
+        law_checks: laws,
+        placement: placement.len(),
+        failures: failures.into_iter().flatten().collect(),
+    })
 }
 
 #[cfg(test)]
@@ -477,8 +219,8 @@ mod tests {
         let case = crate::case::gen_case(3, &crate::case::GenConstraints::default());
         let path = dir.join("case.json");
         save_case(&path, &case).unwrap();
-        assert_eq!(load_case(&path).unwrap(), case);
-        let loaded = load_dir(&dir).unwrap();
+        assert_eq!(load_case::<CorpusCase>(&path).unwrap(), case);
+        let loaded = load_dir::<CorpusCase>(&dir).unwrap();
         assert_eq!(loaded.len(), 1);
         assert_eq!(loaded[0].1, case);
         let _ = std::fs::remove_dir_all(&dir);
@@ -487,7 +229,8 @@ mod tests {
     #[test]
     fn missing_dir_is_empty_corpus() {
         let dir = std::env::temp_dir().join("coloc_conformance_definitely_missing");
-        assert!(load_dir(&dir).unwrap().is_empty());
+        assert!(load_dir::<CorpusCase>(&dir).unwrap().is_empty());
+        assert_eq!(verify_dir(&dir, 1).unwrap().total(), 0);
     }
 
     #[test]
@@ -495,7 +238,7 @@ mod tests {
         let dir = tmp_dir("counterexample");
         let case = crate::case::gen_case(4, &crate::case::GenConstraints::default());
         let path = write_counterexample(&dir, Some("solo-unity"), &case).unwrap();
-        let loaded = load_case(&path).unwrap();
+        let loaded: CorpusCase = load_case(&path).unwrap();
         assert_eq!(loaded.law.as_deref(), Some("solo-unity"));
         assert!(path
             .file_name()
@@ -512,41 +255,79 @@ mod tests {
     }
 
     #[test]
-    fn seed_corpus_is_buildable_and_distinctly_named() {
-        let cases = seed_corpus();
-        assert!(cases.len() >= 18, "corpus should cover the feature axes");
+    fn seed_files_cover_the_feature_axes() {
+        let dir = default_corpus_dir();
+        let seeds: Vec<CorpusCase> = load_dir::<CorpusCase>(&dir)
+            .unwrap()
+            .into_iter()
+            .filter(|(path, _)| {
+                path.file_name()
+                    .unwrap()
+                    .to_string_lossy()
+                    .starts_with("seed-")
+            })
+            .map(|(_, case)| case)
+            .collect();
+        assert!(seeds.len() >= 18, "corpus should cover the feature axes");
         assert!(
-            cases
+            seeds
                 .iter()
                 .filter(|c| c.co.iter().any(CoGroup::has_schedule))
                 .count()
                 >= 10,
             "corpus should cover the event families"
         );
-        let mut names: Vec<_> = cases.iter().map(|c| c.name.clone()).collect();
+        let mut names: Vec<_> = seeds.iter().map(|c| c.name.clone()).collect();
         names.sort();
         let before = names.len();
         names.dedup();
         assert_eq!(names.len(), before, "duplicate corpus case names");
-        for case in &cases {
-            let built = case.build().expect("seed case builds");
+        for case in &seeds {
+            let ir = case.to_ir().expect("seed case lowers");
             // Capacity is over *peak* concurrency: disjoint residency
             // windows legally oversubscribe the static sum.
-            let refs: Vec<GroupRef> = built.workload.iter().map(GroupRef::from_group).collect();
-            let occupied = coloc_machine::event::cores_needed(&refs, built.schedules.as_deref());
-            assert!(occupied <= built.spec.cores, "{}", case.describe());
+            let refs: Vec<GroupRef> = ir.workload.iter().map(GroupRef::from_group).collect();
+            let occupied = coloc_machine::event::cores_needed(&refs, ir.schedules.as_deref());
+            assert!(occupied <= ir.machine.cores, "{}", case.describe());
+        }
+
+        // Every placement law has a seed case.
+        let placement = load_dir::<PlacementCase>(&placement_corpus_dir(&dir)).unwrap();
+        for law in placement_laws() {
+            assert!(
+                placement
+                    .iter()
+                    .any(|(_, case)| case.law() == Some(law.name())),
+                "no placement seed case for `{}`",
+                law.name()
+            );
         }
     }
 
     #[test]
-    fn verify_reports_unknown_laws() {
+    fn verify_flags_unknown_laws_and_untagged_placement_cases() {
         let dir = tmp_dir("unknown_law");
         let mut case = crate::case::gen_case(5, &crate::case::GenConstraints::default());
         case.law = Some("not-a-law".into());
         save_case(&dir.join("bad.json"), &case).unwrap();
-        let report = verify_dir(&dir).unwrap();
-        assert!(!report.is_clean());
+        let report = verify_dir(&dir, 1).unwrap();
+        assert_eq!((report.law_checks, report.failures.len()), (1, 1));
         assert!(report.failures[0].contains("unknown law"));
+
+        // A placement case with no tag, or an unknown one, fails too.
+        let placement = placement_corpus_dir(&dir);
+        let laws = placement_laws();
+        let solo = law_by_name(&laws, "placement-solo-regret").unwrap();
+        let mut untagged = solo.case_for_seed(3).unwrap();
+        untagged.law = None;
+        save_case(&placement.join("untagged.json"), &untagged).unwrap();
+        let mut unknown = solo.case_for_seed(4).unwrap();
+        unknown.law = Some("placement-unknown-law".into());
+        save_case(&placement.join("unknown.json"), &unknown).unwrap();
+        let report = verify_dir(&dir, 2).unwrap();
+        assert_eq!((report.placement, report.failures.len()), (2, 3));
+        assert!(report.failures[1].contains("unknown law"));
+        assert!(report.failures[2].contains("untagged placement case"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

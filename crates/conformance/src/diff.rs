@@ -14,9 +14,10 @@
 //! (co-located wall time over solo wall time, both sides computed by
 //! their own engine) must agree to [`SLOWDOWN_REL_TOL`].
 
-use crate::case::{gen_case, shrink, CorpusCase, GenConstraints};
+use crate::case::{gen_case, CorpusCase, GenConstraints};
+use crate::corpus::{shrink, Case};
 use crate::refengine::RefEngine;
-use coloc_machine::{Convergence, Machine, RunCache, RunOutcome, RunnerGroup};
+use coloc_machine::{Convergence, CounterBlock, RunCache, RunOutcome, RunnerGroup};
 
 /// Relative tolerance for per-field outcome comparison.
 pub const REL_TOL: f64 = 1e-9;
@@ -36,69 +37,72 @@ fn field(errors: &mut Vec<String>, name: &str, a: f64, b: f64) {
 }
 
 /// Compare two outcomes field by field; returns the list of mismatches
-/// (empty = conformant).
+/// (empty = conformant). The destructuring is exhaustive, so a new
+/// outcome field fails to compile here until it is compared too.
 pub fn compare_outcomes(engine: &RunOutcome, reference: &RunOutcome) -> Vec<String> {
+    let RunOutcome {
+        wall_time_s,
+        counters,
+        segments,
+        fp_iterations,
+        avg_llc_share_bytes,
+        avg_mem_latency_ns,
+        convergence,
+        faults,
+    } = engine;
     let mut errors = Vec::new();
     field(
         &mut errors,
         "wall_time_s",
-        engine.wall_time_s,
+        *wall_time_s,
         reference.wall_time_s,
     );
-    if engine.segments != reference.segments {
+    if *segments != reference.segments {
+        errors.push(format!("segments: {segments} vs {}", reference.segments));
+    }
+    if *fp_iterations != reference.fp_iterations {
         errors.push(format!(
-            "segments: {} vs {}",
-            engine.segments, reference.segments
+            "fp_iterations: {fp_iterations} vs {}",
+            reference.fp_iterations
         ));
     }
-    if engine.fp_iterations != reference.fp_iterations {
-        errors.push(format!(
-            "fp_iterations: {} vs {}",
-            engine.fp_iterations, reference.fp_iterations
-        ));
+    for (name, a, b) in [
+        ("counters", counters.len(), reference.counters.len()),
+        (
+            "avg_llc_share_bytes",
+            avg_llc_share_bytes.len(),
+            reference.avg_llc_share_bytes.len(),
+        ),
+    ] {
+        if a != b {
+            errors.push(format!("{name} length: {a} vs {b}"));
+            return errors;
+        }
     }
-    if engine.counters.len() != reference.counters.len() {
-        errors.push(format!(
-            "counters length: {} vs {}",
-            engine.counters.len(),
-            reference.counters.len()
-        ));
-        return errors;
-    }
-    for (gi, (ca, cb)) in engine.counters.iter().zip(&reference.counters).enumerate() {
-        field(
-            &mut errors,
-            &format!("counters[{gi}].instructions"),
-            ca.instructions,
-            cb.instructions,
-        );
-        field(
-            &mut errors,
-            &format!("counters[{gi}].cycles"),
-            ca.cycles,
-            cb.cycles,
-        );
-        field(
-            &mut errors,
-            &format!("counters[{gi}].llc_accesses"),
-            ca.llc_accesses,
-            cb.llc_accesses,
-        );
-        field(
-            &mut errors,
-            &format!("counters[{gi}].llc_misses"),
-            ca.llc_misses,
-            cb.llc_misses,
-        );
-        if ca.completed_runs != cb.completed_runs {
+    for (gi, (ca, cb)) in counters.iter().zip(&reference.counters).enumerate() {
+        let CounterBlock {
+            instructions,
+            cycles,
+            llc_accesses,
+            llc_misses,
+            completed_runs,
+        } = ca;
+        for (name, a, b) in [
+            ("instructions", *instructions, cb.instructions),
+            ("cycles", *cycles, cb.cycles),
+            ("llc_accesses", *llc_accesses, cb.llc_accesses),
+            ("llc_misses", *llc_misses, cb.llc_misses),
+        ] {
+            field(&mut errors, &format!("counters[{gi}].{name}"), a, b);
+        }
+        if *completed_runs != cb.completed_runs {
             errors.push(format!(
-                "counters[{gi}].completed_runs: {} vs {}",
-                ca.completed_runs, cb.completed_runs
+                "counters[{gi}].completed_runs: {completed_runs} vs {}",
+                cb.completed_runs
             ));
         }
     }
-    for (gi, (&sa, &sb)) in engine
-        .avg_llc_share_bytes
+    for (gi, (&sa, &sb)) in avg_llc_share_bytes
         .iter()
         .zip(&reference.avg_llc_share_bytes)
         .enumerate()
@@ -108,10 +112,10 @@ pub fn compare_outcomes(engine: &RunOutcome, reference: &RunOutcome) -> Vec<Stri
     field(
         &mut errors,
         "avg_mem_latency_ns",
-        engine.avg_mem_latency_ns,
+        *avg_mem_latency_ns,
         reference.avg_mem_latency_ns,
     );
-    match (engine.convergence, reference.convergence) {
+    match (*convergence, reference.convergence) {
         (Convergence::Converged, Convergence::Converged) => {}
         (
             Convergence::Degraded {
@@ -131,35 +135,10 @@ pub fn compare_outcomes(engine: &RunOutcome, reference: &RunOutcome) -> Vec<Stri
         }
         (a, b) => errors.push(format!("convergence: {a:?} vs {b:?}")),
     }
-    if engine.faults != reference.faults {
-        errors.push(format!(
-            "faults: {:?} vs {:?}",
-            engine.faults, reference.faults
-        ));
+    if *faults != reference.faults {
+        errors.push(format!("faults: {faults:?} vs {:?}", reference.faults));
     }
     errors
-}
-
-/// True when every f64 field matches bit for bit (the cache-hit check).
-pub fn outcomes_bit_identical(a: &RunOutcome, b: &RunOutcome) -> bool {
-    a.wall_time_s.to_bits() == b.wall_time_s.to_bits()
-        && a.segments == b.segments
-        && a.fp_iterations == b.fp_iterations
-        && a.counters.len() == b.counters.len()
-        && a.counters.iter().zip(&b.counters).all(|(x, y)| {
-            x.instructions.to_bits() == y.instructions.to_bits()
-                && x.cycles.to_bits() == y.cycles.to_bits()
-                && x.llc_accesses.to_bits() == y.llc_accesses.to_bits()
-                && x.llc_misses.to_bits() == y.llc_misses.to_bits()
-                && x.completed_runs == y.completed_runs
-        })
-        && a.avg_llc_share_bytes.len() == b.avg_llc_share_bytes.len()
-        && a.avg_llc_share_bytes
-            .iter()
-            .zip(&b.avg_llc_share_bytes)
-            .all(|(x, y)| x.to_bits() == y.to_bits())
-        && a.avg_mem_latency_ns.to_bits() == b.avg_mem_latency_ns.to_bits()
-        && a.faults == b.faults
 }
 
 /// What one differential check observed.
@@ -182,29 +161,30 @@ pub struct DiffReport {
 /// to the cold run, or the two engines disagreeing about whether the
 /// workload is even valid.
 pub fn check_case(case: &CorpusCase) -> Result<DiffReport, String> {
-    let built = case.build()?;
-    let machine =
-        Machine::new(built.spec.clone()).map_err(|e| format!("machine rejected spec: {e}"))?;
+    let ir = case.to_ir()?;
+    let machine = ir
+        .machine()
+        .map_err(|e| format!("machine rejected spec: {e}"))?;
     let reference =
-        RefEngine::new(built.spec.clone()).map_err(|e| format!("reference rejected spec: {e}"))?;
+        RefEngine::new(ir.machine.clone()).map_err(|e| format!("reference rejected spec: {e}"))?;
     let cache = RunCache::new(64);
 
     let run_cached = || {
         cache.run_scheduled_observed(
             &machine,
-            &built.workload,
-            built.schedules.as_deref(),
-            &built.opts,
-            built.plan.as_ref(),
+            &ir.workload,
+            ir.schedules.as_deref(),
+            &ir.opts,
+            ir.faults.as_ref(),
             None,
         )
     };
     let engine_result = run_cached();
     let ref_result = reference.run_scheduled_faulted(
-        &built.workload,
-        built.schedules.as_deref(),
-        &built.opts,
-        built.plan.as_ref(),
+        &ir.workload,
+        ir.schedules.as_deref(),
+        &ir.opts,
+        ir.faults.as_ref(),
     );
 
     let (engine_out, _) = match (engine_result, ref_result) {
@@ -241,18 +221,18 @@ pub fn check_case(case: &CorpusCase) -> Result<DiffReport, String> {
     if !was_hit {
         return Err("second identical run missed the cache".into());
     }
-    if !outcomes_bit_identical(&engine_out, &hit_out) {
+    if engine_out.digest() != hit_out.digest() {
         return Err("cache hit is not bit-identical to the cold run".into());
     }
 
     // Derived slowdown: each side computes its own solo baseline (clean —
     // baselines sit below the fault layer, as in `Lab`).
-    let solo_wl: Vec<RunnerGroup> = built.workload[..1].to_vec();
+    let solo_wl: Vec<RunnerGroup> = ir.workload[..1].to_vec();
     let engine_solo = machine
-        .run(&solo_wl, &built.opts)
+        .run(&solo_wl, &ir.opts)
         .map_err(|e| format!("engine solo baseline failed: {e}"))?;
     let ref_solo = reference
-        .run(&solo_wl, &built.opts)
+        .run(&solo_wl, &ir.opts)
         .map_err(|e| format!("reference solo baseline failed: {e}"))?;
     let slowdown_engine = engine_out.wall_time_s / engine_solo.wall_time_s;
     let slowdown_ref = hit_out.wall_time_s / ref_solo.wall_time_s;
@@ -298,22 +278,15 @@ pub struct DiffFailure {
     pub detail: String,
 }
 
-/// Sweep `n` generated cases from `base_seed` on one thread; the first
-/// failure is shrunk and returned. Equivalent to
-/// [`differential_sweep_threaded`] with `threads = 1`.
-pub fn differential_sweep(base_seed: u64, n: usize) -> Result<DiffSummary, Box<DiffFailure>> {
-    differential_sweep_threaded(base_seed, n, 1)
-}
-
 /// Sweep `n` generated cases from `base_seed` across `threads` workers
 /// (0 = one per core, capped at `n`).
 ///
 /// Each case is independent, so the sweep fans out over the
 /// work-stealing pool and aggregates in index order — the summary and
-/// the chosen failure are identical to a sequential sweep. On failure
-/// the lowest-index failing case is shrunk (sequentially; shrinking is
-/// a chain of dependent re-checks) and returned.
-pub fn differential_sweep_threaded(
+/// the chosen failure are the same at any thread count. On failure the
+/// lowest-index failing case is shrunk (sequentially; shrinking is a
+/// chain of dependent re-checks) and returned.
+pub fn differential_sweep(
     base_seed: u64,
     n: usize,
     threads: usize,
@@ -396,26 +369,26 @@ mod tests {
         let cases = crate::case::gen_cases(0xD1FF, 220);
         let failures: Vec<String> = coloc_ml::parallel::run_indexed(cases.len(), 0, |i| {
             let case = &cases[i];
-            let built = case.build().expect("generated cases build");
-            let machine = Machine::new(built.spec.clone()).unwrap();
-            let reference = RefEngine::new(built.spec.clone()).unwrap();
+            let ir = case.to_ir().expect("generated cases lower");
+            let machine = ir.machine().unwrap();
+            let reference = RefEngine::new(ir.machine.clone()).unwrap();
             let cache = RunCache::new(4);
             let engine = cache.run_scheduled_observed(
                 &machine,
-                &built.workload,
-                built.schedules.as_deref(),
-                &built.opts,
-                built.plan.as_ref(),
+                &ir.workload,
+                ir.schedules.as_deref(),
+                &ir.opts,
+                ir.faults.as_ref(),
                 None,
             );
             let refd = reference.run_scheduled_faulted(
-                &built.workload,
-                built.schedules.as_deref(),
-                &built.opts,
-                built.plan.as_ref(),
+                &ir.workload,
+                ir.schedules.as_deref(),
+                &ir.opts,
+                ir.faults.as_ref(),
             );
             match (engine, refd) {
-                (Ok((a, _)), Ok(b)) if outcomes_bit_identical(&a, &b) => None,
+                (Ok((a, _)), Ok(b)) if a.digest() == b.digest() => None,
                 (Err(ea), Err(eb)) if ea == eb => None,
                 (a, b) => Some(format!(
                     "{}: engine {a:?} vs reference {b:?}",
@@ -439,9 +412,8 @@ mod tests {
         // Sanity-check that the comparator actually bites: compare an
         // outcome against a perturbed copy of itself.
         let case = gen_case(7, &GenConstraints::default());
-        let built = case.build().unwrap();
-        let machine = Machine::new(built.spec.clone()).unwrap();
-        let out = machine.run(&built.workload, &built.opts).unwrap();
+        let ir = case.to_ir().unwrap();
+        let out = ir.machine().unwrap().run(&ir.workload, &ir.opts).unwrap();
         let mut bad = out.clone();
         bad.wall_time_s *= 1.0 + 1e-6;
         let errors = compare_outcomes(&out, &bad);

@@ -41,34 +41,40 @@
 //! Scenario-based laws derive their case from the seed via the shared
 //! generator, so a violation is addressable (and shrinkable) as a
 //! [`CorpusCase`]; the two ML laws synthesize their inputs directly.
-//! The three event laws (6–8) assert *exact* relations, so they compare
-//! outcomes bit-for-bit rather than within a tolerance.
+//! The event laws 7–8 assert *exact* relations, so they compare
+//! [`RunOutcome::digest`]s rather than fields within a tolerance; laws 6
+//! and 9 compare mirrored groups' counters bit for bit.
+//!
+//! [`Law`] is generic over its case type: the placement laws
+//! ([`mod@crate::placement_laws`]) are `Law<PlacementCase>`s, and
+//! [`check_law`] checks, shrinks and persists either kind.
 
 // Bounds are checked as `!(x <= tol)` on purpose: a NaN must *fail* the
 // law, and the direct comparison would silently pass it.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
 use crate::case::{gen_case, CoGroup, CorpusCase, GenConstraints};
-use coloc_machine::{GroupSchedule, Machine, RunOutcome, RunnerGroup};
+use crate::corpus::{shrink, write_counterexample, Case};
+use coloc_machine::{CounterBlock, GroupSchedule, Machine, RunOutcome, RunnerGroup, ScenarioIr};
 use coloc_model::{FeatureSet, Lab, ModelKind, Predictor, Scenario};
 use coloc_workloads::suite;
 use rand::rngs::StdRng;
 use rand::Rng as _;
 use rand::SeedableRng as _;
 
-/// A law violation: what broke, on which scenario (when scenario-based).
+/// A law violation: what broke, on which case (when case-based).
 #[derive(Clone, Debug)]
-pub struct Violation {
+pub struct Violation<C = CorpusCase> {
     /// Violated law's name.
     pub law: &'static str,
     /// Human-readable account of the violation.
     pub detail: String,
-    /// The offending scenario, for shrinking and corpus persistence
-    /// (boxed: a case is much larger than the rest of the violation).
-    pub case: Option<Box<CorpusCase>>,
+    /// The offending case, for shrinking and corpus persistence (boxed:
+    /// a case is much larger than the rest of the violation).
+    pub case: Option<Box<C>>,
 }
 
-impl std::fmt::Display for Violation {
+impl<C: Case> std::fmt::Display for Violation<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "law `{}` violated: {}", self.law, self.detail)?;
         if let Some(case) = &self.case {
@@ -78,8 +84,9 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// One metamorphic invariant, checkable from a seed.
-pub trait Law: Sync {
+/// One metamorphic invariant over cases of type `C`, checkable from a
+/// seed.
+pub trait Law<C: Case = CorpusCase>: Sync {
     /// Stable kebab-case identifier (used in corpus file names and the
     /// `law` field of persisted counterexamples).
     fn name(&self) -> &'static str;
@@ -90,18 +97,20 @@ pub trait Law: Sync {
     /// Seeds to check per `cargo test` run (cheap laws afford more).
     fn cases_per_run(&self) -> usize;
 
-    /// The scenario this law derives from `seed`, when scenario-based
-    /// (enables shrinking); `None` for laws over synthesized inputs.
-    fn case_for_seed(&self, seed: u64) -> Option<CorpusCase>;
+    /// The case this law derives from `seed`, when case-based (enables
+    /// shrinking); `None` for laws over synthesized inputs.
+    fn case_for_seed(&self, seed: u64) -> Option<C>;
 
-    /// Check one scenario. Only meaningful for scenario-based laws; the
-    /// default accepts everything.
-    fn check_case(&self, _case: &CorpusCase) -> Result<(), String> {
+    /// Check one case. Only meaningful for case-based laws; the default
+    /// accepts everything. A case whose preconditions no longer hold (a
+    /// shrink left the law's domain) passes vacuously, so the shrinker
+    /// never escapes the law's domain chasing a bogus failure.
+    fn check_case(&self, _case: &C) -> Result<(), String> {
         Ok(())
     }
 
     /// Check the law at `seed`.
-    fn check_seed(&self, seed: u64) -> Result<(), Violation> {
+    fn check_seed(&self, seed: u64) -> Result<(), Violation<C>> {
         match self.case_for_seed(seed) {
             Some(case) => self.check_case(&case).map_err(|detail| Violation {
                 law: self.name(),
@@ -113,16 +122,52 @@ pub trait Law: Sync {
     }
 }
 
-fn run_wall(machine: &Machine, built: &crate::case::BuiltCase) -> Result<f64, String> {
+/// Look a law up by its stable name in a registry ([`all_laws`] or
+/// [`crate::placement_laws()`]).
+pub fn law_by_name<'a, C: Case>(laws: &'a [Box<dyn Law<C>>], name: &str) -> Option<&'a dyn Law<C>> {
+    laws.iter().find(|l| l.name() == name).map(|l| l.as_ref())
+}
+
+/// Check `law` at each of `seeds`. The first violation that carries a
+/// case is shrunk with [`shrink`] and persisted under `dir` with
+/// [`write_counterexample`], so the corpus replays it forever after; the
+/// error names the file.
+pub fn check_law<C: Case>(
+    law: &dyn Law<C>,
+    seeds: impl IntoIterator<Item = u64>,
+    dir: &std::path::Path,
+) -> Result<(), String> {
+    for seed in seeds {
+        let Err(violation) = law.check_seed(seed) else {
+            continue;
+        };
+        let Some(case) = &violation.case else {
+            return Err(violation.to_string());
+        };
+        let shrunk = shrink(case.as_ref(), |c| law.check_case(c).is_err());
+        let detail = law.check_case(&shrunk).err().unwrap_or(violation.detail);
+        let path = write_counterexample(dir, Some(law.name()), &shrunk)
+            .map_err(|e| format!("failed to persist counterexample: {e}"))?;
+        return Err(format!(
+            "law `{}` violated at seed {seed} (shrunk case persisted to {}):\n{}\n{detail}",
+            law.name(),
+            path.display(),
+            shrunk.describe()
+        ));
+    }
+    Ok(())
+}
+
+fn run_wall(machine: &Machine, ir: &ScenarioIr) -> Result<f64, String> {
     machine
-        .run(&built.workload, &built.opts)
+        .run(&ir.workload, &ir.opts)
         .map(|o| o.wall_time_s)
         .map_err(|e| format!("engine rejected law workload: {e}"))
 }
 
-fn solo_wall(machine: &Machine, built: &crate::case::BuiltCase) -> Result<f64, String> {
+fn solo_wall(machine: &Machine, ir: &ScenarioIr) -> Result<f64, String> {
     machine
-        .run(&built.workload[..1], &built.opts)
+        .run(&ir.workload[..1], &ir.opts)
         .map(|o| o.wall_time_s)
         .map_err(|e| format!("engine rejected solo baseline: {e}"))
 }
@@ -172,12 +217,12 @@ impl Law for MonotoneCoRunner {
     }
 
     fn check_case(&self, case: &CorpusCase) -> Result<(), String> {
-        let built = case.build()?;
-        let machine = Machine::new(built.spec.clone()).map_err(|e| e.to_string())?;
-        let base = solo_wall(&machine, &built)?;
-        let before = run_wall(&machine, &built)? / base;
+        let ir = case.to_ir()?;
+        let machine = ir.machine().map_err(|e| e.to_string())?;
+        let base = solo_wall(&machine, &ir)?;
+        let before = run_wall(&machine, &ir)? / base;
 
-        let mut more = built.clone();
+        let mut more = ir.clone();
         let mut aggressor = suite::by_name(AGGRESSOR).expect("aggressor in suite").app;
         aggressor.instructions *= case.instr_scale;
         more.workload.push(RunnerGroup {
@@ -228,12 +273,12 @@ impl Law for SoloUnity {
     }
 
     fn check_case(&self, case: &CorpusCase) -> Result<(), String> {
-        let built = case.build()?;
-        let machine = Machine::new(built.spec.clone()).map_err(|e| e.to_string())?;
+        let ir = case.to_ir()?;
+        let machine = ir.machine().map_err(|e| e.to_string())?;
         // Two independent runs of the same inputs: determinism makes the
         // ratio exactly 1.0, not merely close.
-        let a = run_wall(&machine, &built)?;
-        let b = solo_wall(&machine, &built)?;
+        let a = run_wall(&machine, &ir)?;
+        let b = solo_wall(&machine, &ir)?;
         let slowdown = a / b;
         if !((slowdown - 1.0).abs() <= 1e-12) {
             return Err(format!("solo slowdown is {slowdown}, expected exactly 1"));
@@ -295,16 +340,16 @@ impl Law for PermutationInvariance {
     }
 
     fn check_case(&self, case: &CorpusCase) -> Result<(), String> {
-        let built = case.build()?;
-        let machine = Machine::new(built.spec.clone()).map_err(|e| e.to_string())?;
+        let ir = case.to_ir()?;
+        let machine = ir.machine().map_err(|e| e.to_string())?;
         let forward = machine
-            .run(&built.workload, &built.opts)
+            .run(&ir.workload, &ir.opts)
             .map_err(|e| e.to_string())?;
 
-        let mut reversed = vec![built.workload[0].clone()];
-        reversed.extend(built.workload[1..].iter().rev().cloned());
+        let mut reversed = vec![ir.workload[0].clone()];
+        reversed.extend(ir.workload[1..].iter().rev().cloned());
         let backward = machine
-            .run(&reversed, &built.opts)
+            .run(&reversed, &ir.opts)
             .map_err(|e| e.to_string())?;
 
         let rel = (forward.wall_time_s - backward.wall_time_s).abs()
@@ -474,49 +519,27 @@ impl Law for FeatureNesting {
 // Event laws (6–8): exact relations over the scheduled driver.
 // ---------------------------------------------------------------------
 
-/// Bit-level equality of two engine outcomes. The event laws assert
-/// relabelings and no-ops — relations that hold to the last bit, not
-/// merely within tolerance — so any drift is a real divergence.
-fn outcomes_bits_equal(what: &str, a: &RunOutcome, b: &RunOutcome) -> Result<(), String> {
-    let field = |name: &str, x: f64, y: f64| -> Result<(), String> {
-        if x.to_bits() != y.to_bits() {
-            Err(format!("{what}: {name} differs bitwise ({x} vs {y})"))
-        } else {
-            Ok(())
-        }
-    };
-    field("wall_time_s", a.wall_time_s, b.wall_time_s)?;
-    field(
-        "avg_mem_latency_ns",
-        a.avg_mem_latency_ns,
-        b.avg_mem_latency_ns,
-    )?;
-    if a.segments != b.segments {
-        return Err(format!(
-            "{what}: segment count differs ({} vs {})",
-            a.segments, b.segments
-        ));
+/// Bit identity of two engine outcomes, by [`RunOutcome::digest`]. The
+/// event laws assert relabelings and no-ops — relations that hold to the
+/// last bit, not merely within tolerance — so any drift is a real
+/// divergence; [`crate::diff::compare_outcomes`] names the fields apart.
+fn same_bits(what: &str, a: &RunOutcome, b: &RunOutcome) -> Result<(), String> {
+    if a.digest() == b.digest() {
+        return Ok(());
     }
-    if a.fp_iterations != b.fp_iterations {
-        return Err(format!(
-            "{what}: fp_iterations differ ({} vs {})",
-            a.fp_iterations, b.fp_iterations
-        ));
-    }
-    if a.counters.len() != b.counters.len() {
-        return Err(format!("{what}: counter block counts differ"));
-    }
-    for (g, (ca, cb)) in a.counters.iter().zip(&b.counters).enumerate() {
-        counters_bits_equal(&format!("{what}: group {g}"), ca, cb)?;
-    }
-    Ok(())
+    let apart = crate::diff::compare_outcomes(a, b).join("; ");
+    Err(format!(
+        "{what}: outcome bits differ; beyond 1e-9: [{apart}]"
+    ))
 }
 
-/// Bit-level equality of one pair of counter blocks.
+/// Bit-level equality of one pair of counter blocks, `completed_runs`
+/// included when `runs` is set.
 fn counters_bits_equal(
     what: &str,
-    a: &coloc_machine::CounterBlock,
-    b: &coloc_machine::CounterBlock,
+    a: &CounterBlock,
+    b: &CounterBlock,
+    runs: bool,
 ) -> Result<(), String> {
     for (name, x, y) in [
         ("instructions", a.instructions, b.instructions),
@@ -528,7 +551,7 @@ fn counters_bits_equal(
             return Err(format!("{what}: {name} differs bitwise ({x} vs {y})"));
         }
     }
-    if a.completed_runs != b.completed_runs {
+    if runs && a.completed_runs != b.completed_runs {
         return Err(format!(
             "{what}: completed_runs differ ({} vs {})",
             a.completed_runs, b.completed_runs
@@ -623,23 +646,17 @@ impl Law for ArrivalOrderInvariance {
         swapped.co[i].arrival = swapped.co[j].arrival;
         swapped.co[j].arrival = tmp;
 
-        let built = case.build()?;
-        let machine = Machine::new(built.spec.clone()).map_err(|e| e.to_string())?;
+        let ir = case.to_ir()?;
+        let machine = ir.machine().map_err(|e| e.to_string())?;
         let forward = machine
-            .run_observed(
-                &built.workload,
-                built.schedules.as_deref(),
-                &built.opts,
-                None,
-                None,
-            )
+            .run_observed(&ir.workload, ir.schedules.as_deref(), &ir.opts, None, None)
             .map_err(|e| format!("engine rejected law workload: {e}"))?;
-        let built_swapped = swapped.build()?;
+        let ir_swapped = swapped.to_ir()?;
         let backward = machine
             .run_observed(
-                &built_swapped.workload,
-                built_swapped.schedules.as_deref(),
-                &built_swapped.opts,
+                &ir_swapped.workload,
+                ir_swapped.schedules.as_deref(),
+                &ir_swapped.opts,
                 None,
                 None,
             )
@@ -666,6 +683,7 @@ impl Law for ArrivalOrderInvariance {
                 &format!("group {g} (mirror {mirror})"),
                 &forward.counters[g],
                 &backward.counters[mirror],
+                true,
             )?;
         }
         Ok(())
@@ -700,21 +718,21 @@ impl Law for LockstepDegeneracy {
     }
 
     fn check_case(&self, case: &CorpusCase) -> Result<(), String> {
-        let built = case.build()?;
-        let machine = Machine::new(built.spec.clone()).map_err(|e| e.to_string())?;
+        let ir = case.to_ir()?;
+        let machine = ir.machine().map_err(|e| e.to_string())?;
         let lockstep = machine
-            .run(&built.workload, &built.opts)
+            .run(&ir.workload, &ir.opts)
             .map_err(|e| format!("engine rejected law workload: {e}"))?;
-        let defaults = vec![GroupSchedule::default(); built.workload.len()];
+        let defaults = vec![GroupSchedule::default(); ir.workload.len()];
         let scheduled = machine
-            .run_observed(&built.workload, Some(&defaults), &built.opts, None, None)
+            .run_observed(&ir.workload, Some(&defaults), &ir.opts, None, None)
             .map_err(|e| format!("engine rejected default schedules: {e}"))?;
-        outcomes_bits_equal("default schedule vs lockstep", &lockstep, &scheduled)?;
+        same_bits("default schedule vs lockstep", &lockstep, &scheduled)?;
 
         // And the IR agrees: default schedules are canonicalized away, so
         // the digest (hence every cache key and checkpoint) is unchanged.
-        let plain = built.ir.digest();
-        let with_defaults = built.ir.clone().with_schedules(defaults).digest();
+        let plain = ir.digest();
+        let with_defaults = ir.clone().with_schedules(defaults).digest();
         if plain != with_defaults {
             return Err(format!(
                 "default schedules moved the scenario digest ({plain:032x} vs {with_defaults:032x})"
@@ -760,47 +778,35 @@ impl Law for DepartureAtEndNoop {
         for g in &mut base.co {
             g.departure = None;
         }
-        let built = base.build()?;
-        let machine = Machine::new(built.spec.clone()).map_err(|e| e.to_string())?;
+        let ir = base.to_ir()?;
+        let machine = ir.machine().map_err(|e| e.to_string())?;
         let no_departure = machine
-            .run_observed(
-                &built.workload,
-                built.schedules.as_deref(),
-                &built.opts,
-                None,
-                None,
-            )
+            .run_observed(&ir.workload, ir.schedules.as_deref(), &ir.opts, None, None)
             .map_err(|e| format!("engine rejected law workload: {e}"))?;
 
         // True (noise-free) completion time bounds every simulated tick;
         // noise only rescales the reported wall, so the sim-time horizon
         // comes from a noiseless run of the same inputs.
-        let mut quiet = built.opts;
+        let mut quiet = ir.opts;
         quiet.noise_sigma = 0.0;
         let horizon = machine
-            .run_observed(
-                &built.workload,
-                built.schedules.as_deref(),
-                &quiet,
-                None,
-                None,
-            )
+            .run_observed(&ir.workload, ir.schedules.as_deref(), &quiet, None, None)
             .map_err(|e| format!("engine rejected noiseless run: {e}"))?
             .wall_time_s;
 
         // Arm B: every co group departs strictly after the run ends.
-        let mut schedules = built
+        let mut schedules = ir
             .schedules
             .clone()
-            .unwrap_or_else(|| vec![GroupSchedule::default(); built.workload.len()]);
+            .unwrap_or_else(|| vec![GroupSchedule::default(); ir.workload.len()]);
         for s in schedules.iter_mut().skip(1) {
             s.departure_tick = Some(s.arrival_tick + 2.0 * horizon);
         }
         let late_departure = machine
-            .run_observed(&built.workload, Some(&schedules), &built.opts, None, None)
+            .run_observed(&ir.workload, Some(&schedules), &ir.opts, None, None)
             .map_err(|e| format!("engine rejected late departures: {e}"))?;
 
-        outcomes_bits_equal(
+        same_bits(
             "departure-at-end vs no departure",
             &no_departure,
             &late_departure,
@@ -863,10 +869,10 @@ impl Law for MatrixIdenticalPairSymmetry {
         if !Self::is_identical_pair(case) {
             return Ok(()); // vacuous: shrinking left the law's domain
         }
-        let built = case.build()?;
-        let machine = Machine::new(built.spec.clone()).map_err(|e| e.to_string())?;
+        let ir = case.to_ir()?;
+        let machine = ir.machine().map_err(|e| e.to_string())?;
         let outcome = machine
-            .run(&built.workload, &built.opts)
+            .run(&ir.workload, &ir.opts)
             .map_err(|e| format!("engine rejected law workload: {e}"))?;
         if outcome.counters.len() != 2 {
             return Err(format!(
@@ -878,19 +884,7 @@ impl Law for MatrixIdenticalPairSymmetry {
         // exactly once while the co group restarts until it does, so only
         // the per-run physics (instructions, cycles, LLC traffic) mirror.
         let (t, c) = (&outcome.counters[0], &outcome.counters[1]);
-        for (name, a, b) in [
-            ("instructions", t.instructions, c.instructions),
-            ("cycles", t.cycles, c.cycles),
-            ("llc_accesses", t.llc_accesses, c.llc_accesses),
-            ("llc_misses", t.llc_misses, c.llc_misses),
-        ] {
-            if a.to_bits() != b.to_bits() {
-                return Err(format!(
-                    "identical-pair {name} differs bitwise between target and twin ({a} vs {b})"
-                ));
-            }
-        }
-        Ok(())
+        counters_bits_equal("identical pair, target vs twin", t, c, false)
     }
 }
 
@@ -1001,13 +995,13 @@ impl Law for MixedPairOrderInvariance {
         // engine is driven directly with one shared RunOptions: the lab
         // would seed noise from the scenario digest, which is (rightly)
         // order-sensitive, and noise is not what this law is about.
-        let built = case.build()?;
-        let machine = Machine::new(built.spec.clone()).map_err(|e| e.to_string())?;
-        let mut reversed = vec![built.workload[0].clone()];
-        reversed.extend(built.workload[1..].iter().rev().cloned());
-        let fwd_wall = run_wall(&machine, &built)?;
+        let ir = case.to_ir()?;
+        let machine = ir.machine().map_err(|e| e.to_string())?;
+        let mut reversed = vec![ir.workload[0].clone()];
+        reversed.extend(ir.workload[1..].iter().rev().cloned());
+        let fwd_wall = run_wall(&machine, &ir)?;
         let bwd_wall = machine
-            .run(&reversed, &built.opts)
+            .run(&reversed, &ir.opts)
             .map(|o| o.wall_time_s)
             .map_err(|e| format!("engine rejected swapped workload: {e}"))?;
         let rel = (fwd_wall - bwd_wall).abs() / fwd_wall.abs().max(bwd_wall.abs());
@@ -1036,11 +1030,6 @@ pub fn all_laws() -> Vec<Box<dyn Law>> {
     ]
 }
 
-/// Look up a law by its stable name.
-pub fn law_by_name(name: &str) -> Option<Box<dyn Law>> {
-    all_laws().into_iter().find(|l| l.name() == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1054,11 +1043,11 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), before);
         for law in &laws {
-            assert!(law_by_name(law.name()).is_some());
+            assert!(law_by_name(&laws, law.name()).is_some());
             assert!(!law.provenance().is_empty());
             assert!(law.cases_per_run() > 0);
         }
-        assert!(law_by_name("no-such-law").is_none());
+        assert!(law_by_name(&laws, "no-such-law").is_none());
     }
 
     #[test]
@@ -1075,7 +1064,7 @@ mod tests {
         ] {
             for seed in 0..20u64 {
                 let case = law.case_for_seed(seed).expect("scenario-based");
-                case.build().expect("case builds");
+                case.to_ir().expect("case lowers");
             }
         }
     }
@@ -1088,9 +1077,9 @@ mod tests {
             assert_eq!(case.co[i].app, case.co[j].app);
             assert_ne!(case.co[i].arrival, case.co[j].arrival);
             // Twins fit: the generator reserved two cores for them.
-            let built = case.build().unwrap();
-            let total: usize = built.workload.iter().map(|g| g.count).sum();
-            assert!(total <= built.spec.cores, "{}", case.describe());
+            let ir = case.to_ir().unwrap();
+            let total: usize = ir.workload.iter().map(|g| g.count).sum();
+            assert!(total <= ir.machine.cores, "{}", case.describe());
         }
     }
 
@@ -1139,9 +1128,9 @@ mod tests {
         for seed in 0..50u64 {
             let case = PermutationInvariance.case_for_seed(seed).unwrap();
             assert!(case.co.len() >= 2, "{}", case.describe());
-            let built = case.build().unwrap();
-            let total: usize = built.workload.iter().map(|g| g.count).sum();
-            assert!(total <= built.spec.cores);
+            let ir = case.to_ir().unwrap();
+            let total: usize = ir.workload.iter().map(|g| g.count).sum();
+            assert!(total <= ir.machine.cores);
         }
     }
 

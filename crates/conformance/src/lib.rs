@@ -25,16 +25,26 @@
 //!   and two feature-pipeline laws (identical-pair counter symmetry on
 //!   the cross-interference matrix diagonal, mixed-pair order
 //!   invariance of the heterogeneous co-runner encoding).
-//! * [`case`] / [`corpus`] — a seeded scenario generator with a
-//!   deterministic shrinker, and a checked-in JSON corpus under
-//!   `corpus/` that `coloc verify` and the root package's `differential`
-//!   suite replay on every change. Failing generated cases are shrunk and persisted
-//!   there, so a bug found once is re-checked forever.
-//! * [`mod@placement_laws`] — the same law/shrink/corpus discipline one
-//!   layer up, for the fleet-placement simulation (`crates/placement`):
-//!   job-permutation invariance of single-wave outcomes, exact
-//!   solo-regret zero, and empty-machine monotonicity, with their own
-//!   case type and `corpus/placement/` subdirectory.
+//! * [`case`] — a seeded scenario generator over [`CorpusCase`], which
+//!   lowers to the engine's `ScenarioIr`.
+//! * [`mod@placement_laws`] — three laws one layer up, for the
+//!   fleet-placement simulation (`crates/placement`): job-permutation
+//!   invariance of single-wave outcomes, exact solo-regret zero, and
+//!   empty-machine monotonicity, over [`PlacementCase`]s.
+//! * [`corpus`] — the one harness both case types share. A case type
+//!   implements [`Case`] (seed, law tag, description, one-step
+//!   simplifications); one [`shrink`], one loader and writer, one
+//!   [`check_law`] and one [`verify_dir`] serve every case type, and
+//!   every law is a [`Law`] over its case type. The checked-in JSON files
+//!   under `corpus/` (placement cases under `corpus/placement/`) are the
+//!   only copy of each seed case; `coloc verify` and the root package's
+//!   `differential` suite replay them on every change. Failing generated
+//!   cases are shrunk and persisted there, so a bug found once is
+//!   re-checked forever.
+//!
+//! Every check that calls two outcomes bit-identical compares
+//! [`coloc_machine::RunOutcome::digest`]; [`compare_outcomes`] names the
+//! fields that diverged.
 
 #![warn(missing_docs)]
 
@@ -45,17 +55,15 @@ pub mod laws;
 pub mod placement_laws;
 pub mod refengine;
 
-pub use case::{
-    gen_case, gen_cases, shrink, BuiltCase, CoGroup, CorpusCase, FaultSpec, GenConstraints,
+pub use case::{gen_case, gen_cases, CoGroup, CorpusCase, FaultSpec, GenConstraints};
+pub use corpus::{
+    default_corpus_dir, load_case, load_dir, placement_corpus_dir, save_case, shrink, verify_dir,
+    write_counterexample, Case, VerifyReport,
 };
-pub use corpus::{default_corpus_dir, seed_corpus, verify_dir, verify_dir_threaded, VerifyReport};
 pub use diff::{
-    check_case, differential_sweep, differential_sweep_threaded, DiffReport, DiffSummary, REL_TOL,
+    check_case, compare_outcomes, differential_sweep, DiffReport, DiffSummary, REL_TOL,
     SLOWDOWN_REL_TOL,
 };
-pub use laws::{all_laws, law_by_name, Law, Violation};
-pub use placement_laws::{
-    placement_corpus_dir, placement_law_by_name, placement_laws, shrink_placement,
-    verify_placement_dir, PlacementCase, PlacementLaw,
-};
+pub use laws::{all_laws, check_law, law_by_name, Law, Violation};
+pub use placement_laws::{placement_laws, PlacementCase};
 pub use refengine::RefEngine;

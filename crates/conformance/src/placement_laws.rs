@@ -21,13 +21,16 @@
 //!    interference-aware policies' oracle mean slowdown (one more empty
 //!    socket only widens their choice of solo placements).
 //!
-//! [`PlacementCase`] cannot ride the engine corpus' `CorpusCase` (it
-//! describes a fleet and a stream, not one scenario), so placement laws
-//! carry their own case type, deterministic shrinker, and corpus
-//! subdirectory (`corpus/placement/`) — same discipline, parallel rails.
+//! A [`PlacementCase`] describes a fleet and a stream, not one scenario,
+//! so it is its own case type. It implements the same [`Case`] interface
+//! as the engine's `CorpusCase`, and the laws here are
+//! [`Law<PlacementCase>`](crate::Law)s: one shrinker, one loader, one
+//! check-shrink-persist routine and one replay serve both. Its corpus
+//! files live in the `corpus/placement/` subdirectory.
 
 use crate::case::machine_spec;
-use crate::corpus::VerifyReport;
+use crate::corpus::Case;
+use crate::laws::Law;
 use coloc_placement::{
     ClassMix, FleetSpec, JobStream, PlacePolicy, PlacementSim, PolicyOutcome, SimConfig,
 };
@@ -36,7 +39,6 @@ use rand::seq::SliceRandom as _;
 use rand::Rng as _;
 use rand::SeedableRng as _;
 use serde::{Deserialize, Serialize};
-use std::path::{Path, PathBuf};
 
 /// A self-contained placement scenario: single-spec fleet, seeded
 /// stream, one policy, and the law that owns it.
@@ -58,15 +60,53 @@ pub struct PlacementCase {
     pub law: Option<String>,
 }
 
-impl PlacementCase {
-    /// One-line human description.
-    pub fn describe(&self) -> String {
+impl Case for PlacementCase {
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn law(&self) -> Option<&str> {
+        self.law.as_deref()
+    }
+
+    fn set_law(&mut self, law: Option<&str>) {
+        self.law = law.map(str::to_string);
+    }
+
+    fn describe(&self) -> String {
         format!(
             "seed={:#x} machine={} sockets={} jobs={} policy={} mix={:?}",
             self.seed, self.machine, self.sockets, self.jobs, self.policy, self.mix
         )
     }
 
+    /// Fewer jobs (halved, then one less), one socket less, the uniform
+    /// mix, the smallest machine.
+    fn simplifications(&self) -> Vec<PlacementCase> {
+        let mut candidates = Vec::new();
+        let mut push = |edit: &dyn Fn(&mut PlacementCase)| {
+            let mut c = self.clone();
+            edit(&mut c);
+            candidates.push(c);
+        };
+        if self.jobs > 1 {
+            push(&|c| c.jobs /= 2);
+            push(&|c| c.jobs -= 1);
+        }
+        if self.sockets > 1 {
+            push(&|c| c.sockets -= 1);
+        }
+        if self.mix != ClassMix::uniform().weights {
+            push(&|c| c.mix = ClassMix::uniform().weights);
+        }
+        if self.machine != "e5649" {
+            push(&|c| c.machine = "e5649".to_string());
+        }
+        candidates
+    }
+}
+
+impl PlacementCase {
     fn fleet(&self) -> Result<FleetSpec, String> {
         Ok(FleetSpec::single(
             machine_spec(&self.machine)?,
@@ -102,27 +142,6 @@ impl PlacementCase {
     }
 }
 
-/// One placement invariant, checkable from a seed — the placement-side
-/// analogue of [`crate::laws::Law`].
-pub trait PlacementLaw: Sync {
-    /// Stable kebab-case identifier.
-    fn name(&self) -> &'static str;
-
-    /// Where the invariant comes from.
-    fn provenance(&self) -> &'static str;
-
-    /// Seeds to check per test run.
-    fn cases_per_run(&self) -> usize;
-
-    /// Derive this law's case from a seed.
-    fn case_for_seed(&self, seed: u64) -> PlacementCase;
-
-    /// Check one case. Cases whose preconditions no longer hold (e.g. a
-    /// shrink made the stream multi-wave) must pass vacuously, so the
-    /// shrinker never escapes the law's domain.
-    fn check_case(&self, case: &PlacementCase) -> Result<(), String>;
-}
-
 fn gen_base(seed: u64, law: &'static str) -> (StdRng, PlacementCase) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9E3779B97F4A7C15);
     let machines = ["e5649", "e5_2697v2", "e5_2630v3", "platinum_8153"];
@@ -152,7 +171,7 @@ fn outcome_bits(o: &PolicyOutcome) -> (u64, u64) {
 /// Law 1: single-wave streams are permutation-invariant.
 pub struct JobPermutationInvariance;
 
-impl PlacementLaw for JobPermutationInvariance {
+impl Law<PlacementCase> for JobPermutationInvariance {
     fn name(&self) -> &'static str {
         "placement-permutation"
     }
@@ -165,7 +184,7 @@ impl PlacementLaw for JobPermutationInvariance {
         3
     }
 
-    fn case_for_seed(&self, seed: u64) -> PlacementCase {
+    fn case_for_seed(&self, seed: u64) -> Option<PlacementCase> {
         let (mut rng, mut case) = gen_base(seed, self.name());
         let spec = machine_spec(&case.machine).expect("generator uses valid keys");
         let capacity = spec.cores * case.sockets;
@@ -173,7 +192,7 @@ impl PlacementLaw for JobPermutationInvariance {
         case.policy = ["pack-first-fit", "least-interference", "regret-batched"]
             [rng.gen_range(0..3usize)]
         .to_string();
-        case
+        Some(case)
     }
 
     fn check_case(&self, case: &PlacementCase) -> Result<(), String> {
@@ -212,7 +231,7 @@ impl PlacementLaw for JobPermutationInvariance {
 /// Law 2: with one job per socket, regret is exactly zero.
 pub struct SoloRegretZero;
 
-impl PlacementLaw for SoloRegretZero {
+impl Law<PlacementCase> for SoloRegretZero {
     fn name(&self) -> &'static str {
         "placement-solo-regret"
     }
@@ -225,11 +244,11 @@ impl PlacementLaw for SoloRegretZero {
         3
     }
 
-    fn case_for_seed(&self, seed: u64) -> PlacementCase {
+    fn case_for_seed(&self, seed: u64) -> Option<PlacementCase> {
         let (mut rng, mut case) = gen_base(seed, self.name());
         case.jobs = rng.gen_range(1..=case.sockets);
         case.policy = "least-interference".to_string();
-        case
+        Some(case)
     }
 
     fn check_case(&self, case: &PlacementCase) -> Result<(), String> {
@@ -269,7 +288,7 @@ impl PlacementLaw for SoloRegretZero {
 /// Law 3: adding an empty socket never worsens the outcome.
 pub struct EmptyMachineNeverHurts;
 
-impl PlacementLaw for EmptyMachineNeverHurts {
+impl Law<PlacementCase> for EmptyMachineNeverHurts {
     fn name(&self) -> &'static str {
         "placement-empty-machine"
     }
@@ -282,13 +301,13 @@ impl PlacementLaw for EmptyMachineNeverHurts {
         3
     }
 
-    fn case_for_seed(&self, seed: u64) -> PlacementCase {
+    fn case_for_seed(&self, seed: u64) -> Option<PlacementCase> {
         let (mut rng, mut case) = gen_base(seed, self.name());
         let spec = machine_spec(&case.machine).expect("generator uses valid keys");
         case.jobs = rng.gen_range(2..=spec.cores * case.sockets);
         case.policy =
             ["pack-first-fit", "least-interference"][rng.gen_range(0..2usize)].to_string();
-        case
+        Some(case)
     }
 
     fn check_case(&self, case: &PlacementCase) -> Result<(), String> {
@@ -338,204 +357,10 @@ impl PlacementLaw for EmptyMachineNeverHurts {
 }
 
 /// Every placement law, in corpus order.
-pub fn placement_laws() -> Vec<Box<dyn PlacementLaw>> {
+pub fn placement_laws() -> Vec<Box<dyn Law<PlacementCase>>> {
     vec![
         Box::new(JobPermutationInvariance),
         Box::new(SoloRegretZero),
         Box::new(EmptyMachineNeverHurts),
-    ]
-}
-
-/// Look a placement law up by its stable name.
-pub fn placement_law_by_name(name: &str) -> Option<Box<dyn PlacementLaw>> {
-    placement_laws().into_iter().find(|l| l.name() == name)
-}
-
-/// Deterministically shrink a failing placement case: repeatedly apply
-/// the first simplification that still fails, until none does. Mirrors
-/// [`crate::case::shrink`] for the placement case shape.
-pub fn shrink_placement<F: Fn(&PlacementCase) -> bool>(
-    case: &PlacementCase,
-    still_fails: F,
-) -> PlacementCase {
-    let mut cur = case.clone();
-    loop {
-        let mut candidates: Vec<PlacementCase> = Vec::new();
-        if cur.jobs > 1 {
-            let mut halved = cur.clone();
-            halved.jobs /= 2;
-            candidates.push(halved);
-            let mut less = cur.clone();
-            less.jobs -= 1;
-            candidates.push(less);
-        }
-        if cur.sockets > 1 {
-            let mut fewer = cur.clone();
-            fewer.sockets -= 1;
-            candidates.push(fewer);
-        }
-        if cur.mix != ClassMix::uniform().weights {
-            let mut plain = cur.clone();
-            plain.mix = ClassMix::uniform().weights;
-            candidates.push(plain);
-        }
-        if cur.machine != "e5649" {
-            let mut small = cur.clone();
-            small.machine = "e5649".to_string();
-            candidates.push(small);
-        }
-        match candidates.into_iter().find(|c| still_fails(c)) {
-            Some(next) => cur = next,
-            None => return cur,
-        }
-    }
-}
-
-/// The placement corpus subdirectory under an engine corpus root.
-pub fn placement_corpus_dir(root: &Path) -> PathBuf {
-    root.join("placement")
-}
-
-/// Save a placement case as pretty JSON (trailing newline).
-pub fn save_placement_case(path: &Path, case: &PlacementCase) -> Result<(), String> {
-    let mut bytes = serde_json::to_vec_pretty(case).map_err(|e| e.to_string())?;
-    bytes.push(b'\n');
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent).map_err(|e| format!("{}: {e}", parent.display()))?;
-    }
-    std::fs::write(path, bytes).map_err(|e| format!("{}: {e}", path.display()))
-}
-
-/// Load one placement case.
-pub fn load_placement_case(path: &Path) -> Result<PlacementCase, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    serde_json::from_slice(&bytes).map_err(|e| format!("{}: {e}", path.display()))
-}
-
-/// Persist a shrunk placement counterexample; returns the path written.
-pub fn write_placement_counterexample(
-    dir: &Path,
-    law: &str,
-    case: &PlacementCase,
-) -> Result<PathBuf, String> {
-    let mut case = case.clone();
-    case.law = Some(law.to_string());
-    let path = dir.join(format!("counterexample-{law}-{:016x}.json", case.seed));
-    save_placement_case(&path, &case)?;
-    Ok(path)
-}
-
-/// Replay every placement case in `dir` (sorted by file name) through
-/// its tagged law. A missing directory is an empty, clean corpus; a case
-/// with no (or an unknown) law tag is a failure — placement cases are
-/// meaningless without one.
-pub fn verify_placement_dir(dir: &Path) -> Result<VerifyReport, String> {
-    let mut paths: Vec<PathBuf> = match std::fs::read_dir(dir) {
-        Ok(entries) => entries
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "json"))
-            .collect(),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(VerifyReport::default()),
-        Err(e) => return Err(format!("{}: {e}", dir.display())),
-    };
-    paths.sort();
-    let mut report = VerifyReport::default();
-    for path in paths {
-        let case = load_placement_case(&path)?;
-        report.law_checks += 1;
-        match case.law.as_deref().and_then(placement_law_by_name) {
-            Some(law) => {
-                if let Err(detail) = law.check_case(&case) {
-                    report
-                        .failures
-                        .push(format!("{}: {detail}", path.display()));
-                }
-            }
-            None => report.failures.push(format!(
-                "{}: unknown or missing placement law tag {:?}",
-                path.display(),
-                case.law
-            )),
-        }
-    }
-    Ok(report)
-}
-
-/// The checked-in placement seed corpus: one hand-picked case per law
-/// per fleet flavor. [`crate::corpus::default_corpus_dir`]`/placement`
-/// holds their JSON forms; a test pins the two in sync.
-pub fn placement_seed_corpus() -> Vec<(String, PlacementCase)> {
-    let case = |name: &str, law: &str, machine: &str, sockets, jobs, policy: &str, mix| {
-        (
-            format!("seed-{name}.json"),
-            PlacementCase {
-                seed: 0x9A7C ^ jobs as u64,
-                machine: machine.to_string(),
-                sockets,
-                mix,
-                jobs,
-                policy: policy.to_string(),
-                law: Some(law.to_string()),
-            },
-        )
-    };
-    let uniform = ClassMix::uniform().weights;
-    let heavy = ClassMix::memory_heavy().weights;
-    vec![
-        case(
-            "perm-pack-6core",
-            "placement-permutation",
-            "e5649",
-            2,
-            9,
-            "pack-first-fit",
-            uniform,
-        ),
-        case(
-            "perm-greedy-12core",
-            "placement-permutation",
-            "e5_2697v2",
-            2,
-            17,
-            "least-interference",
-            heavy,
-        ),
-        case(
-            "perm-rb-8core",
-            "placement-permutation",
-            "e5_2630v3",
-            2,
-            11,
-            "regret-batched",
-            uniform,
-        ),
-        case(
-            "solo-16core",
-            "placement-solo-regret",
-            "platinum_8153",
-            3,
-            3,
-            "least-interference",
-            heavy,
-        ),
-        case(
-            "empty-pack-6core",
-            "placement-empty-machine",
-            "e5649",
-            3,
-            14,
-            "pack-first-fit",
-            uniform,
-        ),
-        case(
-            "empty-greedy-8core",
-            "placement-empty-machine",
-            "e5_2630v3",
-            2,
-            13,
-            "least-interference",
-            heavy,
-        ),
     ]
 }

@@ -2,124 +2,66 @@
 //! scenario-based violation is shrunk and persisted to the corpus before
 //! the test panics.
 
-use coloc_conformance::{all_laws, corpus, shrink, Law};
+use coloc_conformance::{all_laws, check_law, default_corpus_dir, law_by_name};
 
 /// Base seed for law sweeps; each law's case `i` uses `LAW_SEED + i`.
 const LAW_SEED: u64 = 0x1A55;
 
-fn run_law(law: &dyn Law) {
-    for i in 0..law.cases_per_run() as u64 {
-        let seed = LAW_SEED + i;
-        if let Err(violation) = law.check_seed(seed) {
-            if let Some(case) = &violation.case {
-                let shrunk = shrink(case, |c| law.check_case(c).is_err());
-                let detail = law
-                    .check_case(&shrunk)
-                    .err()
-                    .unwrap_or_else(|| violation.detail.clone());
-                let dir = corpus::default_corpus_dir();
-                let path = corpus::write_counterexample(&dir, Some(law.name()), &shrunk)
-                    .unwrap_or_else(|e| panic!("failed to persist counterexample: {e}"));
-                panic!(
-                    "law `{}` violated at seed {seed} (shrunk case persisted to {}):\n{}\n{detail}",
-                    law.name(),
-                    path.display(),
-                    shrunk.describe()
-                );
-            }
-            panic!("{violation}");
-        }
-    }
+fn run_law(name: &str) {
+    let laws = all_laws();
+    let law = law_by_name(&laws, name).unwrap();
+    let seeds = (LAW_SEED..).take(law.cases_per_run());
+    check_law(law, seeds, &default_corpus_dir()).unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]
 fn monotone_co_runner_law_holds() {
-    run_law(
-        coloc_conformance::laws::law_by_name("monotone-co-runner")
-            .unwrap()
-            .as_ref(),
-    );
+    run_law("monotone-co-runner");
 }
 
 #[test]
 fn solo_unity_law_holds() {
-    run_law(
-        coloc_conformance::laws::law_by_name("solo-unity")
-            .unwrap()
-            .as_ref(),
-    );
+    run_law("solo-unity");
 }
 
 #[test]
 fn permutation_invariance_law_holds() {
-    run_law(
-        coloc_conformance::laws::law_by_name("permutation-invariance")
-            .unwrap()
-            .as_ref(),
-    );
+    run_law("permutation-invariance");
 }
 
 #[test]
 fn metric_scale_invariance_law_holds() {
-    run_law(
-        coloc_conformance::laws::law_by_name("metric-scale-invariance")
-            .unwrap()
-            .as_ref(),
-    );
+    run_law("metric-scale-invariance");
 }
 
 #[test]
 fn feature_nesting_law_holds() {
-    run_law(
-        coloc_conformance::laws::law_by_name("feature-nesting")
-            .unwrap()
-            .as_ref(),
-    );
+    run_law("feature-nesting");
 }
 
 #[test]
 fn arrival_order_invariance_law_holds() {
-    run_law(
-        coloc_conformance::laws::law_by_name("arrival-order-invariance")
-            .unwrap()
-            .as_ref(),
-    );
+    run_law("arrival-order-invariance");
 }
 
 #[test]
 fn lockstep_degeneracy_law_holds() {
-    run_law(
-        coloc_conformance::laws::law_by_name("lockstep-degeneracy")
-            .unwrap()
-            .as_ref(),
-    );
+    run_law("lockstep-degeneracy");
 }
 
 #[test]
 fn departure_at_end_noop_law_holds() {
-    run_law(
-        coloc_conformance::laws::law_by_name("departure-at-end-noop")
-            .unwrap()
-            .as_ref(),
-    );
+    run_law("departure-at-end-noop");
 }
 
 #[test]
 fn matrix_identical_pair_symmetry_law_holds() {
-    run_law(
-        coloc_conformance::laws::law_by_name("matrix-identical-pair-symmetry")
-            .unwrap()
-            .as_ref(),
-    );
+    run_law("matrix-identical-pair-symmetry");
 }
 
 #[test]
 fn mixed_pair_order_invariance_law_holds() {
-    run_law(
-        coloc_conformance::laws::law_by_name("mixed-pair-order-invariance")
-            .unwrap()
-            .as_ref(),
-    );
+    run_law("mixed-pair-order-invariance");
 }
 
 #[test]

@@ -1,63 +1,42 @@
-//! Run every placement law over its budget of generated seeds, and keep
-//! the checked-in placement seed corpus replaying clean. A violation is
-//! shrunk and persisted to `corpus/placement/` before the test panics —
-//! same discipline as the engine laws.
+//! Run every placement law over its budget of generated seeds. A
+//! violation is shrunk and persisted to `corpus/placement/` before the
+//! test panics — the same routine as the engine laws. The checked-in
+//! placement corpus replays with the engine corpus, through
+//! `verify_dir`, in the root package's `differential` suite.
 
-use coloc_conformance::default_corpus_dir;
-use coloc_conformance::placement_laws::{
-    self, placement_corpus_dir, placement_law_by_name, placement_laws, placement_seed_corpus,
-    shrink_placement, verify_placement_dir, PlacementLaw,
+use coloc_conformance::{
+    check_law, default_corpus_dir, law_by_name, placement_corpus_dir, placement_laws, shrink, Law,
+    PlacementCase,
 };
 
 /// Base seed for placement-law sweeps; each law's case `i` uses
 /// `PLACEMENT_LAW_SEED + i`.
 const PLACEMENT_LAW_SEED: u64 = 0x9_1A55;
 
-fn run_law(law: &dyn PlacementLaw) {
-    for i in 0..law.cases_per_run() as u64 {
-        let seed = PLACEMENT_LAW_SEED + i;
-        let case = law.case_for_seed(seed);
-        if let Err(detail) = law.check_case(&case) {
-            let shrunk = shrink_placement(&case, |c| law.check_case(c).is_err());
-            let detail = law.check_case(&shrunk).err().unwrap_or(detail);
-            let dir = placement_corpus_dir(&default_corpus_dir());
-            let path = placement_laws::write_placement_counterexample(&dir, law.name(), &shrunk)
-                .unwrap_or_else(|e| panic!("failed to persist counterexample: {e}"));
-            panic!(
-                "placement law `{}` violated at seed {seed} (shrunk case persisted to {}):\n{}\n{detail}",
-                law.name(),
-                path.display(),
-                shrunk.describe()
-            );
-        }
-    }
+fn check(law: &dyn Law<PlacementCase>, seeds: impl IntoIterator<Item = u64>) {
+    let dir = placement_corpus_dir(&default_corpus_dir());
+    check_law(law, seeds, &dir).unwrap_or_else(|e| panic!("{e}"));
+}
+
+fn run_law(name: &str) {
+    let laws = placement_laws();
+    let law = law_by_name(&laws, name).unwrap();
+    check(law, (PLACEMENT_LAW_SEED..).take(law.cases_per_run()));
 }
 
 #[test]
 fn placement_permutation_law_holds() {
-    run_law(
-        placement_law_by_name("placement-permutation")
-            .unwrap()
-            .as_ref(),
-    );
+    run_law("placement-permutation");
 }
 
 #[test]
 fn placement_solo_regret_law_holds() {
-    run_law(
-        placement_law_by_name("placement-solo-regret")
-            .unwrap()
-            .as_ref(),
-    );
+    run_law("placement-solo-regret");
 }
 
 #[test]
 fn placement_empty_machine_law_holds() {
-    run_law(
-        placement_law_by_name("placement-empty-machine")
-            .unwrap()
-            .as_ref(),
-    );
+    run_law("placement-empty-machine");
 }
 
 /// Wide sweep of every placement law (50 seeds each) — too slow for the
@@ -68,17 +47,10 @@ fn placement_empty_machine_law_holds() {
 #[ignore = "wide sweep; run explicitly or in CI"]
 fn placement_laws_hold_over_a_wide_seed_sweep() {
     for law in placement_laws() {
-        for i in 0..50u64 {
-            let seed = PLACEMENT_LAW_SEED + 1000 + i;
-            let case = law.case_for_seed(seed);
-            if let Err(detail) = law.check_case(&case) {
-                panic!(
-                    "placement law `{}` violated at sweep seed {seed}:\n{}\n{detail}",
-                    law.name(),
-                    case.describe()
-                );
-            }
-        }
+        check(
+            law.as_ref(),
+            PLACEMENT_LAW_SEED + 1000..PLACEMENT_LAW_SEED + 1050,
+        );
     }
 }
 
@@ -96,37 +68,14 @@ fn every_placement_law_is_covered_by_a_named_test_above() {
 }
 
 #[test]
-fn checked_in_placement_seed_corpus_matches_disk_and_replays_clean() {
-    let dir = placement_corpus_dir(&default_corpus_dir());
-    // The seed set on disk must match the generator exactly...
-    for (name, case) in placement_seed_corpus() {
-        let on_disk = placement_laws::load_placement_case(&dir.join(&name))
-            .unwrap_or_else(|e| panic!("missing placement seed case {name}: {e}"));
-        assert_eq!(on_disk, case, "{name} drifted from placement_seed_corpus()");
-    }
-    // ...and the whole directory (seeds + any persisted counterexamples)
-    // must replay clean through the tagged laws.
-    let report = verify_placement_dir(&dir).unwrap();
-    assert!(
-        report.law_checks >= placement_seed_corpus().len(),
-        "placement corpus unexpectedly small: {}",
-        report.law_checks
-    );
-    assert!(
-        report.is_clean(),
-        "placement corpus replay failed:\n{}",
-        report.failures.join("\n")
-    );
-}
-
-#[test]
 fn shrinker_reaches_a_minimal_failing_case() {
     // Shrink with a predicate that keeps "jobs >= 4 on a non-e5649
     // machine" failing — the shrinker must drive everything else to its
     // floor without escaping the predicate.
-    let law = placement_law_by_name("placement-permutation").unwrap();
-    let case = law.case_for_seed(PLACEMENT_LAW_SEED + 1);
-    let shrunk = shrink_placement(&case, |c| c.jobs >= 4);
+    let laws = placement_laws();
+    let law = law_by_name(&laws, "placement-permutation").unwrap();
+    let case = law.case_for_seed(PLACEMENT_LAW_SEED + 1).unwrap();
+    let shrunk = shrink(&case, |c| c.jobs >= 4);
     assert_eq!(shrunk.jobs, 4);
     assert_eq!(shrunk.sockets, 1);
     assert_eq!(shrunk.machine, "e5649");
@@ -135,38 +84,4 @@ fn shrinker_reaches_a_minimal_failing_case() {
         coloc_placement::ClassMix::uniform().weights,
         "mix simplifies to uniform"
     );
-}
-
-#[test]
-fn verify_placement_dir_flags_untagged_and_broken_cases() {
-    let dir = std::env::temp_dir().join(format!(
-        "coloc-placement-corpus-{}-{}",
-        std::process::id(),
-        0x51u32
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    // An untagged case is a failure: replay would silently skip it.
-    let mut case = placement_law_by_name("placement-solo-regret")
-        .unwrap()
-        .case_for_seed(3);
-    case.law = None;
-    placement_laws::save_placement_case(&dir.join("untagged.json"), &case).unwrap();
-    let report = verify_placement_dir(&dir).unwrap();
-    assert_eq!(report.law_checks, 1);
-    assert!(!report.is_clean());
-
-    // An unknown law tag is a failure too — a typo must not silently
-    // turn a counterexample into a no-op.
-    let mut unknown = placement_law_by_name("placement-solo-regret")
-        .unwrap()
-        .case_for_seed(4);
-    unknown.law = Some("placement-unknown-law".into());
-    placement_laws::save_placement_case(&dir.join("unknown.json"), &unknown).unwrap();
-    let report = verify_placement_dir(&dir).unwrap();
-    assert_eq!(report.law_checks, 2);
-    assert_eq!(report.failures.len(), 2);
-
-    let _ = std::fs::remove_dir_all(&dir);
-    // Missing directory = empty corpus.
-    assert!(verify_placement_dir(&dir).unwrap().is_clean());
 }

@@ -45,7 +45,7 @@ use crate::faults::FaultPlan;
 use crate::ir;
 use crate::Result;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Counter snapshot for telemetry.
@@ -61,15 +61,17 @@ pub struct CacheStats {
     pub len: usize,
 }
 
-/// One independently locked cache segment: a key→outcome map plus an
-/// LRU index, and the shard's share of the cache's counters. Recency is a
-/// per-shard logical clock: every touch stamps the entry, and eviction
-/// removes the minimum stamp. `BTreeMap` keeps both touch and evict at
-/// `O(log n)` for the small per-shard n.
+/// One independently locked cache segment: a key→outcome map whose
+/// entries carry their recency stamp, and the shard's share of the
+/// cache's counters. Recency is a per-shard logical clock: every touch
+/// stamps the entry, and eviction scans the shard for the minimum stamp.
+/// Stamps are unique per shard, so the victim is exactly the
+/// least-recently-used entry. The scan is `O(n)` in the shard's entries
+/// (at most 512 at the default capacity) and runs only at the bound; a
+/// hit writes one stamp and no index.
 struct Shard {
+    /// key → (outcome, recency stamp).
     map: HashMap<u128, (Arc<RunOutcome>, u64)>,
-    /// stamp → key, the eviction order. Stamps are unique per shard.
-    lru: BTreeMap<u64, u128>,
     /// Next recency stamp.
     clock: u64,
     /// Lookups in this shard answered from it.
@@ -84,7 +86,6 @@ impl Shard {
     fn new() -> Shard {
         Shard {
             map: HashMap::new(),
-            lru: BTreeMap::new(),
             clock: 0,
             hits: 0,
             misses: 0,
@@ -96,11 +97,8 @@ impl Shard {
     /// is resident.
     fn get(&mut self, key: u128) -> Option<Arc<RunOutcome>> {
         let clock = &mut self.clock;
-        let lru = &mut self.lru;
         let hit = self.map.get_mut(&key).map(|(outcome, stamp)| {
-            lru.remove(stamp);
             *stamp = *clock;
-            lru.insert(*clock, key);
             *clock += 1;
             Arc::clone(outcome)
         });
@@ -115,14 +113,17 @@ impl Shard {
     fn insert_bounded(&mut self, key: u128, outcome: Arc<RunOutcome>, capacity: usize) {
         if let Entry::Vacant(slot) = self.map.entry(key) {
             slot.insert((outcome, self.clock));
-            self.lru.insert(self.clock, key);
             self.clock += 1;
         }
         while self.map.len() > capacity {
-            let Some((&stamp, &victim)) = self.lru.iter().next() else {
+            let Some(victim) = self
+                .map
+                .iter()
+                .min_by_key(|(_, (_, stamp))| *stamp)
+                .map(|(&victim, _)| victim)
+            else {
                 break;
             };
-            self.lru.remove(&stamp);
             self.map.remove(&victim);
             self.evictions += 1;
         }
@@ -266,9 +267,7 @@ impl RunCache {
     /// Drop all entries; counters keep accumulating.
     pub fn clear(&self) {
         for shard in &self.shards {
-            let mut s = shard.lock().expect("run cache poisoned");
-            s.map.clear();
-            s.lru.clear();
+            shard.lock().expect("run cache poisoned").map.clear();
         }
     }
 
@@ -351,21 +350,8 @@ mod tests {
         let direct = m.run(&wl(800_000), &opts).unwrap();
         let miss = run(&cache, &m, 800_000, &opts);
         let hit = run(&cache, &m, 800_000, &opts);
-        for out in [&miss, &hit] {
-            assert_eq!(out.wall_time_s.to_bits(), direct.wall_time_s.to_bits());
-            assert_eq!(out.segments, direct.segments);
-            assert_eq!(out.fp_iterations, direct.fp_iterations);
-            assert_eq!(
-                out.avg_mem_latency_ns.to_bits(),
-                direct.avg_mem_latency_ns.to_bits()
-            );
-            for (a, b) in out.counters.iter().zip(&direct.counters) {
-                assert_eq!(a.instructions.to_bits(), b.instructions.to_bits());
-                assert_eq!(a.cycles.to_bits(), b.cycles.to_bits());
-                assert_eq!(a.llc_misses.to_bits(), b.llc_misses.to_bits());
-                assert_eq!(a.completed_runs, b.completed_runs);
-            }
-        }
+        assert_eq!(miss.digest(), direct.digest());
+        assert_eq!(hit.digest(), direct.digest());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.len), (1, 1, 1));
     }

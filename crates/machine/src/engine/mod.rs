@@ -260,6 +260,67 @@ pub struct RunOutcome {
     pub faults: Vec<FaultEvent>,
 }
 
+impl RunOutcome {
+    /// Digest of every field, floats by bit pattern: two outcomes are
+    /// bit-identical exactly when their digests are equal (up to FNV
+    /// collisions). The destructuring is exhaustive, so a new field fails
+    /// to compile here until it is digested too. The bytes are pinned by
+    /// `tests/fixtures/outcome_digests.txt`.
+    pub fn digest(&self) -> u128 {
+        let RunOutcome {
+            wall_time_s,
+            counters,
+            segments,
+            fp_iterations,
+            avg_llc_share_bytes,
+            avg_mem_latency_ns,
+            convergence,
+            faults,
+        } = self;
+        let mut w = IrWriter::new();
+        w.f64(*wall_time_s);
+        w.usize(counters.len());
+        for c in counters {
+            let CounterBlock {
+                instructions,
+                cycles,
+                llc_accesses,
+                llc_misses,
+                completed_runs,
+            } = c;
+            w.f64(*instructions);
+            w.f64(*cycles);
+            w.f64(*llc_accesses);
+            w.f64(*llc_misses);
+            w.u64(u64::from(*completed_runs));
+        }
+        w.usize(*segments);
+        w.u64(*fp_iterations);
+        w.usize(avg_llc_share_bytes.len());
+        for &share in avg_llc_share_bytes {
+            w.f64(share);
+        }
+        w.f64(*avg_mem_latency_ns);
+        match convergence {
+            Convergence::Converged => w.byte(0),
+            Convergence::Degraded {
+                fp_iterations,
+                residual,
+            } => {
+                w.byte(1);
+                w.u64(*fp_iterations);
+                w.f64(*residual);
+            }
+        }
+        w.usize(faults.len());
+        for FaultEvent { kind, group } in faults {
+            w.str(kind.label());
+            w.usize(*group);
+        }
+        w.finish()
+    }
+}
+
 /// The simulator: a machine spec plus its memory system.
 ///
 /// The miss-rate curve of each locality table is memoized in the table
@@ -1157,13 +1218,7 @@ mod tests {
         let out = m
             .run_observed(&wl, None, &opts, Some(&mut profile), None)
             .unwrap();
-        assert_eq!(out.wall_time_s.to_bits(), plain.wall_time_s.to_bits());
-        assert_eq!(out.segments, plain.segments);
-        assert_eq!(out.fp_iterations, plain.fp_iterations);
-        for (a, b) in out.counters.iter().zip(&plain.counters) {
-            assert_eq!(a.cycles.to_bits(), b.cycles.to_bits());
-            assert_eq!(a.llc_misses.to_bits(), b.llc_misses.to_bits());
-        }
+        assert_eq!(out.digest(), plain.digest());
         // Per-segment stages run once per segment. Every solve here
         // converges, so nothing is skipped: solver stages run once per
         // fixed-point iteration.

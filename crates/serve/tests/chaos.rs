@@ -339,6 +339,39 @@ fn a_line_just_under_the_bound_is_answered_within_its_deadline() {
     handle.join();
 }
 
+/// Lines nested 10,000 levels deep are `bad_request`s, and the same
+/// connection then answers a ping: the parser refuses nesting past 128
+/// levels instead of recursing off the reader thread's stack, which
+/// would abort the whole process.
+#[test]
+fn deeply_nested_lines_are_bad_requests_not_a_crash() {
+    use std::io::BufRead;
+    let _guard = serial();
+    signals::reset();
+    let handle = Server::spawn(chaos_config()).unwrap();
+    let mut conn = TcpStream::connect(handle.local_addr().unwrap()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = std::io::BufReader::new(conn.try_clone().unwrap());
+    let mut ask = |line: &str| {
+        writeln!(conn, "{line}").unwrap();
+        conn.flush().unwrap();
+        let mut answer = String::new();
+        reader.read_line(&mut answer).unwrap();
+        answer
+    };
+    for deep in ["[".repeat(10_000), r#"{"a":"#.repeat(10_000)] {
+        let answer = ask(&deep);
+        assert!(answer.contains(r#""err":"bad_request""#), "{answer}");
+        assert!(answer.contains("nesting deeper than 128"), "{answer}");
+        let pong = ask(r#"{"op":"ping"}"#);
+        assert!(pong.contains("pong"), "{pong}");
+    }
+    assert_eq!(handle.stats().bad_requests, 2);
+    handle.shutdown();
+    handle.join();
+}
+
 /// Co-runner counts whose sum overflows the core count get a typed
 /// error in both modes, and the dispatcher keeps answering: a wrapped
 /// count must reach neither the engine's stages (a panic there is

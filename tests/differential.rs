@@ -1,13 +1,13 @@
 //! The differential conformance suite: ≥ 400 seeded scenarios through
-//! the optimized stack and the naive reference engine, plus corpus
-//! replay. Roughly half the co-located cases carry an event schedule
-//! (staggered starts, mid-run arrival/departure, per-core clocks), so
-//! the era-compacted driver is differentially checked against the naive
-//! per-segment replay. A failure is shrunk and persisted under
+//! the optimized stack and the naive reference engine, plus the replay
+//! of the checked-in engine and placement corpus. Roughly half the
+//! co-located cases carry an event schedule (staggered starts, mid-run
+//! arrival/departure, per-core clocks), so the era-compacted driver is
+//! differentially checked against the naive per-segment replay. A failure is shrunk and persisted under
 //! `corpus/` before the test panics, so the regression is replayed by
 //! every future run (and uploaded as a CI artifact).
 
-use coloc_conformance::{corpus, differential_sweep, seed_corpus, verify_dir};
+use coloc_conformance::{corpus, differential_sweep, verify_dir, Case};
 
 /// Base seed of the generated sweep. Changing it trades one slice of
 /// scenario space for another; the corpus keeps old discoveries alive.
@@ -16,7 +16,7 @@ const SWEEP_CASES: usize = 400;
 
 #[test]
 fn optimized_engine_matches_reference_on_generated_scenarios() {
-    match differential_sweep(SWEEP_SEED, SWEEP_CASES) {
+    match differential_sweep(SWEEP_SEED, SWEEP_CASES, 1) {
         Ok(summary) => {
             assert_eq!(summary.cases, SWEEP_CASES);
             // The sweep must actually exercise the interesting axes, not
@@ -47,9 +47,8 @@ fn optimized_engine_matches_reference_on_generated_scenarios() {
 
 #[test]
 fn capped_solves_skip_their_cycles_bit_for_bit() {
-    use coloc_conformance::diff::outcomes_bit_identical;
     use coloc_conformance::{gen_case, GenConstraints, RefEngine};
-    use coloc_machine::{Machine, SegmentTrace, StageId, StageProfile};
+    use coloc_machine::{SegmentTrace, StageId, StageProfile};
 
     // The engine skips whole periods of a segment solve that repeats its
     // state exactly; the reference runs every iteration. Over the sweep's
@@ -61,17 +60,17 @@ fn capped_solves_skip_their_cycles_bit_for_bit() {
             SWEEP_SEED.wrapping_add(i as u64),
             &GenConstraints::default(),
         );
-        let built = case.build().expect("generated cases build");
-        let machine = Machine::new(built.spec.clone()).expect("generated spec validates");
+        let ir = case.to_ir().expect("generated cases lower");
+        let machine = ir.machine().expect("generated spec validates");
         let mut profile = StageProfile::new();
-        let mut trace = SegmentTrace::new(built.opts.max_segments);
-        let schedules = built.schedules.as_deref();
+        let mut trace = SegmentTrace::new(ir.opts.max_segments);
+        let schedules = ir.schedules.as_deref();
         // Rejected workloads are the differential sweep's concern.
         let engine = machine
             .run_observed(
-                &built.workload,
+                &ir.workload,
                 schedules,
-                &built.opts,
+                &ir.opts,
                 Some(&mut profile),
                 Some(&mut trace),
             )
@@ -80,11 +79,11 @@ fn capped_solves_skip_their_cycles_bit_for_bit() {
         if !trace.records().any(|r| r.residual > 0.0) {
             return None;
         }
-        let reference = RefEngine::new(built.spec.clone())
-            .and_then(|r| r.run_scheduled(&built.workload, schedules, &built.opts))
+        let reference = RefEngine::new(ir.machine.clone())
+            .and_then(|r| r.run_scheduled(&ir.workload, schedules, &ir.opts))
             .unwrap_or_else(|e| panic!("{}: reference rejected it: {e}", case.describe()));
         assert!(
-            outcomes_bit_identical(&engine, &reference),
+            engine.digest() == reference.digest(),
             "{}: capped run diverged from the reference",
             case.describe()
         );
@@ -109,9 +108,7 @@ fn capped_solves_skip_their_cycles_bit_for_bit() {
 
 #[test]
 fn event_execution_is_bit_identical_across_thread_counts() {
-    use coloc_conformance::diff::outcomes_bit_identical;
     use coloc_conformance::{gen_case, CoGroup, GenConstraints};
-    use coloc_machine::Machine;
 
     // A batch of generated cases, keeping only those carrying an event
     // schedule — the scheduler's determinism claim is that the worker
@@ -124,16 +121,10 @@ fn event_execution_is_bit_identical_across_thread_counts() {
 
     let run_all = |threads: usize| {
         coloc_ml::parallel::run_indexed(cases.len(), threads, |i| {
-            let built = cases[i].build().expect("case builds");
-            let machine = Machine::new(built.spec.clone()).unwrap();
-            machine
-                .run_observed(
-                    &built.workload,
-                    built.schedules.as_deref(),
-                    &built.opts,
-                    None,
-                    None,
-                )
+            let ir = cases[i].to_ir().expect("case lowers");
+            ir.machine()
+                .unwrap()
+                .run_observed(&ir.workload, ir.schedules.as_deref(), &ir.opts, None, None)
                 .expect("event case runs")
         })
     };
@@ -142,7 +133,7 @@ fn event_execution_is_bit_identical_across_thread_counts() {
         let parallel = run_all(threads);
         for (i, (a, b)) in sequential.iter().zip(&parallel).enumerate() {
             assert!(
-                outcomes_bit_identical(a, b),
+                a.digest() == b.digest(),
                 "case {i} diverged at {threads} threads: {}",
                 cases[i].describe()
             );
@@ -211,31 +202,16 @@ fn mix_encoding_matches_legacy_featurize_across_the_sweep() {
 
 #[test]
 fn checked_in_corpus_replays_clean() {
-    let report = verify_dir(&corpus::default_corpus_dir()).expect("corpus readable");
+    // The 22 engine and 6 placement seed files, plus any counterexample
+    // persisted beside them; `corpus/README.md` lists the seeds.
+    let report = verify_dir(&corpus::default_corpus_dir(), 0).expect("corpus readable");
     assert!(
-        report.total() >= seed_corpus().len(),
-        "corpus on disk ({}) is smaller than the seed set ({}) — run \
-         COLOC_REGEN_CORPUS=1 cargo test --test differential seed_corpus",
-        report.total(),
-        seed_corpus().len()
+        report.differential + report.law_checks >= 22 && report.placement >= 6,
+        "corpus on disk is smaller than its seed set: {report:?}"
     );
     assert!(
         report.is_clean(),
         "corpus replay failures:\n{}",
         report.failures.join("\n")
     );
-}
-
-/// Regenerates the checked-in seed corpus when `COLOC_REGEN_CORPUS=1`.
-/// A no-op otherwise, so normal runs never write to the source tree.
-#[test]
-fn seed_corpus_files_regenerate_on_request() {
-    if std::env::var("COLOC_REGEN_CORPUS").is_err() {
-        return;
-    }
-    let dir = corpus::default_corpus_dir();
-    for case in seed_corpus() {
-        let path = dir.join(format!("{}.json", case.name));
-        corpus::save_case(&path, &case).expect("write seed case");
-    }
 }

@@ -24,17 +24,18 @@
 //! A second fixture, `outcome_digests.txt`, pins what the engine
 //! *answers* for the same scenarios (plus two with large co-runner
 //! groups and two whose segment solves stop at the iteration cap): one
-//! digest of every [`RunOutcome`] field by bit pattern per line. The
-//! differential suite compares engines to a 1e-9 tolerance and the
-//! golden fixtures round their figures, so an engine change that moves
-//! the last bits of an outcome passes them; it fails here. The outcome
+//! [`coloc_machine::RunOutcome::digest`] (every field by bit pattern)
+//! per line. The differential suite compares engines to a 1e-9
+//! tolerance and the golden fixtures round their figures, so an engine
+//! change that moves the last bits of an outcome passes them; it fails
+//! here. The outcome
 //! fixture is regenerated the same way, and only for an intentional
 //! change to the engine's arithmetic.
 
 use coloc_cachesim::StackDistanceDist;
 use coloc_machine::{
-    presets, AppPhase, AppProfile, Convergence, CounterBlock, FaultEvent, FaultPlan, GroupSchedule,
-    IrWriter, RunCache, RunOptions, RunOutcome, RunnerGroup, ScenarioIr, SegmentTrace,
+    presets, AppPhase, AppProfile, FaultPlan, GroupSchedule, RunCache, RunOptions, RunnerGroup,
+    ScenarioIr, SegmentTrace,
 };
 use coloc_model::{CoVector, MixFeatures};
 use std::path::PathBuf;
@@ -406,63 +407,6 @@ fn outcome_scenarios() -> Vec<(&'static str, ScenarioIr)> {
     scenarios
 }
 
-/// Digest of every [`RunOutcome`] field, floats by bit pattern. The
-/// destructuring is exhaustive, so a new outcome field fails to compile
-/// here until it is pinned too.
-fn outcome_digest(outcome: &RunOutcome) -> u128 {
-    let RunOutcome {
-        wall_time_s,
-        counters,
-        segments,
-        fp_iterations,
-        avg_llc_share_bytes,
-        avg_mem_latency_ns,
-        convergence,
-        faults,
-    } = outcome;
-    let mut w = IrWriter::new();
-    w.f64(*wall_time_s);
-    w.usize(counters.len());
-    for c in counters {
-        let CounterBlock {
-            instructions,
-            cycles,
-            llc_accesses,
-            llc_misses,
-            completed_runs,
-        } = c;
-        w.f64(*instructions);
-        w.f64(*cycles);
-        w.f64(*llc_accesses);
-        w.f64(*llc_misses);
-        w.u64(u64::from(*completed_runs));
-    }
-    w.usize(*segments);
-    w.u64(*fp_iterations);
-    w.usize(avg_llc_share_bytes.len());
-    for &share in avg_llc_share_bytes {
-        w.f64(share);
-    }
-    w.f64(*avg_mem_latency_ns);
-    match convergence {
-        Convergence::Converged => w.byte(0),
-        Convergence::Degraded {
-            fp_iterations,
-            residual,
-        } => {
-            w.byte(1);
-            w.u64(*fp_iterations);
-            w.f64(*residual);
-        }
-    }
-    w.usize(faults.len());
-    for FaultEvent { kind, group } in faults {
-        w.str(kind.label());
-        w.usize(*group);
-    }
-    w.finish()
-}
-
 #[test]
 fn run_outcomes_match_the_checked_in_fixture() {
     let mut rendered = String::new();
@@ -476,7 +420,7 @@ fn run_outcomes_match_the_checked_in_fixture() {
         }
         rendered.push_str(&format!(
             "{name} = {:#034x} segments={} fp_iterations={}\n",
-            outcome_digest(&outcome),
+            outcome.digest(),
             outcome.segments,
             outcome.fp_iterations
         ));
@@ -562,7 +506,7 @@ fn rewritten_scalars_never_reuse_a_stale_curve() {
         );
         let machine = ir.machine().expect("preset validates");
         let outcome = machine.run(&ir.workload, &ir.opts).expect("suite mix runs");
-        (outcome_digest(&outcome), ir.digest())
+        (outcome.digest(), ir.digest())
     };
     // A suite table that has run: its block holds its curve.
     let suite = suite_app("canneal");

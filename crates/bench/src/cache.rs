@@ -37,9 +37,7 @@ pub fn store<T: serde::Serialize>(key: &str, value: &T) {
     if std::fs::create_dir_all(&dir).is_err() {
         return;
     }
-    if let Ok(bytes) = serde_json::to_vec_pretty(value) {
-        let _ = std::fs::write(path_for(key), bytes);
-    }
+    let _ = coloc_model::persist::save_json(value, path_for(key));
 }
 
 /// Collect `scenarios` through a checkpoint at `path`. A checkpoint of

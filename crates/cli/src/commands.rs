@@ -502,7 +502,7 @@ pub fn matrix(argv: &[String]) -> CmdResult {
         }
     );
     if let Some(out) = args.get("out") {
-        persist::save_json_atomic(&m, out).map_err(|e| e.to_string())?;
+        persist::save_json(&m, out).map_err(|e| e.to_string())?;
         println!("wrote matrix artifact to {out}");
     }
     if !m.summary.identical_pairs_symmetric {

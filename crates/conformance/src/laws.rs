@@ -32,11 +32,11 @@
 //! 9. **Identical-pair symmetry** (the cross-interference matrix
 //!    diagonal): an app co-located with one instance of itself is a
 //!    relabeling, so the two groups' per-run counters mirror bitwise.
-//! 10. **Mixed-pair order invariance**: the heterogeneous per-co-runner
-//!     encoding ([`coloc_model::MixFeatures`]) lowers by summing over a
-//!     set; listing a mixed pair in either order yields bit-identical
-//!     lowered features — which are themselves bit-identical to the
-//!     legacy featurize path — and physics within tolerance.
+//! 10. **Mixed-pair order invariance**: [`coloc_model::Lab::featurize`]
+//!     sums the co-runners' solo values in listing order, and a mixed
+//!     pair's sums have two terms, which IEEE addition adds alike in
+//!     either order. So listing the pair either way yields bit-identical
+//!     features, and physics within tolerance.
 //!
 //! Scenario-based laws derive their case from the seed via the shared
 //! generator, so a violation is addressable (and shrinkable) as a
@@ -912,8 +912,8 @@ impl Law for MixedPairOrderInvariance {
     }
 
     fn provenance(&self) -> &'static str {
-        "per-co-runner feature vectors lower by summing over a *set*: listing order \
-         changes neither the lowered features (two-term IEEE sums commute) nor the physics"
+        "the co-runner features are sums over a *set*: listing a pair in either order \
+         changes neither the features (two-term IEEE sums commute) nor the physics"
     }
 
     fn cases_per_run(&self) -> usize {
@@ -932,8 +932,7 @@ impl Law for MixedPairOrderInvariance {
             },
         );
         // Two distinct single-instance co-runners, picked deterministically
-        // and distinct from each other (the target may repeat — that is
-        // exactly the heterogeneous mix the encoding must keep straight).
+        // and distinct from each other (the target may repeat one of them).
         let mut rng = StdRng::seed_from_u64(seed ^ 0x313_7ED);
         let apps = suite::standard();
         let a = apps[rng.gen_range(0..apps.len())].name;
@@ -961,33 +960,13 @@ impl Law for MixedPairOrderInvariance {
         let mut backward = forward.clone();
         backward.co_located.reverse();
 
-        // The heterogeneous encodings list the pair in opposite orders…
-        let fwd_mix = lab.mix_featurize(&forward).map_err(|e| e.to_string())?;
-        let bwd_mix = lab.mix_featurize(&backward).map_err(|e| e.to_string())?;
-        if fwd_mix.co.len() != 2 || bwd_mix.co.len() != 2 {
-            return Err(format!(
-                "expected 2 co vectors, got {} / {}",
-                fwd_mix.co.len(),
-                bwd_mix.co.len()
-            ));
-        }
-        // …but lower to bit-identical legacy features (summing two terms
-        // in either order is exact in IEEE arithmetic), and the lowering
-        // *is* the legacy featurize path.
-        let (f, b) = (fwd_mix.lower(), bwd_mix.lower());
+        // The feature row sums the pair in listing order, from 0.0: two
+        // terms, which IEEE addition adds alike in either order.
+        let f = lab.featurize(&forward).map_err(|e| e.to_string())?;
+        let b = lab.featurize(&backward).map_err(|e| e.to_string())?;
         for (k, (x, y)) in f.iter().zip(&b).enumerate() {
             if x.to_bits() != y.to_bits() {
-                return Err(format!(
-                    "lowered feature {k} moved under pair swap ({x} vs {y})"
-                ));
-            }
-        }
-        let legacy = lab.featurize(&forward).map_err(|e| e.to_string())?;
-        for (k, (x, y)) in f.iter().zip(&legacy).enumerate() {
-            if x.to_bits() != y.to_bits() {
-                return Err(format!(
-                    "mix lowering diverged from featurize at feature {k} ({x} vs {y})"
-                ));
+                return Err(format!("feature {k} moved under pair swap ({x} vs {y})"));
             }
         }
 

@@ -24,7 +24,7 @@
 //!   degeneracy of all-default schedules, departure-past-the-end no-op),
 //!   and two feature-pipeline laws (identical-pair counter symmetry on
 //!   the cross-interference matrix diagonal, mixed-pair order
-//!   invariance of the heterogeneous co-runner encoding).
+//!   invariance of the feature row).
 //! * [`case`] — a seeded scenario generator over [`CorpusCase`], which
 //!   lowers to the engine's `ScenarioIr`.
 //! * [`mod@placement_laws`] — three laws one layer up, for the

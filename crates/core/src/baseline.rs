@@ -5,6 +5,7 @@
 //! performance-counter information exactly **once** — one solo run per
 //! P-state for execution time, one counter sample for the cache ratios.
 
+use crate::{ColocError, Result};
 use std::collections::BTreeMap;
 
 /// Baseline record for one application.
@@ -49,6 +50,27 @@ impl BaselineDb {
     /// Look up an application.
     pub fn get(&self, name: &str) -> Option<&AppBaseline> {
         self.apps.get(name)
+    }
+
+    /// An application's solo time at a P-state: the feature row's
+    /// `baseExTime`. [`ColocError::UnknownApp`] if it was not profiled, a
+    /// machine error if not at that P-state.
+    pub(crate) fn time_at(&self, app: &str, pstate: usize) -> Result<f64> {
+        self.row(app)?
+            .time_at(pstate)
+            .ok_or_else(|| ColocError::Machine(format!("no baseline at P-state {pstate}")))
+    }
+
+    /// An application's solo memory intensity, CM/CA and CA/INS, the
+    /// values the feature row reads from each app.
+    pub(crate) fn ratios(&self, app: &str) -> Result<[f64; 3]> {
+        let b = self.row(app)?;
+        Ok([b.memory_intensity, b.cm_ca, b.ca_ins])
+    }
+
+    fn row(&self, app: &str) -> Result<&AppBaseline> {
+        self.get(app)
+            .ok_or_else(|| ColocError::UnknownApp(app.to_string()))
     }
 
     /// Number of applications recorded.

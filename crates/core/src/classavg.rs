@@ -12,7 +12,7 @@
 //! used — a resource manager always knows how long a job ran alone).
 
 use crate::baseline::BaselineDb;
-use crate::features::Feature;
+use crate::features::feature_row;
 use crate::lab::Lab;
 use crate::scenario::Scenario;
 use crate::{ColocError, Result};
@@ -90,43 +90,35 @@ impl ClassAverager {
         self.class_of.get(app).copied()
     }
 
-    fn avg_for_app(&self, app: &str) -> Result<ClassAverages> {
+    /// An app's class averages in [`feature_row`]'s ratio order.
+    fn class_ratios(&self, app: &str) -> Result<[f64; 3]> {
         let class = self
             .class_of(app)
             .ok_or_else(|| ColocError::UnknownApp(app.to_string()))?;
-        self.averages(class)
-            .ok_or_else(|| ColocError::InsufficientData(format!("no measured apps in {class}")))
+        let a = self
+            .averages(class)
+            .ok_or_else(|| ColocError::InsufficientData(format!("no measured apps in {class}")))?;
+        Ok([a.memory_intensity, a.cm_ca, a.ca_ins])
     }
 
     /// Featurize a scenario with class-average cache behaviour: the
-    /// target's baseline time (and P-state) stay exact; every intensity and
-    /// cache-ratio feature is replaced by its class average.
+    /// target's baseline time (and P-state) stay exact, read from `lab`'s
+    /// baselines; every intensity and cache-ratio feature is its class
+    /// average. The row is `features::feature_row`'s, as for [`Lab::featurize`].
     pub fn featurize(&self, lab: &Lab, scenario: &Scenario) -> Result<[f64; 8]> {
-        let mut f = lab.featurize(scenario)?;
-        let t_avg = self.avg_for_app(&scenario.target)?;
-        f[Feature::TargetMem.index()] = t_avg.memory_intensity;
-        f[Feature::TargetCmCa.index()] = t_avg.cm_ca;
-        f[Feature::TargetCaIns.index()] = t_avg.ca_ins;
-
-        let mut co_mem = 0.0;
-        let mut co_cm_ca = 0.0;
-        let mut co_ca_ins = 0.0;
-        for (name, count) in scenario.co_groups() {
-            let avg = self.avg_for_app(name)?;
-            co_mem += count as f64 * avg.memory_intensity;
-            co_cm_ca += count as f64 * avg.cm_ca;
-            co_ca_ins += count as f64 * avg.ca_ins;
-        }
-        f[Feature::CoAppMem.index()] = co_mem;
-        f[Feature::CoAppCmCa.index()] = co_cm_ca;
-        f[Feature::CoAppCaIns.index()] = co_ca_ins;
-        Ok(f)
+        let db = lab.baselines();
+        feature_row(
+            scenario,
+            |app, p| db.time_at(app, p),
+            |app| self.class_ratios(app),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::Feature;
     use coloc_machine::presets;
 
     fn lab() -> Lab {

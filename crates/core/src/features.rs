@@ -1,5 +1,8 @@
-//! The eight model features (paper Table I) and the six nested feature
-//! sets A–F (paper Table II).
+//! The eight model features (paper Table I), the one function that builds
+//! them, and the six nested feature sets A–F (paper Table II).
+
+use crate::scenario::Scenario;
+use crate::{ColocError, Result};
 
 /// One of the eight features the models may consume. All are computable
 /// from *baseline* (solo) measurements plus the shape of the co-location —
@@ -80,6 +83,61 @@ impl std::fmt::Display for Feature {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.paper_name())
     }
+}
+
+/// Build the paper's eight-feature row (Table I) for `scenario` from solo
+/// values alone. `base_time_s(target, pstate)` looks up the target's solo
+/// time at the scenario's P-state; `ratios(app)` looks up an app's solo
+/// memory intensity, CM/CA and CA/INS, in that order.
+///
+/// This is the one definition of the row: [`crate::Lab::featurize`] calls
+/// it with the lab's baselines, [`crate::classavg::ClassAverager`] with
+/// class averages. The three co-runner sums accumulate in
+/// [`Scenario::co_groups`] order, one `count as f64 * value` step per group
+/// from `0.0`, so a row's bits depend on the listing order only through
+/// those additions.
+///
+/// Errors, in this order: a core count (target plus co-runners) that
+/// overflows `usize` is [`ColocError::InvalidSpec`], never a wrapped sum;
+/// then `base_time_s`'s error for the target, `ratios`' for the target,
+/// and `ratios`' for each co-runner in listing order.
+pub(crate) fn feature_row(
+    scenario: &Scenario,
+    base_time_s: impl FnOnce(&str, usize) -> Result<f64>,
+    mut ratios: impl FnMut(&str) -> Result<[f64; 3]>,
+) -> Result<[f64; 8]> {
+    if scenario
+        .co_located
+        .iter()
+        .try_fold(1usize, |n, &(_, c)| n.checked_add(c))
+        .is_none()
+    {
+        return Err(ColocError::InvalidSpec(format!(
+            "{}: co-runner counts overflow the core count",
+            scenario.target
+        )));
+    }
+    let base_time_s = base_time_s(&scenario.target, scenario.pstate)?;
+    let [target_mem, target_cm_ca, target_ca_ins] = ratios(&scenario.target)?;
+    let mut co_mem = 0.0;
+    let mut co_cm_ca = 0.0;
+    let mut co_ca_ins = 0.0;
+    for (name, count) in scenario.co_groups() {
+        let [mem, cm_ca, ca_ins] = ratios(name)?;
+        co_mem += count as f64 * mem;
+        co_cm_ca += count as f64 * cm_ca;
+        co_ca_ins += count as f64 * ca_ins;
+    }
+    let mut row = [0.0; 8];
+    row[Feature::BaseExTime.index()] = base_time_s;
+    row[Feature::NumCoApp.index()] = scenario.num_co_located() as f64;
+    row[Feature::CoAppMem.index()] = co_mem;
+    row[Feature::TargetMem.index()] = target_mem;
+    row[Feature::CoAppCmCa.index()] = co_cm_ca;
+    row[Feature::CoAppCaIns.index()] = co_ca_ins;
+    row[Feature::TargetCmCa.index()] = target_cm_ca;
+    row[Feature::TargetCaIns.index()] = target_ca_ins;
+    Ok(row)
 }
 
 /// The six nested feature sets (paper Table II). Each set adds information
@@ -176,6 +234,149 @@ impl std::fmt::Display for FeatureSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline::{AppBaseline, BaselineDb};
+
+    fn db() -> BaselineDb {
+        let mut db = BaselineDb::new();
+        for (name, t, mem, cm, ca) in [
+            ("t", 100.0, 1e-3, 0.1, 0.02),
+            ("a", 90.0, 1.8e-2, 0.5, 0.036),
+            ("b", 80.0, 1.1e-5, 0.02, 0.004),
+        ] {
+            db.insert(AppBaseline {
+                name: name.into(),
+                exec_time_s: vec![t, t * 1.2],
+                memory_intensity: mem,
+                cm_ca: cm,
+                ca_ins: ca,
+            });
+        }
+        db
+    }
+
+    fn row(db: &BaselineDb, sc: &Scenario) -> Result<[f64; 8]> {
+        feature_row(sc, |app, p| db.time_at(app, p), |app| db.ratios(app))
+    }
+
+    fn legacy_sums(db: &BaselineDb, sc: &Scenario) -> [f64; 8] {
+        // Independent re-implementation of the historical inline sums
+        // (IEEE multiplication commutes, so the operand order is free).
+        let target = db.get(&sc.target).unwrap();
+        let mut co_mem = 0.0;
+        let mut co_cm_ca = 0.0;
+        let mut co_ca_ins = 0.0;
+        for (name, count) in sc.co_groups() {
+            let b = db.get(name).unwrap();
+            let n = count as f64;
+            co_mem += b.memory_intensity * n;
+            co_cm_ca += b.cm_ca * n;
+            co_ca_ins += b.ca_ins * n;
+        }
+        let mut out = [0.0; 8];
+        out[Feature::BaseExTime.index()] = target.time_at(sc.pstate).unwrap();
+        out[Feature::NumCoApp.index()] = sc.num_co_located() as f64;
+        out[Feature::CoAppMem.index()] = co_mem;
+        out[Feature::TargetMem.index()] = target.memory_intensity;
+        out[Feature::CoAppCmCa.index()] = co_cm_ca;
+        out[Feature::CoAppCaIns.index()] = co_ca_ins;
+        out[Feature::TargetCmCa.index()] = target.cm_ca;
+        out[Feature::TargetCaIns.index()] = target.ca_ins;
+        out
+    }
+
+    fn bits(f: &[f64; 8]) -> [u64; 8] {
+        std::array::from_fn(|i| f[i].to_bits())
+    }
+
+    #[test]
+    fn homogeneous_row_matches_legacy_sums_bitwise() {
+        let db = db();
+        for count in 0..6 {
+            let sc = Scenario::homogeneous("t", "a", count, 1);
+            assert_eq!(bits(&row(&db, &sc).unwrap()), bits(&legacy_sums(&db, &sc)));
+        }
+    }
+
+    #[test]
+    fn heterogeneous_row_matches_legacy_sums_bitwise() {
+        // A zero-count group adds nothing, as in `co_groups`.
+        let db = db();
+        let sc = Scenario {
+            target: "t".into(),
+            co_located: vec![("a".into(), 2), ("b".into(), 0), ("b".into(), 3)],
+            pstate: 0,
+        };
+        let f = row(&db, &sc).unwrap();
+        assert_eq!(bits(&f), bits(&legacy_sums(&db, &sc)));
+        assert_eq!(f[Feature::NumCoApp.index()], 5.0);
+    }
+
+    #[test]
+    fn two_group_mix_order_is_bitwise_commutative() {
+        // A pair mix sums exactly two terms per feature; IEEE addition of
+        // two values is commutative, so swapping the groups is identity.
+        let db = db();
+        let fwd = Scenario {
+            target: "t".into(),
+            co_located: vec![("a".into(), 1), ("b".into(), 1)],
+            pstate: 0,
+        };
+        let rev = Scenario {
+            target: "t".into(),
+            co_located: vec![("b".into(), 1), ("a".into(), 1)],
+            pstate: 0,
+        };
+        assert_eq!(
+            bits(&row(&db, &fwd).unwrap()),
+            bits(&row(&db, &rev).unwrap())
+        );
+    }
+
+    #[test]
+    fn unknown_apps_fail_in_featurize_order() {
+        let db = db();
+        match row(&db, &Scenario::solo("nope", 0)) {
+            Err(ColocError::UnknownApp(n)) => assert_eq!(n, "nope"),
+            other => panic!("expected UnknownApp, got {other:?}"),
+        }
+        match row(&db, &Scenario::homogeneous("t", "ghost", 2, 0)) {
+            Err(ColocError::UnknownApp(n)) => assert_eq!(n, "ghost"),
+            other => panic!("expected UnknownApp, got {other:?}"),
+        }
+        // A missing P-state comes before an unknown co-runner…
+        match row(&db, &Scenario::homogeneous("t", "ghost", 2, 5)) {
+            Err(ColocError::Machine(m)) => assert_eq!(m, "no baseline at P-state 5"),
+            other => panic!("expected a machine error, got {other:?}"),
+        }
+        // …and co-runners fail in listing order.
+        let sc = Scenario {
+            target: "t".into(),
+            co_located: vec![("a".into(), 1), ("ghost".into(), 2), ("spook".into(), 1)],
+            pstate: 0,
+        };
+        match row(&db, &sc) {
+            Err(ColocError::UnknownApp(n)) => assert_eq!(n, "ghost"),
+            other => panic!("expected UnknownApp, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn overflowing_counts_are_a_typed_error() {
+        // Checked before any lookup: the target here is unknown too.
+        let half = 1usize << (usize::BITS - 1);
+        for co in [vec![("a", usize::MAX)], vec![("a", half), ("b", half)]] {
+            let sc = Scenario {
+                target: "nope".into(),
+                co_located: co.into_iter().map(|(n, c)| (n.to_string(), c)).collect(),
+                pstate: 0,
+            };
+            assert!(matches!(row(&db(), &sc), Err(ColocError::InvalidSpec(_))));
+        }
+        // The largest count that still fits is counted as given.
+        let sc = Scenario::homogeneous("t", "a", usize::MAX - 1, 0);
+        let f = row(&db(), &sc).unwrap();
+        assert_eq!(f[Feature::NumCoApp.index()], (usize::MAX - 1) as f64);
+    }
 
     #[test]
     fn canonical_order_is_stable() {

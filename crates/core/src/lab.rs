@@ -6,7 +6,7 @@
 //! co-location runs, featurization, and parallel sweep collection.
 
 use crate::baseline::{AppBaseline, BaselineDb};
-use crate::mix::MixFeatures;
+use crate::features::feature_row;
 use crate::plan::TrainingPlan;
 use crate::sample::Sample;
 use crate::scenario::Scenario;
@@ -427,23 +427,13 @@ impl Lab {
     }
 
     /// Compute the full eight-feature vector for a scenario from baseline
-    /// data only (paper Table I). Fails if the scenario's P-state exceeds
-    /// the machine's table or an app is unknown.
-    ///
-    /// Since the heterogeneous-mix extension this is a thin lowering of
-    /// [`Lab::mix_featurize`]; the homogeneous result is bit-identical to
-    /// the historical inline sums (conformance-gated by the differential
-    /// sweep and the `mixed-pair-order-invariance` law).
+    /// data only (paper Table I): `features::feature_row` over the lab's
+    /// [`BaselineDb`]. Fails, in this order, on a core count that
+    /// overflows `usize` ([`ColocError::InvalidSpec`]), an unknown target,
+    /// a P-state the baselines lack, and an unknown co-runner.
     pub fn featurize(&self, scenario: &Scenario) -> Result<[f64; 8]> {
-        Ok(self.mix_featurize(scenario)?.lower())
-    }
-
-    /// Compute the heterogeneous-mix feature encoding for a scenario: one
-    /// [`crate::mix::CoVector`] per co-runner group instead of pre-summed
-    /// scalars. [`MixFeatures::lower`] projects it onto the paper's
-    /// eight-feature vector.
-    pub fn mix_featurize(&self, scenario: &Scenario) -> Result<MixFeatures> {
-        MixFeatures::from_baselines(self.baselines(), scenario)
+        let db = self.baselines();
+        feature_row(scenario, |app, p| db.time_at(app, p), |app| db.ratios(app))
     }
 
     /// Run and featurize one scenario.
@@ -592,7 +582,7 @@ impl Lab {
                 samples.extend(self.collect_scenarios(next)?);
                 new_since_start += chunk;
             }
-            crate::persist::save_json_atomic(
+            crate::persist::save_json(
                 &SweepCheckpoint {
                     plan_digest: digest,
                     samples: samples.clone(),

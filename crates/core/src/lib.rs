@@ -34,7 +34,6 @@ pub mod experiment;
 pub mod features;
 pub mod lab;
 pub mod matrix;
-pub mod mix;
 pub mod persist;
 pub mod plan;
 pub mod predictor;
@@ -49,7 +48,6 @@ pub use experiment::{evaluate_model, ModelEvaluation};
 pub use features::{Feature, FeatureSet};
 pub use lab::{Lab, SweepCheckpoint, SweepStats};
 pub use matrix::{CrossMatrix, MatrixSummary};
-pub use mix::{CoVector, MixFeatures, MIX_ENCODING_VERSION};
 pub use plan::TrainingPlan;
 pub use predictor::{ModelKind, Predictor};
 pub use registry::{

@@ -25,17 +25,10 @@ fn corrupt_err(path: &Path, e: impl std::fmt::Display) -> ColocError {
     }
 }
 
-/// Serialize any supported artifact to pretty JSON at `path`.
+/// Serialize any supported artifact to pretty JSON at `path`, crash-safe:
+/// writes to a sibling temp file and renames into place, so a process
+/// dying mid-write can never leave a truncated artifact at `path`.
 pub fn save_json<T: serde::Serialize>(value: &T, path: impl AsRef<Path>) -> Result<()> {
-    let path = path.as_ref();
-    let bytes = serde_json::to_vec_pretty(value).map_err(|e| io_err(path, e))?;
-    std::fs::write(path, bytes).map_err(|e| io_err(path, e))
-}
-
-/// Like [`save_json`], but crash-safe: writes to a sibling temp file and
-/// renames into place, so a process dying mid-write can never leave a
-/// truncated artifact at `path` — the invariant sweep checkpoints rely on.
-pub fn save_json_atomic<T: serde::Serialize>(value: &T, path: impl AsRef<Path>) -> Result<()> {
     let path = path.as_ref();
     let bytes = serde_json::to_vec_pretty(value).map_err(|e| io_err(path, e))?;
     let mut tmp = path.as_os_str().to_owned();
@@ -213,11 +206,11 @@ mod tests {
     fn atomic_save_replaces_and_leaves_no_temp() {
         let path = tmp("atomic.json");
         let s = samples(5);
-        save_json_atomic(&s, &path).unwrap();
+        save_json(&s, &path).unwrap();
         let first = load_samples(&path).unwrap();
         assert_eq!(first.len(), 5);
         let s2 = samples(9);
-        save_json_atomic(&s2, &path).unwrap();
+        save_json(&s2, &path).unwrap();
         assert_eq!(load_samples(&path).unwrap().len(), 9);
         let mut tmp_name = path.as_os_str().to_owned();
         tmp_name.push(".tmp");

@@ -387,7 +387,7 @@ impl ModelRegistry {
 
     /// Persist an artifact (atomically: temp file + rename).
     pub fn save(&self, artifact: &ModelArtifact, path: impl AsRef<Path>) -> Result<()> {
-        persist::save_json_atomic(artifact, path)
+        persist::save_json(artifact, path)
     }
 
     /// Load an artifact saved with [`ModelRegistry::save`]. I/O and parse

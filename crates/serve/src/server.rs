@@ -897,6 +897,11 @@ impl Server {
                     Err(e) => eprintln!("reload failed (keeping current models): {e}"),
                 }
             }
+            // Join the threads of closed connections now, not at drain:
+            // an unjoined thread keeps its stack mapped.
+            for h in conn_threads.extract_if(.., |h| h.is_finished()) {
+                let _ = h.join();
+            }
             match listener.accept() {
                 Ok((read_half, write_half)) => {
                     let (tx, rx) = mpsc::sync_channel::<String>(REPLY_CHANNEL_BOUND);
@@ -922,7 +927,8 @@ impl Server {
             }
         }
         // Drain: refuse new admissions, let the dispatcher finish what
-        // was admitted, then give every connection thread its exit.
+        // was admitted, then give every open connection's threads their
+        // exit.
         shared.request_drain();
         dispatcher.join().expect("dispatcher panicked");
         for h in conn_threads {

@@ -78,11 +78,17 @@ fn overload_sheds_and_stays_responsive() {
         t0.elapsed()
     );
 
-    // Give the dispatcher time to chew through what was admitted.
+    // Give the dispatcher time to chew through what was admitted. The
+    // flood connection's reader admits or sheds one line at a time, so
+    // first wait until it has counted all 32 lines.
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         let stats = probe.stats().unwrap();
-        if stats.admitted > 0 && stats.completed + stats.dropped_responses >= stats.admitted {
+        let counted = stats.admitted + stats.shed_overload + stats.rejected_shutdown;
+        if counted >= 32
+            && stats.admitted > 0
+            && stats.completed + stats.dropped_responses >= stats.admitted
+        {
             // Every admitted query was answered (or its response was
             // dropped on the never-reading client); sheds were explicit.
             assert!(

@@ -142,16 +142,16 @@ fn event_execution_is_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn mix_encoding_matches_legacy_featurize_across_the_sweep() {
+fn featurize_matches_independent_sums_across_the_sweep() {
     use coloc_conformance::{gen_case, CoGroup, GenConstraints};
-    use coloc_model::{Lab, Scenario};
+    use coloc_model::{Feature, Lab, Scenario};
 
-    // Every fault-free lockstep sweep case, mapped to a `Scenario` and
-    // featurized both ways: the heterogeneous per-co-runner encoding
-    // (`MixFeatures`) must lower to the legacy summed features bit for
-    // bit — the homogeneous and mixed cases alike — and listing the co
-    // groups in reverse must not move a single bit. One lab per machine
-    // key, built lazily, so baselines are profiled once per preset.
+    // Every fault-free lockstep sweep case, mapped to a `Scenario`:
+    // `Lab::featurize` must equal the Table I row summed here, straight
+    // from the lab's baselines, bit for bit — the homogeneous and mixed
+    // cases alike — and listing the co groups in reverse must not move a
+    // single bit. One lab per machine key, built lazily, so baselines are
+    // profiled once per preset.
     let mut labs: Vec<(String, Lab)> = Vec::new();
     let mut checked = 0usize;
     for i in 0..SWEEP_CASES as u64 {
@@ -172,23 +172,34 @@ fn mix_encoding_matches_legacy_featurize_across_the_sweep() {
             co_located: case.co.iter().map(|g| (g.app.clone(), g.count)).collect(),
             pstate: case.pstate,
         };
-        let legacy = lab.featurize(&scenario).expect("sweep case featurizes");
-        let mix = lab.mix_featurize(&scenario).expect("sweep case mixes");
-        let lowered = mix.lower();
-        for (k, (a, b)) in lowered.iter().zip(&legacy).enumerate() {
+        let row = lab.featurize(&scenario).expect("sweep case featurizes");
+
+        let db = lab.baselines();
+        let target = db.get(&case.target).expect("target profiled");
+        let mut expected = [0.0; 8];
+        expected[Feature::BaseExTime.index()] = target.exec_time_s[case.pstate];
+        expected[Feature::TargetMem.index()] = target.memory_intensity;
+        expected[Feature::TargetCmCa.index()] = target.cm_ca;
+        expected[Feature::TargetCaIns.index()] = target.ca_ins;
+        for g in case.co.iter().filter(|g| g.count > 0) {
+            let b = db.get(&g.app).expect("co-runner profiled");
+            let n = g.count as f64;
+            expected[Feature::NumCoApp.index()] += n;
+            expected[Feature::CoAppMem.index()] += b.memory_intensity * n;
+            expected[Feature::CoAppCmCa.index()] += b.cm_ca * n;
+            expected[Feature::CoAppCaIns.index()] += b.ca_ins * n;
+        }
+        for (k, (a, b)) in row.iter().zip(&expected).enumerate() {
             assert!(
                 a.to_bits() == b.to_bits(),
-                "case {}: lowered feature {k} diverged from legacy ({a} vs {b})",
+                "case {}: feature {k} diverged from the baseline sums ({a} vs {b})",
                 case.describe()
             );
         }
         let mut reversed = scenario.clone();
         reversed.co_located.reverse();
-        let relowered = lab
-            .mix_featurize(&reversed)
-            .expect("reversed mixes")
-            .lower();
-        for (k, (a, b)) in lowered.iter().zip(&relowered).enumerate() {
+        let reversed_row = lab.featurize(&reversed).expect("reversed featurizes");
+        for (k, (a, b)) in row.iter().zip(&reversed_row).enumerate() {
             assert!(
                 a.to_bits() == b.to_bits(),
                 "case {}: feature {k} moved under co-order reversal ({a} vs {b})",

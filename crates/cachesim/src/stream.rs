@@ -70,22 +70,40 @@ struct Tables {
     digest: DigestSlots,
 }
 
-/// Memo slots for a digest writer's transition over one distribution's
-/// table block, filled by `coloc_machine::ir`.
+/// Memo slots for a digest writer's transition over one fixed byte
+/// block, filled by `coloc_machine::ir`.
 ///
 /// An FNV-1a-style writer absorbs the block as an affine map of its
 /// state: `state ↦ state · pow + add`, where `pow` depends only on the
 /// block's length and `add` only on the block and the low byte of the
 /// input state. A slot holds what the first absorption from that low byte
 /// computed, so a later absorption replays it as one multiply-add. The
-/// slots are a pure function of the tables, which never change, so they
-/// stay valid for the block's lifetime.
+/// slots are a pure function of the block's bytes, so they stay valid
+/// for as long as those bytes cannot change: a distribution's table block
+/// keeps one set for its tables, and a lab keeps one per suite
+/// application for that application's whole encoding.
 #[derive(Debug)]
 pub struct DigestSlots {
     /// The multiplicative part, shared by every input state.
     pub pow: OnceLock<u128>,
     /// The additive part, one slot per input state's low byte.
     pub add: [OnceLock<u128>; 256],
+}
+
+impl DigestSlots {
+    /// Empty slots: each part is computed on its first use.
+    pub fn new() -> DigestSlots {
+        DigestSlots {
+            pow: OnceLock::new(),
+            add: std::array::from_fn(|_| OnceLock::new()),
+        }
+    }
+}
+
+impl Default for DigestSlots {
+    fn default() -> DigestSlots {
+        DigestSlots::new()
+    }
 }
 
 impl StackDistanceDist {
@@ -170,10 +188,7 @@ impl StackDistanceDist {
                 reps,
                 cdf,
                 curve: OnceLock::new(),
-                digest: DigestSlots {
-                    pow: OnceLock::new(),
-                    add: std::array::from_fn(|_| OnceLock::new()),
-                },
+                digest: DigestSlots::new(),
             }),
         }
     }

@@ -40,7 +40,7 @@ impl From<String> for Failure {
 /// The exit code a [`ColocError`] terminates the process with.
 pub fn exit_code_for(err: &ColocError) -> u8 {
     match err {
-        ColocError::Overloaded { .. } => 75,
+        ColocError::Overloaded { .. } | ColocError::TooManyConnections { .. } => 75,
         ColocError::Timeout { .. } => 124,
         ColocError::ShuttingDown => 69,
         _ => 1,
@@ -1277,6 +1277,8 @@ mod tests {
     fn place_refuses_oversize_fleets_and_non_finite_qos() {
         for bad in [
             &["--machine", "e5649", "--sockets", "4294967297"][..],
+            &["--machine", "e5649", "--sockets", "1048577"],
+            &["--fleet", "standard:131073"],
             &["--fleet", "standard:3000000000000000000"],
             &["--fleet", "standard:99999999999"],
             &["--qos", "nan"],
@@ -1397,6 +1399,10 @@ mod tests {
         );
         assert_eq!(exit_code_for(&ColocError::Timeout { deadline_ms: 5 }), 124);
         assert_eq!(exit_code_for(&ColocError::ShuttingDown), 69);
+        assert_eq!(
+            exit_code_for(&ColocError::TooManyConnections { open: 64 }),
+            75
+        );
         assert_eq!(exit_code_for(&ColocError::Machine("x".into())), 1);
         let f: Failure = "boom".to_string().into();
         assert_eq!((f.code, f.message.as_str()), (1, "boom"));

@@ -11,6 +11,7 @@ use crate::plan::TrainingPlan;
 use crate::sample::Sample;
 use crate::scenario::Scenario;
 use crate::{ColocError, Result};
+use coloc_cachesim::stream::DigestSlots;
 use coloc_machine::{
     FaultPlan, GroupRef, IrWriter, Machine, MachineSpec, RunCache, RunOptions, RunOutcome,
     RunnerGroup, ScenarioIr, StageProfile,
@@ -80,9 +81,22 @@ impl std::fmt::Display for SweepStats {
 }
 
 /// A machine + suite measurement environment.
+///
+/// The lab keeps one set of [`DigestSlots`] per suite application, in
+/// suite order, and hands them to every group it lowers, so a run-cache
+/// key absorbs each application's whole encoding as one multiply-add
+/// once its slot is filled, with the same bits as the byte-by-byte
+/// encoding. The slots cannot go stale: the lab owns its suite, sets it
+/// once in [`Lab::new`] and only ever lends it out immutably, so each
+/// application's encoded bytes never change. A set is allocated when
+/// its application is first lowered.
 pub struct Lab {
     machine: Machine,
     suite: Vec<Benchmark>,
+    /// Digest slots of each suite application's encoding, parallel to
+    /// `suite`, allocated on the application's first lowering (about 8
+    /// KiB each), so building a lab allocates none.
+    app_slots: Vec<OnceLock<Box<DigestSlots>>>,
     seed: u64,
     noise_sigma: f64,
     /// Worker threads for sweeps; 0 = one per available CPU.
@@ -110,6 +124,7 @@ impl Lab {
     pub fn new(spec: MachineSpec, suite: Vec<Benchmark>, seed: u64) -> Result<Lab> {
         Ok(Lab {
             machine: Machine::new(spec)?,
+            app_slots: suite.iter().map(|_| OnceLock::new()).collect(),
             suite,
             seed,
             noise_sigma: DEFAULT_NOISE_SIGMA,
@@ -197,9 +212,14 @@ impl Lab {
 
     /// Look up a suite application by name.
     pub fn app(&self, name: &str) -> Result<&Benchmark> {
+        Ok(&self.suite[self.app_index(name)?])
+    }
+
+    /// The suite index of the application named `name`.
+    fn app_index(&self, name: &str) -> Result<usize> {
         self.suite
             .iter()
-            .find(|b| b.name == name)
+            .position(|b| b.name == name)
             .ok_or_else(|| ColocError::UnknownApp(name.to_string()))
     }
 
@@ -249,21 +269,30 @@ impl Lab {
     }
 
     /// Lower a scenario onto borrowed parts: its groups resolved into the
-    /// lab's own suite (target first, zero-count co-groups dropped) and
-    /// its run options, seeded from the label bytes as `Scenario`'s
-    /// `Display` writes them. Nothing is cloned and no label is built.
+    /// lab's own suite (target first, zero-count co-groups dropped), each
+    /// with its application's digest slots, and its run options, seeded
+    /// from the label bytes as `Scenario`'s `Display` writes them.
+    /// Nothing is cloned and no label is built.
     fn lower(&self, scenario: &Scenario) -> Result<(Vec<GroupRef<'_>>, RunOptions)> {
         let mut groups = Vec::with_capacity(1 + scenario.co_located.len());
-        groups.push(GroupRef::solo(&self.app(&scenario.target)?.app));
+        groups.push(self.group(&scenario.target, 1)?);
         for (name, count) in scenario.co_groups() {
-            groups.push(GroupRef {
-                app: &self.app(name)?.app,
-                count,
-            });
+            groups.push(self.group(name, count)?);
         }
         let mut opts = self.run_options(scenario, 1);
         opts.pstate = scenario.pstate;
         Ok((groups, opts))
+    }
+
+    /// `count` instances of the suite application `name`, with its
+    /// digest slots.
+    fn group(&self, name: &str, count: usize) -> Result<GroupRef<'_>> {
+        let i = self.app_index(name)?;
+        Ok(GroupRef {
+            app: &self.suite[i].app,
+            count,
+            slots: Some(self.app_slots[i].get_or_init(Box::default)),
+        })
     }
 
     /// The run-cache key the lab runs a lowered scenario under.

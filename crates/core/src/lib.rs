@@ -103,6 +103,9 @@ pub enum ColocError {
     /// The service is draining (e.g. SIGTERM received) and no longer
     /// admits new work.
     ShuttingDown,
+    /// A service refused a connection because `open` connections, its
+    /// bound, were already open. Callers should back off and reconnect.
+    TooManyConnections { open: usize },
 }
 
 impl std::fmt::Display for ColocError {
@@ -146,6 +149,12 @@ impl std::fmt::Display for ColocError {
                 )
             }
             ColocError::ShuttingDown => write!(f, "service is shutting down"),
+            ColocError::TooManyConnections { open } => {
+                write!(
+                    f,
+                    "too many connections ({open} open); reconnect with backoff"
+                )
+            }
         }
     }
 }

@@ -206,9 +206,11 @@ impl RunCache {
     /// The memo key this cache uses for a scenario: the encoding behind
     /// [`crate::ScenarioIr::digest`] of the same inputs, so the same bits.
     /// Each locality table it absorbs through its table block's digest
-    /// slots, shared by every clone of that table. All-default (or absent)
-    /// schedules key like no schedules, and a no-op fault plan like no
-    /// plan.
+    /// slots, shared by every clone of that table, and each group that
+    /// carries slots for its application ([`crate::GroupRef::slots`])
+    /// absorbs its whole application block through them. All-default (or
+    /// absent) schedules key like no schedules, and a no-op fault plan
+    /// like no plan.
     pub fn key_for_scheduled<G: GroupView>(
         &self,
         machine: &Machine,

@@ -40,6 +40,7 @@ use crate::faults::FaultEvent;
 use crate::ir::IrWriter;
 use crate::spec::MachineSpec;
 use crate::{MachineError, Result};
+use coloc_cachesim::stream::DigestSlots;
 use coloc_cachesim::MissRateCurve;
 use coloc_memsys::MemorySystem;
 use rand::Rng as _;
@@ -68,12 +69,23 @@ impl RunnerGroup {
 /// [`Machine::run_solo`] builds one directly from the borrowed profile, so
 /// the per-query baseline measurement never clones the [`AppProfile`] just
 /// to run it.
+///
+/// A group may carry digest slots for its profile's whole canonical
+/// encoding. The run-cache key then absorbs the profile as one
+/// multiply-add once the slot for the writer's low byte is filled,
+/// instead of byte by byte; the key's bits are the same either way. The
+/// slots must belong to exactly this profile and be used for no other:
+/// a lab keeps one set per suite application and never mutates its
+/// suite. [`GroupRef::from_group`] and [`GroupRef::solo`] carry none.
 #[derive(Clone, Copy, Debug)]
 pub struct GroupRef<'a> {
     /// Profile shared by every instance in the group.
     pub app: &'a AppProfile,
     /// Number of instances (one core each).
     pub count: usize,
+    /// Digest slots for `app`'s encoding, owned by whoever owns `app`;
+    /// `None` absorbs the encoding byte by byte.
+    pub slots: Option<&'a DigestSlots>,
 }
 
 impl<'a> GroupRef<'a> {
@@ -82,12 +94,17 @@ impl<'a> GroupRef<'a> {
         GroupRef {
             app: &g.app,
             count: g.count,
+            slots: None,
         }
     }
 
     /// A single-instance group over a borrowed profile.
     pub fn solo(app: &'a AppProfile) -> GroupRef<'a> {
-        GroupRef { app, count: 1 }
+        GroupRef {
+            app,
+            count: 1,
+            slots: None,
+        }
     }
 }
 

@@ -294,9 +294,15 @@ mod tests {
         let a1 = app("x");
         let a2 = app("y");
         let wl = [
-            GroupRef { app: &a0, count: 1 },
-            GroupRef { app: &a1, count: 3 },
-            GroupRef { app: &a2, count: 3 },
+            GroupRef::solo(&a0),
+            GroupRef {
+                count: 3,
+                ..GroupRef::solo(&a1)
+            },
+            GroupRef {
+                count: 3,
+                ..GroupRef::solo(&a2)
+            },
         ];
         assert_eq!(cores_needed(&wl, None), 7, "lockstep needs every group");
         // Disjoint windows: 3 departs at 1.0 exactly when the other 3
@@ -320,10 +326,7 @@ mod tests {
     fn validation_rejects_malformed_schedules() {
         let a0 = app("t");
         let a1 = app("x");
-        let wl = [
-            GroupRef { app: &a0, count: 1 },
-            GroupRef { app: &a1, count: 1 },
-        ];
+        let wl = [GroupRef::solo(&a0), GroupRef::solo(&a1)];
         let ok = [GroupSchedule::default(), sched(0.5, Some(1.5))];
         assert!(validate_schedules(&wl, &ok).is_ok());
 

@@ -30,7 +30,11 @@
 //!   through digest slots kept in the distribution's shared table block:
 //!   after the first absorption from a given state low byte, a table costs
 //!   one multiply-add instead of thousands of byte steps, with the same
-//!   bits (see `absorb_dist`);
+//!   bits (see `absorb_block`). A group that carries slots for its whole
+//!   application block (a lab's lowering hands each group its suite
+//!   application's) absorbs that block, name, scalars and tables, the
+//!   same way; owned [`RunnerGroup`]s carry none and absorb it byte by
+//!   byte, to the same bits;
 //! * a fault plan contributes a `1` tag byte plus its digest only when it
 //!   can actually fire; a no-op plan encodes as the `0` tag, identical to
 //!   no plan at all (it cannot change any outcome, so clean sweeps and
@@ -46,6 +50,7 @@ use crate::engine::{GroupView, Machine, RunOptions, RunnerGroup};
 use crate::event::GroupSchedule;
 use crate::faults::FaultPlan;
 use crate::spec::MachineSpec;
+use coloc_cachesim::stream::DigestSlots;
 use coloc_cachesim::StackDistanceDist;
 
 const FNV128_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
@@ -122,8 +127,8 @@ impl IrWriter {
 
 /// Canonical encoding of a locality distribution's tables: length-prefixed
 /// representatives, then the CDF. This is the reference [`absorb_dist`]
-/// fills the table's digest slots from, so its byte count must be a pure
-/// function of the table lengths (it is: every entry widens to 8 bytes).
+/// fills the table's digest slots from; [`dist_block_len`] is its byte
+/// count.
 fn absorb_dist_tables(d: &mut IrWriter, dist: &StackDistanceDist) {
     d.usize(dist.representatives().len());
     for &r in dist.representatives() {
@@ -134,8 +139,14 @@ fn absorb_dist_tables(d: &mut IrWriter, dist: &StackDistanceDist) {
     }
 }
 
-/// Absorb `dist`'s tables into `d`, bit-identical to
-/// [`absorb_dist_tables`], through the table block's digest slots.
+/// Bytes [`absorb_dist_tables`] writes: every entry widens to 8.
+fn dist_block_len(dist: &StackDistanceDist) -> usize {
+    (1 + dist.representatives().len() + dist.cdf().len()) * 8
+}
+
+/// Absorb a fixed block, which `encode` writes and whose byte count
+/// `len` returns, through the block's digest slots: bit-identical to
+/// calling `encode` on `d`.
 ///
 /// FNV-1a is affine in its state: absorbing one byte `b` maps `s` to
 /// `(s ^ b) * p`, and `s ^ b = s + ((l ^ b) - l)` where `l` is the low
@@ -145,28 +156,44 @@ fn absorb_dist_tables(d: &mut IrWriter, dist: &StackDistanceDist) {
 /// where `D` depends only on `B` and the low byte of `s` — because the
 /// low byte of the state after each step, `((l ^ b) * p) & 0xff`, is
 /// itself a function of the previous low byte alone (`p`'s low byte is
-/// `0x3b`). So the first absorption of a table from each input low byte
-/// runs the reference encoder and stores `D` in that byte's slot; every
-/// later one, from any state with the same low byte, is one multiply-add.
-/// The slots live in the table block, so clones of a distribution share
-/// them and an independently built one starts cold.
-fn absorb_dist(d: &mut IrWriter, dist: &StackDistanceDist) {
-    let slots = dist.digest_slots();
+/// `0x3b`). So the first absorption of a block from each input low byte
+/// runs `encode` and stores `D` in that byte's slot; every later one,
+/// from any state with the same low byte, is one multiply-add, which
+/// reads neither the block nor its length. `len` must return the number
+/// of bytes `encode` writes, and the slots must be used for this block
+/// alone.
+fn absorb_block(
+    d: &mut IrWriter,
+    slots: &DigestSlots,
+    len: impl FnOnce() -> usize,
+    encode: impl FnOnce(&mut IrWriter),
+) {
     let s_in = d.state;
-    let pow = *slots
-        .pow
-        .get_or_init(|| fnv_pow((1 + dist.representatives().len() + dist.cdf().len()) * 8));
+    let pow = *slots.pow.get_or_init(|| fnv_pow(len()));
     let mul = s_in.wrapping_mul(pow);
     let add = *slots.add[usize::from(s_in as u8)].get_or_init(|| {
         let mut probe = IrWriter { state: s_in };
-        absorb_dist_tables(&mut probe, dist);
+        encode(&mut probe);
         probe.state.wrapping_sub(mul)
     });
     d.state = mul.wrapping_add(add);
 }
 
+/// Absorb `dist`'s tables into `d`, bit-identical to
+/// [`absorb_dist_tables`], through the digest slots kept in the table
+/// block, so clones of a distribution share them and an independently
+/// built one starts cold.
+fn absorb_dist(d: &mut IrWriter, dist: &StackDistanceDist) {
+    absorb_block(
+        d,
+        dist.digest_slots(),
+        || dist_block_len(dist),
+        |d| absorb_dist_tables(d, dist),
+    );
+}
+
 /// Canonical encoding of an application profile, down to its per-phase
-/// locality tables.
+/// locality tables. [`app_block_len`] is its byte count.
 fn encode_app(d: &mut IrWriter, app: &AppProfile) {
     d.str(&app.name);
     d.f64(app.instructions);
@@ -184,6 +211,18 @@ fn encode_app(d: &mut IrWriter, app: &AppProfile) {
         d.f64(ph.dist.alpha());
         absorb_dist(d, &ph.dist);
     }
+}
+
+/// Bytes [`encode_app`] writes: the length-prefixed name, the
+/// instruction count and phase count, then per phase seven scalars and
+/// the table block.
+fn app_block_len(app: &AppProfile) -> usize {
+    let phases: usize = app
+        .phases
+        .iter()
+        .map(|ph| 7 * 8 + dist_block_len(&ph.dist))
+        .sum();
+    8 + app.name.len() + 2 * 8 + phases
 }
 
 /// `FNV128_PRIME` raised to `n_bytes` (one multiply per absorbed byte),
@@ -238,7 +277,12 @@ pub(crate) fn encode_run<G: GroupView>(
     for g in workload {
         let g = g.group();
         d.usize(g.count);
-        encode_app(d, g.app);
+        match g.slots {
+            Some(slots) => {
+                absorb_block(d, slots, || app_block_len(g.app), |d| encode_app(d, g.app))
+            }
+            None => encode_app(d, g.app),
+        }
     }
 
     d.usize(opts.pstate);
@@ -367,6 +411,7 @@ impl ScenarioIr {
 mod tests {
     use super::*;
     use crate::app::AppPhase;
+    use crate::engine::GroupRef;
     use crate::presets;
     use coloc_cachesim::StackDistanceDist;
 
@@ -443,32 +488,46 @@ mod tests {
         assert_ne!(d0, faulted.digest(), "an active plan keys apart");
     }
 
+    /// The writer state after `encode` absorbs a block from `state`.
+    fn absorbed(state: u128, encode: impl FnOnce(&mut IrWriter)) -> u128 {
+        let mut w = IrWriter { state };
+        encode(&mut w);
+        w.state
+    }
+
+    /// Check a slot path against its reference encoder from every input
+    /// low byte, with two input states per byte that differ above it: the
+    /// first fills the byte's slot, then hits it warm, and the second
+    /// replays it. A wrong block length passes the first two and fails
+    /// the replay.
+    fn assert_slots_match(
+        what: &str,
+        reference: impl Fn(&mut IrWriter),
+        through_slots: impl Fn(&mut IrWriter),
+    ) {
+        let (high_a, high_b) = (0x0123_4567_89ab_cdef_fedc_ba98_7654_3200u128, FNV128_OFFSET);
+        for low in 0..=255u8 {
+            let a = high_a & !0xff | u128::from(low);
+            let b = high_b & !0xff | u128::from(low);
+            let cold = absorbed(a, &through_slots);
+            let warm = absorbed(a, &through_slots);
+            let other = absorbed(b, &through_slots);
+            assert_eq!(cold, absorbed(a, &reference), "{what}, {low:#04x}: cold");
+            assert_eq!(warm, absorbed(a, &reference), "{what}, {low:#04x}: warm");
+            assert_eq!(other, absorbed(b, &reference), "{what}, {low:#04x}: replay");
+        }
+    }
+
     #[test]
     fn table_slots_match_the_reference_encoder() {
         // The suite's `cg` table: 449 representatives, 7,192 bytes.
         let dist = StackDistanceDist::power_law(3_000_000, 0.75, 0.02);
         assert_eq!(dist.representatives().len(), 449);
-        let reference = |state: u128| {
-            let mut w = IrWriter { state };
-            absorb_dist_tables(&mut w, &dist);
-            w.state
-        };
-        let through_slots = |state: u128| {
-            let mut w = IrWriter { state };
-            absorb_dist(&mut w, &dist);
-            w.state
-        };
-        // Two input states per low byte that differ above it: the first
-        // fills the byte's slot, the second replays it.
-        let (high_a, high_b) = (0x0123_4567_89ab_cdef_fedc_ba98_7654_3200u128, FNV128_OFFSET);
-        for low in 0..=255u8 {
-            let a = high_a & !0xff | u128::from(low);
-            let b = high_b & !0xff | u128::from(low);
-            let (cold, warm, other) = (through_slots(a), through_slots(a), through_slots(b));
-            assert_eq!(cold, reference(a), "low byte {low:#04x}: cold slot");
-            assert_eq!(warm, reference(a), "low byte {low:#04x}: warm slot");
-            assert_eq!(other, reference(b), "low byte {low:#04x}: replayed slot");
-        }
+        assert_slots_match(
+            "cg table",
+            |w| absorb_dist_tables(w, &dist),
+            |w| absorb_dist(w, &dist),
+        );
         assert!(dist.digest_slots().add.iter().all(|s| s.get().is_some()));
 
         // A clone shares the block and its filled slots; an equal-parameter
@@ -490,6 +549,66 @@ mod tests {
                 absorb_dist_tables(&mut wb, &pb.dist);
                 assert_eq!(wa.finish(), wb.finish(), "{}", a.name);
             }
+        }
+    }
+
+    /// Each app of the standard suite as this crate's profile type (the
+    /// suite crate links its own copy of this one), sharing its tables.
+    fn suite_apps() -> Vec<AppProfile> {
+        coloc_workloads::standard()
+            .iter()
+            .map(|b| AppProfile {
+                name: b.app.name.clone(),
+                instructions: b.app.instructions,
+                phases: (b.app.phases.iter())
+                    .map(|ph| AppPhase {
+                        weight: ph.weight,
+                        dist: ph.dist.clone(),
+                        accesses_per_instr: ph.accesses_per_instr,
+                        cpi_base: ph.cpi_base,
+                        mlp: ph.mlp,
+                    })
+                    .collect(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn app_slots_match_the_reference_encoder() {
+        let suite = suite_apps();
+        assert_eq!(suite.len(), 11);
+        for multi_phase in ["ft", "bodytrack"] {
+            let app = suite.iter().find(|a| a.name == multi_phase).unwrap();
+            assert_eq!(app.phases.len(), 2, "{multi_phase}");
+        }
+        let machine = Machine::new(presets::xeon_e5649()).unwrap();
+        let cache = crate::RunCache::new(1);
+        let opts = RunOptions::default();
+        for app in &suite {
+            let slots = DigestSlots::new();
+            assert_slots_match(
+                &app.name,
+                |w| encode_app(w, app),
+                |w| absorb_block(w, &slots, || app_block_len(app), |w| encode_app(w, app)),
+            );
+            assert!(slots.add.iter().all(|s| s.get().is_some()), "{}", app.name);
+            // The run-cache key takes the slot path for a group that
+            // carries slots, with the bits of the owned group's key.
+            let owned = [RunnerGroup {
+                app: app.clone(),
+                count: 3,
+            }];
+            let borrowed = [GroupRef {
+                app,
+                count: 3,
+                slots: Some(&slots),
+            }];
+            assert_eq!(
+                cache.key_for_scheduled(&machine, &borrowed, &opts, None, None),
+                cache.key_for_scheduled(&machine, &owned, &opts, None, None),
+                "{}",
+                app.name
+            );
         }
     }
 

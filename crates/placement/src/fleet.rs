@@ -18,8 +18,11 @@ pub const MAX_APPS: usize = 12;
 pub const APP_BITS: u32 = 5;
 /// Maximum per-socket instances of one app (5-bit field).
 pub const MAX_COUNT: usize = (1 << APP_BITS) - 1;
-/// Maximum sockets in a fleet: socket ids are `u32`.
-pub const MAX_SOCKETS: usize = u32::MAX as usize;
+/// Maximum sockets in a fleet, 2²⁰. A fleet holds one contents key per
+/// socket (8 MiB at the bound) and rebuilds a set of every socket id on
+/// each wave, so the bound keeps a fleet that validates within tens of
+/// MiB. Socket ids are `u32`, which the bound also fits.
+pub const MAX_SOCKETS: usize = 1 << 20;
 
 /// A socket's contents as a packed per-app instance histogram: 5 bits per
 /// suite app, app 0 in the low bits. `0` is the empty socket. Keys are

@@ -18,6 +18,7 @@
 //! {"id":"q1","err":"overloaded","retry_after_ms":50,"queue_depth":128}
 //! {"id":"q1","err":"timeout","deadline_ms":500}
 //! {"err":"shutting_down"}
+//! {"err":"too_many_connections","retry_after_ms":50,"open_connections":64}
 //! {"ok":true,"pong":true}
 //! {"ok":true,"reloaded":true,"model_epoch":3,"model_digest":"…"}
 //! ```
@@ -255,6 +256,11 @@ pub fn err_line(id: Option<&str>, err: &ColocError, retry_after_ms: u64) -> Stri
         ColocError::ShuttingDown => {
             m.insert("err", Value::Str("shutting_down".into()));
         }
+        ColocError::TooManyConnections { open } => {
+            m.insert("err", Value::Str("too_many_connections".into()));
+            m.insert("retry_after_ms", Value::UInt(retry_after_ms));
+            m.insert("open_connections", Value::UInt(*open as u64));
+        }
         other => {
             m.insert("err", Value::Str("error".into()));
             m.insert("detail", Value::Str(other.to_string()));
@@ -333,6 +339,9 @@ pub fn parse_reply(line: &str) -> Result<Reply, String> {
                 deadline_ms: uint_field(&obj, "deadline_ms")?.unwrap_or(0),
             },
             "shutting_down" => ColocError::ShuttingDown,
+            "too_many_connections" => ColocError::TooManyConnections {
+                open: uint_field(&obj, "open_connections")?.unwrap_or(0) as usize,
+            },
             _ => ColocError::Machine(str_field(&obj, "detail")?.unwrap_or_else(|| err.clone())),
         };
         return Ok(Reply::Err {
@@ -580,6 +589,17 @@ mod tests {
         ));
         let line = err_line(None, &coloc_model::ColocError::ShuttingDown, 0);
         assert!(line.contains("shutting_down"), "{line}");
+
+        let refused = coloc_model::ColocError::TooManyConnections { open: 64 };
+        let line = err_line(None, &refused, 50);
+        assert_eq!(
+            parse_reply(&line).unwrap(),
+            Reply::Err {
+                id: None,
+                error: refused,
+                retry_after_ms: Some(50),
+            }
+        );
     }
 
     #[test]

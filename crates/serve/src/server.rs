@@ -3,8 +3,9 @@
 //! One process, four kinds of threads:
 //!
 //! * the **accept loop** (the thread that called [`Server::run`]) hands
-//!   each connection a reader and a writer thread, emits the periodic
-//!   stats frame, and watches the drain latch;
+//!   each connection a reader and a writer thread, up to
+//!   [`MAX_CONNECTIONS`] open at once, emits the periodic stats frame,
+//!   and watches the drain latch;
 //! * per-connection **readers** parse request lines and either answer
 //!   inline (`ping`, `stats`) or push queries through the
 //!   [`AdmissionQueue`] — which is where load shedding happens, before
@@ -781,6 +782,13 @@ fn writer_loop(mut conn: Box<dyn Write + Send>, rx: Receiver<String>) {
 /// rather than blocking the engine.
 const REPLY_CHANNEL_BOUND: usize = 256;
 
+/// Most connections open at once, each holding a reader and a writer
+/// thread. The accept loop answers a connection past the bound itself,
+/// with one `too_many_connections` line carrying the retry hint, closes
+/// it, spawns nothing for it and counts it in the stats frame. A
+/// connection stays open until both of its threads have exited.
+pub const MAX_CONNECTIONS: usize = 64;
+
 /// A running server, as seen by the thread that spawned it.
 pub struct ServerHandle {
     addr: Option<std::net::SocketAddr>,
@@ -878,7 +886,8 @@ impl Server {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || shared.dispatch_loop())
         };
-        let mut conn_threads: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        // Each open connection's reader and writer.
+        let mut conns: Vec<[std::thread::JoinHandle<()>; 2]> = Vec::new();
         let mut last_frame = Instant::now();
         loop {
             if shared.should_drain() {
@@ -898,18 +907,27 @@ impl Server {
                 }
             }
             // Join the threads of closed connections now, not at drain:
-            // an unjoined thread keeps its stack mapped.
-            for h in conn_threads.extract_if(.., |h| h.is_finished()) {
-                let _ = h.join();
+            // an unjoined thread keeps its stack mapped, and a joined
+            // connection frees its place under the bound.
+            for conn in conns.extract_if(.., |c| c.iter().all(|h| h.is_finished())) {
+                for h in conn {
+                    let _ = h.join();
+                }
             }
             match listener.accept() {
+                Ok((_, mut write_half)) if conns.len() >= MAX_CONNECTIONS => {
+                    Shared::bump(&shared.counters.refused_connections);
+                    let refused = ColocError::TooManyConnections { open: conns.len() };
+                    let line = proto::err_line(None, &refused, shared.cfg.retry_hint_ms);
+                    let _ = write_half.write_all(format!("{line}\n").as_bytes());
+                }
                 Ok((read_half, write_half)) => {
                     let (tx, rx) = mpsc::sync_channel::<String>(REPLY_CHANNEL_BOUND);
                     let reader_shared = Arc::clone(&shared);
-                    conn_threads.push(std::thread::spawn(move || {
-                        reader_loop(&reader_shared, read_half, tx)
-                    }));
-                    conn_threads.push(std::thread::spawn(move || writer_loop(write_half, rx)));
+                    conns.push([
+                        std::thread::spawn(move || reader_loop(&reader_shared, read_half, tx)),
+                        std::thread::spawn(move || writer_loop(write_half, rx)),
+                    ]);
                 }
                 // No client within the wait (or, unbounded, right now).
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
@@ -931,7 +949,7 @@ impl Server {
         // exit.
         shared.request_drain();
         dispatcher.join().expect("dispatcher panicked");
-        for h in conn_threads {
+        for h in conns.into_iter().flatten() {
             let _ = h.join();
         }
         let frame = shared.frame();

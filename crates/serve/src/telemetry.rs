@@ -141,6 +141,8 @@ pub struct Counters {
     pub pings: AtomicU64,
     /// Lines that failed to parse or validate.
     pub bad_requests: AtomicU64,
+    /// Connections refused because the connection bound was reached.
+    pub refused_connections: AtomicU64,
 }
 
 impl Counters {
@@ -182,6 +184,8 @@ pub struct StatsFrame {
     pub pings: u64,
     /// Unparseable/invalid request lines.
     pub bad_requests: u64,
+    /// Connections refused at the connection bound.
+    pub refused_connections: u64,
     /// Median admitted-query latency, milliseconds.
     pub latency_p50_ms: f64,
     /// 95th-percentile latency, milliseconds.
@@ -230,6 +234,7 @@ impl StatsFrame {
             dropped_responses: Counters::get(&counters.dropped_responses),
             pings: Counters::get(&counters.pings),
             bad_requests: Counters::get(&counters.bad_requests),
+            refused_connections: Counters::get(&counters.refused_connections),
             latency_p50_ms: latency.quantile_ms(0.50),
             latency_p95_ms: latency.quantile_ms(0.95),
             latency_p99_ms: latency.quantile_ms(0.99),

@@ -36,12 +36,16 @@
 //! input fails it.
 
 use coloc_cachesim::StackDistanceDist;
+use coloc_machine::IrWriter;
 use coloc_machine::{
     presets, AppPhase, AppProfile, FaultPlan, GroupSchedule, RunCache, RunOptions, RunnerGroup,
     ScenarioIr, SegmentTrace,
 };
+use coloc_model::lab::DEFAULT_NOISE_SIGMA;
 use coloc_model::registry::samples_digest;
-use coloc_model::Lab;
+use coloc_model::{Lab, Scenario};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
 
 fn fixture_path() -> PathBuf {
@@ -569,5 +573,79 @@ fn digest64_is_stable_too() {
             (d >> 64) as u64 ^ d as u64,
             "{name}: digest64 is no longer the folded 128-bit digest"
         );
+    }
+}
+
+/// `n` seeded 2- and 3-group mixes over `lab`'s suite at any of its
+/// P-states, each fitting the machine's cores. Some co-groups repeat an
+/// application, and some carry a zero count, which lowering drops.
+fn seeded_mixes(lab: &Lab, seed: u64, n: usize) -> Vec<Scenario> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let names: Vec<&str> = lab.suite().iter().map(|b| b.name).collect();
+    let spec = lab.machine().spec();
+    let pick = |rng: &mut StdRng| names[rng.gen_range(0..names.len())].to_string();
+    (0..n)
+        .map(|i| {
+            let target = pick(&mut rng);
+            let groups = 1 + i % 2;
+            let mut free = spec.cores - 1;
+            let co_located = (0..groups)
+                .map(|_| {
+                    let count = rng.gen_range(0..=free.min(4));
+                    free -= count;
+                    (pick(&mut rng), count)
+                })
+                .collect();
+            Scenario {
+                target,
+                co_located,
+                pstate: rng.gen_range(0..spec.num_pstates()),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn plan_digest_equals_a_fold_over_owned_scenario_digests() {
+    // `Lab::plan_digest` keys each scenario through the lab's per-app
+    // digest slots; `ScenarioIr::digest64` of the owned lowering takes
+    // the byte-by-byte path. The fold below is `plan_digest`'s documented
+    // layout: seed, noise σ, fault-plan digest, machine name and scenario
+    // count, then per scenario `1` and its 64-bit IR digest, or `0` and
+    // its label when it does not lower.
+    for spec in [presets::xeon_e5649(), presets::xeon_e5_2697v2()] {
+        let clean = Lab::new(spec.clone(), coloc_workloads::standard(), 2015).unwrap();
+        let faulted = Lab::new(spec, coloc_workloads::standard(), 7)
+            .unwrap()
+            .with_faults(FaultPlan::light(3))
+            .unwrap();
+        for lab in [clean, faulted] {
+            let mut scenarios = lab.paper_plan().scenarios();
+            scenarios.extend(seeded_mixes(&lab, 29, 240));
+            scenarios.push(Scenario::homogeneous("canneal", "doom", 2, 0));
+            let mut fold = IrWriter::new();
+            fold.u64(lab.seed());
+            fold.f64(DEFAULT_NOISE_SIGMA);
+            fold.u64(lab.fault_plan().map_or(0, FaultPlan::digest));
+            fold.str(&lab.machine().spec().name);
+            fold.usize(scenarios.len());
+            for sc in &scenarios {
+                match lab.scenario_ir(sc) {
+                    Ok(ir) => {
+                        fold.byte(1);
+                        fold.u64(ir.digest64());
+                    }
+                    Err(_) => {
+                        fold.byte(0);
+                        fold.str(&sc.label());
+                    }
+                }
+            }
+            let name = &lab.machine().spec().name;
+            let expected = fold.finish64();
+            // Cold slots, then warm ones: both must give the fold's bits.
+            assert_eq!(lab.plan_digest(&scenarios), expected, "{name}: cold slots");
+            assert_eq!(lab.plan_digest(&scenarios), expected, "{name}: warm slots");
+        }
     }
 }

@@ -214,6 +214,8 @@ fn million_job_benchmark_keeps_its_digests() {
 #[test]
 fn oversize_fleets_and_non_finite_qos_are_typed_errors() {
     let fleets = [
+        // One socket past the memory bound of 2²⁰ sockets.
+        FleetSpec::single(coloc_machine::presets::xeon_e5649(), (1 << 20) + 1),
         // Socket ids are u32, so 2³² + 1 sockets would wrap to one.
         FleetSpec::single(coloc_machine::presets::xeon_e5649(), u32::MAX as usize + 2),
         FleetSpec::standard(99_999_999_999),
